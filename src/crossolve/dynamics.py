@@ -34,7 +34,7 @@ from .errors import (
     StabilityError,
     UsageError,
 )
-from .spectral import a_norm, direct_solve
+from .spectral import direct_solve
 
 __all__ = [
     "OpAmpModel",
@@ -210,19 +210,49 @@ class Trace:
 
 @dataclass
 class SolveResult:
-    """Outcome of one transient run.
+    """Outcome of one transient run over one right-hand side or a block.
 
-    tau is steps * alpha / gbw exactly. converged and diverged are both
-    False when the run hit max_steps (a timeout). trace is None when
+    For a single right-hand side b of shape (n,), x_final has shape (n,),
+    tau is steps * alpha / gbw exactly, and converged and diverged are
+    both False when the run hit max_steps (a timeout). trace is None when
     recording was disabled.
+
+    For a block b of shape (n, k), x_final has shape (n, k) and tau,
+    converged and diverged are length-k arrays, one entry per column.
+    column_steps holds each column's integer step count and steps is
+    their total. A block run records no trace. column_steps is None for a
+    single right-hand side.
     """
 
     x_final: np.ndarray
-    tau: float
-    converged: bool
-    diverged: bool
+    tau: float | np.ndarray
+    converged: bool | np.ndarray
+    diverged: bool | np.ndarray
     trace: Trace | None
     steps: int
+    column_steps: np.ndarray | None = None
+
+
+# Relative slack of the divergence screen: a column is checked exactly once
+# ||x - x*|| + ||x*|| comes within this fraction of the divergence threshold,
+# far above the rounding error of the norms, so the verdict is the one an
+# exact ||x|| test on every step would give.
+_SCREEN_SLACK = 1e-9
+
+
+def _square_limit(epsilon: float) -> float:
+    """Largest double q with sqrt(q) <= epsilon.
+
+    Square root is correctly rounded and therefore monotone, so for any
+    q >= 0 the test q <= _square_limit(epsilon) gives the same verdict as
+    sqrt(q) <= epsilon, without a square root per step.
+    """
+    q = epsilon * epsilon
+    while np.sqrt(q) > epsilon:
+        q = np.nextafter(q, -np.inf)
+    while np.sqrt(np.nextafter(q, np.inf)) <= epsilon:
+        q = np.nextafter(q, np.inf)
+    return float(q)
 
 
 def simulate(
@@ -233,12 +263,17 @@ def simulate(
 ) -> SolveResult:
     """Run the forward-difference transient from x(0) = 0.
 
-    Each step applies x <- alpha U b + (I - alpha M) x and the error
-    against the direct-solve oracle is evaluated every step; the run
-    converges when it first drops to epsilon or below. Divergence is
-    declared when ||x||_2 exceeds divergence_factor * max(1, ||x*||_2).
-    The recorded trace is decimated by stride doubling to at most
-    trace_limit samples; tau and convergence always use every step.
+    b is one right-hand side of shape (n,) or a block of k right-hand
+    sides of shape (n, k). A block steps all its columns together as
+    X <- alpha U B + (I - alpha M) X and drops each column once it stops,
+    so every column takes exactly the steps it would take on its own.
+    The error of every column against the direct-solve oracle is
+    evaluated every step; a column converges when its error first drops
+    to epsilon or below. Divergence is declared when ||x||_2 exceeds
+    divergence_factor * max(1, ||x*||_2). The recorded trace (single
+    right-hand side only) is decimated by stride doubling to at most
+    trace_limit samples; tau and convergence always use every step. See
+    SolveResult for the shapes of a block result.
     """
     if oa is None:
         oa = OpAmpModel()
@@ -246,79 +281,108 @@ def simulate(
         cfg = SolveConfig()
     b = np.asarray(b, dtype=float)
     n = system.a.shape[0]
-    if b.shape != (n,):
+    if b.ndim not in (1, 2) or b.shape[0] != n or b.size == 0:
         raise DomainError(f"rhs shape {b.shape} does not match system size {n}")
+    block = b.reshape(n, -1)
+    k = block.shape[1]
 
-    x_star = direct_solve(system.a, b)
+    x_star = direct_solve(system.a, block)
     alpha, dt = resolve_step(system, oa, cfg)
 
     m_eff = system.m
     if cfg.include_gain_correction:
         m_eff = system.m + np.eye(n) / oa.l0
     propagate = np.eye(n) - alpha * m_eff
-    drive = alpha * (system.u * b)
+    drive = alpha * (system.u[:, None] * block)
+    energy = system.a if cfg.norm_kind == "a_norm" else None
+    limit = _square_limit(cfg.epsilon)
 
-    if cfg.norm_kind == "a_norm":
-        a = system.a
+    star_norm = np.sqrt(np.vecdot(x_star, x_star, axis=0))
+    blow_up = cfg.divergence_factor * np.maximum(1.0, star_norm)
+    screen = blow_up * (1.0 - _SCREEN_SLACK) - star_norm
+    screen_sq = np.where(screen > 0, screen * screen, -1.0)
 
-        def error_of(x: np.ndarray) -> float:
-            return a_norm(a, x - x_star)
-
-    else:
-
-        def error_of(x: np.ndarray) -> float:
-            return float(np.linalg.norm(x - x_star))
-
-    blow_up = cfg.divergence_factor * max(1.0, float(np.linalg.norm(x_star)))
-
-    x = np.zeros(n)
+    x = np.zeros((n, k))
+    cols = np.arange(k)  # original index of each column still in the block
+    x_final = np.empty((n, k))
+    column_steps = np.zeros(k, dtype=np.int64)
+    converged = np.zeros(k, dtype=bool)
+    diverged = np.zeros(k, dtype=bool)
     steps = 0
-    converged = diverged = False
+    max_steps = cfg.max_steps
+    record = cfg.record_trace and b.ndim == 1
     sample_steps: list[int] = []
     sample_states: list[np.ndarray] = []
     sample_errors: list[float] = []
     stride = 1
 
     while True:
-        err = error_of(x)
-        if cfg.record_trace and steps % stride == 0:
+        d = x - x_star
+        sq = np.vecdot(d, d, axis=0)
+        q = sq if energy is None else np.vecdot(d, energy @ d, axis=0)
+        conv = q <= limit
+        near = sq > screen_sq
+        alert = np.count_nonzero(conv) or np.count_nonzero(near) or steps >= max_steps
+        if alert and energy is not None and np.count_nonzero(q < 0):
+            raise DomainError(f"x^T A x = {q.min():.3e} is negative; not a norm for this matrix")
+        if record and steps % stride == 0:
             sample_steps.append(steps)
-            sample_states.append(x.copy())
-            sample_errors.append(err)
+            sample_states.append(x[:, 0].copy())
+            sample_errors.append(float(np.sqrt(q[0])))
             if len(sample_steps) > cfg.trace_limit:
                 sample_steps = sample_steps[::2]
                 sample_states = sample_states[::2]
                 sample_errors = sample_errors[::2]
                 stride *= 2
-        if err <= cfg.epsilon:
-            converged = True
-            break
-        if float(np.linalg.norm(x)) > blow_up:
-            diverged = True
-            break
-        if steps >= cfg.max_steps:
-            break
+        if alert:
+            div = near & ~conv
+            if np.count_nonzero(div):
+                xd = x[:, div]
+                div[div] = np.sqrt(np.vecdot(xd, xd, axis=0)) > blow_up[div]
+            done = conv | div if steps < max_steps else np.ones_like(conv)
+            if np.count_nonzero(done):
+                idx = cols[done]
+                x_final[:, idx] = x[:, done]
+                column_steps[idx] = steps
+                converged[idx] = conv[done]
+                diverged[idx] = div[done]
+                live = ~done
+                if not np.count_nonzero(live):
+                    break
+                x, x_star, drive = x[:, live], x_star[:, live], drive[:, live]
+                blow_up, screen_sq, cols = blow_up[live], screen_sq[live], cols[live]
         x = drive + propagate @ x
         steps += 1
 
+    tau = column_steps * alpha / oa.gbw
+    if b.ndim == 2:
+        return SolveResult(
+            x_final=x_final,
+            tau=tau,
+            converged=converged,
+            diverged=diverged,
+            trace=None,
+            steps=int(column_steps.sum()),
+            column_steps=column_steps,
+        )
     trace = None
-    if cfg.record_trace:
+    if record:
         if sample_steps[-1] != steps:
             sample_steps.append(steps)
-            sample_states.append(x.copy())
-            sample_errors.append(error_of(x))
+            sample_states.append(x[:, 0].copy())
+            sample_errors.append(float(np.sqrt(q[0])))
         trace = Trace(
             times=np.asarray(sample_steps, dtype=float) * dt,
             states=np.vstack(sample_states),
             errors=np.asarray(sample_errors),
         )
     return SolveResult(
-        x_final=x,
-        tau=steps * alpha / oa.gbw,
-        converged=converged,
-        diverged=diverged,
+        x_final=x_final[:, 0],
+        tau=float(tau[0]),
+        converged=bool(converged[0]),
+        diverged=bool(diverged[0]),
         trace=trace,
-        steps=steps,
+        steps=int(column_steps[0]),
     )
 
 
@@ -368,29 +432,22 @@ def invert_matrix(
     a,
     oa: OpAmpModel | None = None,
     cfg: SolveConfig | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Invert a matrix by solving one transient per identity column.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Invert a matrix with one block transient over the identity columns.
 
-    Returns (a_inv, per_column_tau). Any column whose transient fails to
-    converge raises InversionError naming the column; a silent partial
-    inverse is never returned.
+    Returns (a_inv, per_column_tau, per_column_steps), the steps as
+    integers. Any column whose transient fails to converge raises
+    InversionError naming the first such column; a silent partial inverse
+    is never returned.
     """
-    if cfg is None:
-        cfg = SolveConfig(record_trace=False)
     system = build_feedback(a)
-    n = system.a.shape[0]
-    inv = np.empty((n, n))
-    taus = np.empty(n)
-    for j in range(n):
-        unit = np.zeros(n)
-        unit[j] = 1.0
-        result = simulate(system, unit, oa, cfg)
-        if not result.converged:
-            outcome = "diverged" if result.diverged else "timed out"
-            raise InversionError(f"column {j} {outcome} after {result.steps} steps")
-        inv[:, j] = result.x_final
-        taus[j] = result.tau
-    return inv, taus
+    result = simulate(system, np.eye(system.a.shape[0]), oa, cfg)
+    failed = np.flatnonzero(~result.converged)
+    if failed.size:
+        j = failed[0]
+        outcome = "diverged" if result.diverged[j] else "timed out"
+        raise InversionError(f"column {j} {outcome} after {result.column_steps[j]} steps")
+    return result.x_final, result.tau, result.column_steps
 
 
 def slew_check(result: SolveResult, oa: OpAmpModel | None = None) -> bool:

@@ -19,13 +19,12 @@ from typing import Callable
 import numpy as np
 
 from .baselines import conjugate_gradient
-from .devices import DevicePolicy, measured_level_set, program, read_effective
+from .devices import DevicePolicy, program, read_effective
 from .dynamics import (
     OpAmpModel,
     SolveConfig,
     build_feedback,
     invert_matrix,
-    resolve_step,
     simulate,
     slew_check,
     stability_report,
@@ -254,14 +253,18 @@ def _unit_vector(n: int, seed: int, normalize: bool) -> np.ndarray:
     return b
 
 
-def _maybe_bound(system, a: np.ndarray, b: np.ndarray, epsilon: float, oa: OpAmpModel) -> float | None:
+def _bounds(system, a: np.ndarray, bs: list[np.ndarray], epsilon: float, oa: OpAmpModel) -> list[float | None]:
+    """Energy-norm time bound for each right-hand side, None where it does not apply."""
     scale = max(float(np.abs(a).max()), np.finfo(float).tiny)
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * scale):
-        return None
-    try:
-        return time_bound(system, b, epsilon=epsilon, oa=oa)
-    except (DomainError, StabilityError, NumericalError):
-        return None
+        return [None] * len(bs)
+    bounds = []
+    for b in bs:
+        try:
+            bounds.append(time_bound(system, b, epsilon=epsilon, oa=oa))
+        except (DomainError, StabilityError, NumericalError):
+            bounds.append(None)
+    return bounds
 
 
 def _final_error(a: np.ndarray, b: np.ndarray, x: np.ndarray, norm_kind: str) -> float:
@@ -269,6 +272,28 @@ def _final_error(a: np.ndarray, b: np.ndarray, x: np.ndarray, norm_kind: str) ->
     if norm_kind == "a_norm":
         return math.sqrt(max(float(delta @ (a @ delta)), 0.0))
     return float(np.linalg.norm(delta))
+
+
+def _solve_columns(system, a: np.ndarray, bs: list[np.ndarray], oa: OpAmpModel, cfg: SolveConfig) -> list[dict]:
+    """Solve every right-hand side of bs in one block transient.
+
+    Returns, per right-hand side, the RunRecord fields that the solve
+    determines.
+    """
+    result = simulate(system, np.column_stack(bs), oa, cfg)
+    bounds = _bounds(system, a, bs, cfg.epsilon, oa)
+    return [
+        {
+            "tau_measured_s": float(result.tau[j]),
+            "tau_bound_s": bounds[j],
+            "converged": bool(result.converged[j]),
+            "diverged": bool(result.diverged[j]),
+            "steps": int(result.column_steps[j]),
+            "final_error": _final_error(a, b, result.x_final[:, j], cfg.norm_kind),
+            "epsilon": cfg.epsilon,
+        }
+        for j, b in enumerate(bs)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -298,7 +323,7 @@ def _run_transient(spec: ExperimentSpec, p: dict):
         lambda_m_min=report.lambda_m_min,
         u_min=float(system.u.min()),
         tau_measured_s=result.tau,
-        tau_bound_s=_maybe_bound(system, a, b, cfg.epsilon, oa),
+        tau_bound_s=_bounds(system, a, [b], cfg.epsilon, oa)[0],
         converged=result.converged,
         diverged=result.diverged,
         steps=result.steps,
@@ -323,12 +348,15 @@ def _run_transient(spec: ExperimentSpec, p: dict):
 def _sweep_matrix(master: int, mi: int, p: dict) -> tuple[np.ndarray, float]:
     floor = float(p["lambda_floor"])
     for attempt in range(int(p["floor_tries"])):
-        a, lam = random_discrete_pd(
-            dim=int(p["dim"]),
-            g0=float(p["g0"]),
-            seed=child_seed(master, mi, attempt),
-            max_tries=int(p["max_tries"]),
-        )
+        try:
+            a, lam = random_discrete_pd(
+                dim=int(p["dim"]),
+                g0=float(p["g0"]),
+                seed=child_seed(master, mi, attempt),
+                max_tries=int(p["max_tries"]),
+            )
+        except GenerationError:
+            continue  # a draw with no PD candidate is one more failed attempt
         if lam >= floor:
             return a, lam
     raise GenerationError(f"no draw with lambda_min >= {floor} for system {mi}")
@@ -340,51 +368,45 @@ def _run_lambda_sweep(spec: ExperimentSpec, p: dict):
     systems_count = int(p["systems"])
     vectors = int(p["vectors_per_system"])
 
-    prepared = []
-    for mi in range(systems_count):
-        a, lam = _sweep_matrix(spec.seed, mi, p)
-        prepared.append((a, lam, build_feedback(a)))
+    prepared = [_sweep_matrix(spec.seed, mi, p) for mi in range(systems_count)]
 
-    def make_task(mi: int, k: int) -> Callable[[], RunRecord]:
-        a, lam, system = prepared[mi]
+    def make_task(mi: int) -> Callable[[], list[RunRecord]]:
+        a, lam = prepared[mi]
 
-        def task() -> RunRecord:
-            b = _unit_vector(a.shape[0], child_seed(spec.seed, mi, 10_000 + k), p["normalize_b"])
-            result = simulate(system, b, oa, cfg)
+        def task() -> list[RunRecord]:
+            system = build_feedback(a)
             report = stability_report(system, oa)
-            return RunRecord(
-                scenario=spec.scenario,
-                system_index=mi * vectors + k,
-                n=a.shape[0],
-                lambda_min=lam,
-                lambda_m_min=report.lambda_m_min,
-                u_min=float(system.u.min()),
-                tau_measured_s=result.tau,
-                tau_bound_s=_maybe_bound(system, a, b, cfg.epsilon, oa),
-                converged=result.converged,
-                diverged=result.diverged,
-                steps=result.steps,
-                notes=f"digest={_digest(a, b)};matrix={mi}",
-                final_error=_final_error(a, b, result.x_final, cfg.norm_kind),
-                epsilon=cfg.epsilon,
-            )
+            bs = [
+                _unit_vector(a.shape[0], child_seed(spec.seed, mi, 10_000 + k), p["normalize_b"])
+                for k in range(vectors)
+            ]
+            return [
+                RunRecord(
+                    scenario=spec.scenario,
+                    system_index=mi * vectors + k,
+                    n=a.shape[0],
+                    lambda_min=lam,
+                    lambda_m_min=report.lambda_m_min,
+                    u_min=float(system.u.min()),
+                    notes=f"digest={_digest(a, b)};matrix={mi}",
+                    **fields,
+                )
+                for k, (b, fields) in enumerate(zip(bs, _solve_columns(system, a, bs, oa, cfg)))
+            ]
 
         return task
 
-    tasks = [make_task(mi, k) for mi in range(systems_count) for k in range(vectors)]
-    records = _map_tasks(tasks, spec.threads)
+    by_matrix = _map_tasks([make_task(mi) for mi in range(systems_count)], spec.threads)
+    records = [rec for recs in by_matrix for rec in recs]
 
-    by_matrix: dict[int, list[RunRecord]] = {}
-    for rec in records:
-        by_matrix.setdefault(rec.system_index // vectors, []).append(rec)
-    inv_lam = np.array([1.0 / max(recs[0].lambda_m_min, 1e-30) for recs in by_matrix.values()])
-    peak_tau = np.array([max(r.tau_measured_s for r in recs) for recs in by_matrix.values()])
+    inv_lam = np.array([1.0 / max(recs[0].lambda_m_min, 1e-30) for recs in by_matrix])
+    peak_tau = np.array([max(r.tau_measured_s for r in recs) for recs in by_matrix])
     slope, intercept = np.polyfit(inv_lam, peak_tau, 1)
     pred = slope * inv_lam + intercept
     ss_res = float(((peak_tau - pred) ** 2).sum())
     ss_tot = float(((peak_tau - peak_tau.mean()) ** 2).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    lams = [recs[0].lambda_min for recs in by_matrix.values()]
+    lams = [recs[0].lambda_min for recs in by_matrix]
     lines = [
         f"lambda_min_range: {min(lams):.6g} .. {max(lams):.6g}",
         f"envelope_fit: slope={slope:.6g} intercept={intercept:.6g} r2={r2:.6g}",
@@ -422,42 +444,37 @@ def _run_scaling(spec: ExperimentSpec, p: dict):
             system.m_eigenvalues  # warm the eigenvalue cache serially
             prepared[(si, variant)] = (a_eff, system)
 
-    def make_task(index: int, si: int, variant: str, k: int) -> Callable[[], RunRecord]:
+    def make_task(first: int, si: int, variant: str) -> Callable[[], list[RunRecord]]:
         a_eff, system = prepared[(si, variant)]
 
-        def task() -> RunRecord:
+        def task() -> list[RunRecord]:
             n = a_eff.shape[0]
-            b = _unit_vector(n, child_seed(spec.seed, si, k), p["normalize_b"])
-            result = simulate(system, b, oa, cfg)
             report = stability_report(system, oa)
-            return RunRecord(
-                scenario=spec.scenario,
-                system_index=index,
-                n=n,
-                beta_or_s=beta,
-                lambda_min=sym_part_lambda_min(a_eff),
-                lambda_m_min=report.lambda_m_min,
-                u_min=float(system.u.min()),
-                tau_measured_s=result.tau,
-                tau_bound_s=_maybe_bound(system, a_eff, b, cfg.epsilon, oa),
-                converged=result.converged,
-                diverged=result.diverged,
-                steps=result.steps,
-                notes=f"digest={_digest(a_eff, b)};variant={variant}",
-                final_error=_final_error(a_eff, b, result.x_final, cfg.norm_kind),
-                epsilon=cfg.epsilon,
-            )
+            lam_min = sym_part_lambda_min(a_eff)
+            bs = [_unit_vector(n, child_seed(spec.seed, si, k), p["normalize_b"]) for k in range(vectors)]
+            return [
+                RunRecord(
+                    scenario=spec.scenario,
+                    system_index=first + k,
+                    n=n,
+                    beta_or_s=beta,
+                    lambda_min=lam_min,
+                    lambda_m_min=report.lambda_m_min,
+                    u_min=float(system.u.min()),
+                    notes=f"digest={_digest(a_eff, b)};variant={variant}",
+                    **fields,
+                )
+                for k, (b, fields) in enumerate(zip(bs, _solve_columns(system, a_eff, bs, oa, cfg)))
+            ]
 
         return task
 
-    tasks = []
-    index = 0
-    for si in range(len(sizes)):
-        for variant in variants:
-            for k in range(vectors):
-                tasks.append(make_task(index, si, variant, k))
-                index += 1
-    records = _map_tasks(tasks, spec.threads)
+    tasks = [
+        make_task((si * len(variants) + vi) * vectors, si, variant)
+        for si in range(len(sizes))
+        for vi, variant in enumerate(variants)
+    ]
+    records = [rec for recs in _map_tasks(tasks, spec.threads) for rec in recs]
 
     lines = []
     means: dict[str, list[tuple[int, float]]] = {variant: [] for variant in variants}
@@ -517,7 +534,7 @@ def _run_sparse_suite(spec: ExperimentSpec, p: dict):
             a = sparse_pd(SparsePdSpec(n=n, s=min(s, n), lambda_target=lam_target, seed=child_seed(spec.seed, i, 1)))
             b = _unit_vector(n, child_seed(spec.seed, i, 2), p["normalize_b"])
             system = build_feedback(a)
-            result = simulate(system, b, oa, cfg)
+            fields = _solve_columns(system, a, [b], oa, cfg)[0]
             report = stability_report(system, oa)
             cg = conjugate_gradient(a, b, tol=cg_tol)
             return RunRecord(
@@ -528,15 +545,9 @@ def _run_sparse_suite(spec: ExperimentSpec, p: dict):
                 lambda_min=float(np.linalg.eigvalsh(a)[0]),
                 lambda_m_min=report.lambda_m_min,
                 u_min=float(system.u.min()),
-                tau_measured_s=result.tau,
-                tau_bound_s=_maybe_bound(system, a, b, cfg.epsilon, oa),
-                converged=result.converged,
-                diverged=result.diverged,
-                steps=result.steps,
                 cg_iterations=cg.iterations,
                 notes=f"digest={_digest(a, b)}",
-                final_error=_final_error(a, b, result.x_final, cfg.norm_kind),
-                epsilon=cfg.epsilon,
+                **fields,
             )
 
         return task
@@ -577,8 +588,7 @@ def _run_inversion(spec: ExperimentSpec, p: dict):
 
     system = build_feedback(a_eff)
     report = stability_report(system, oa)
-    alpha, dt = resolve_step(system, oa, cfg)
-    computed, taus = invert_matrix(a_eff, oa, cfg)
+    computed, taus, steps = invert_matrix(a_eff, oa, cfg)
     reference = np.linalg.inv(ideal)
     x_true = np.linalg.solve(a_eff, np.eye(n))
 
@@ -596,9 +606,9 @@ def _run_inversion(spec: ExperimentSpec, p: dict):
                 lambda_m_min=report.lambda_m_min,
                 u_min=float(system.u.min()),
                 tau_measured_s=float(taus[j]),
-                converged=True,
+                converged=True,  # invert_matrix raises unless every column converged
                 diverged=False,
-                steps=int(round(taus[j] / dt)),
+                steps=int(steps[j]),
                 notes=f"digest={_digest(a_eff, j)};column={j}",
                 final_error=err,
                 epsilon=cfg.epsilon,

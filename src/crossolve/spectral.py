@@ -58,12 +58,14 @@ def sym_part_lambda_min(a) -> float:
 def direct_solve(a, b) -> np.ndarray:
     """Reference solution of A x = b with residual and conditioning guards.
 
-    Raises NumericalError when the 2-norm condition number exceeds 1e12 or
-    the residual fails ||Ax - b|| <= 1e-10 (||A|| ||x|| + ||b||).
+    b is one right-hand side of shape (n,) or a block of shape (n, k), and
+    the solution has the same shape. Raises NumericalError when the 2-norm
+    condition number exceeds 1e12, or when any column fails the residual
+    test ||Ax - b|| <= 1e-10 (||A|| ||x|| + ||b||).
     """
     a = _as_square(a)
     b = np.asarray(b, dtype=float)
-    if b.shape != (a.shape[0],):
+    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
         raise DomainError(f"rhs shape {b.shape} does not match matrix {a.shape}")
     try:
         cond = np.linalg.cond(a)
@@ -75,10 +77,13 @@ def direct_solve(a, b) -> np.ndarray:
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"direct solve failed: {exc}") from exc
-    resid = np.linalg.norm(a @ x - b)
-    limit = 1e-10 * (np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(b))
-    if resid > limit:
-        raise NumericalError(f"direct solve residual {resid:.3e} exceeds {limit:.3e}")
+    resid = np.atleast_1d(np.linalg.norm(a @ x - b, axis=0))
+    limit = np.atleast_1d(1e-10 * (np.linalg.norm(a) * np.linalg.norm(x, axis=0) + np.linalg.norm(b, axis=0)))
+    bad = np.flatnonzero(resid > limit)
+    if bad.size:
+        j = bad[0]
+        where = f" in column {j}" if b.ndim == 2 else ""
+        raise NumericalError(f"direct solve residual {resid[j]:.3e} exceeds {limit[j]:.3e}{where}")
     return x
 
 

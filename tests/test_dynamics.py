@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossolve import (
     ConfigError,
@@ -24,6 +26,7 @@ from crossolve import (
     stability_report,
     time_bound,
 )
+from crossolve.dynamics import _square_limit
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -286,16 +289,130 @@ class TestInvertMatrix:
     def test_spd_inverse(self, spd_pair, oa):
         a, _ = spd_pair
         cfg = SolveConfig(epsilon=1e-5, record_trace=False)
-        inv, taus = invert_matrix(a, oa, cfg)
+        inv, taus, steps = invert_matrix(a, oa, cfg)
         expected = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
         assert np.allclose(inv, expected, atol=1e-4)
         assert taus.shape == (2,)
         assert (taus > 0).all()
+        assert steps.dtype.kind == "i"
+        alpha, _ = resolve_step(build_feedback(a), oa, cfg)
+        assert np.array_equal(taus, steps * alpha / oa.gbw)
+
+    def test_matches_column_transients(self, oa):
+        a = covariance_matrix(4, 1.0)
+        cfg = SolveConfig(epsilon=1e-5)
+        inv, taus, steps = invert_matrix(a, oa, cfg)
+        for j, unit in enumerate(np.eye(4)):
+            single = simulate(build_feedback(a), unit, oa, cfg)
+            assert steps[j] == single.steps
+            assert taus[j] == single.tau
+            assert np.allclose(inv[:, j], single.x_final, rtol=0.0, atol=1e-12)
 
     def test_failure_names_column(self, oa):
         cfg = SolveConfig(allow_unstable=True, max_steps=50_000, record_trace=False)
         with pytest.raises(InversionError, match="column 0"):
             invert_matrix(SWAP, oa, cfg)
+
+
+def _random_stable(seed: int, n: int) -> np.ndarray:
+    """Nonnegative, diagonally dominant: stable loop, positive semidefinite form."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 1.0, (n, n))
+    a[np.diag_indices(n)] += a.sum(axis=1)
+    return a
+
+
+def _assert_block_matches_columns(system, block, oa, cfg):
+    res = simulate(system, block, oa, cfg)
+    k = block.shape[1]
+    assert res.trace is None
+    assert res.x_final.shape == block.shape
+    for field in (res.tau, res.converged, res.diverged, res.column_steps):
+        assert field.shape == (k,)
+    assert isinstance(res.steps, int)
+    assert res.steps == int(res.column_steps.sum())
+    for j in range(k):
+        single = simulate(system, block[:, j], oa, cfg)
+        assert res.column_steps[j] == single.steps
+        assert res.converged[j] == single.converged
+        assert res.diverged[j] == single.diverged
+        assert res.tau[j] == single.tau
+        scale = max(1.0, float(np.abs(single.x_final).max()))
+        assert np.abs(res.x_final[:, j] - single.x_final).max() <= 1e-12 * scale
+    return res
+
+
+class TestBlockSimulate:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        k=st.integers(1, 5),
+        norm_kind=st.sampled_from(["l2", "a_norm"]),
+        epsilon=st.sampled_from([1e-2, 1e-4, 1e-7]),
+    )
+    def test_block_equals_single_columns(self, seed, n, k, norm_kind, epsilon):
+        a = _random_stable(seed, n)
+        block = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, (n, k))
+        cfg = SolveConfig(epsilon=epsilon, norm_kind=norm_kind)
+        res = _assert_block_matches_columns(build_feedback(a), block, OpAmpModel(), cfg)
+        assert res.converged.all()
+
+    @pytest.mark.parametrize("norm_kind", ["l2", "a_norm"])
+    def test_mixed_stops(self, norm_kind, oa):
+        a = _random_stable(3, 4)
+        b = np.random.default_rng(4).uniform(-1.0, 1.0, 4)
+        block = np.column_stack([np.zeros(4), b, 1e-2 * b, 1e3 * b])
+        cfg = SolveConfig(epsilon=1e-3, norm_kind=norm_kind, max_steps=60)
+        res = _assert_block_matches_columns(build_feedback(a), block, oa, cfg)
+        assert res.converged[0] and res.column_steps[0] == 0
+        assert res.converged[2] and 0 < res.column_steps[2] < 60
+        assert not res.converged[3] and not res.diverged[3] and res.column_steps[3] == 60
+
+    def test_diverging_block(self, oa):
+        block = np.array([[1.0, 0.0, -3.0], [2.0, 0.0, 0.5]])
+        cfg = SolveConfig(allow_unstable=True, max_steps=100_000)
+        res = _assert_block_matches_columns(build_feedback(SWAP), block, oa, cfg)
+        assert list(res.diverged) == [True, False, True]
+        assert res.converged[1] and res.column_steps[1] == 0
+
+    def test_single_rhs_returns_scalars(self, demo_system, oa):
+        system, b = demo_system
+        res = simulate(system, b, oa, SolveConfig())
+        assert res.x_final.shape == (3,)
+        assert type(res.tau) is float and type(res.steps) is int
+        assert type(res.converged) is bool and type(res.diverged) is bool
+        assert res.column_steps is None
+        assert res.trace is not None
+
+    def test_negative_form_rejected(self, oa):
+        # stable loop (triangular M), but x^T A x < 0 along (1, -1)
+        a = np.array([[1.0, 3.0], [0.0, 1.0]])
+        b = a @ np.array([1.0, -1.0])
+        cfg = SolveConfig(norm_kind="a_norm")
+        for rhs in (b, np.column_stack([np.ones(2), b])):
+            with pytest.raises(DomainError):
+                simulate(build_feedback(a), rhs, oa, cfg)
+
+    @pytest.mark.parametrize("shape", [(4, 2), (3, 0), (3, 2, 1)])
+    def test_block_shape_checked(self, demo_system, oa, shape):
+        system, _ = demo_system
+        with pytest.raises(DomainError):
+            simulate(system, np.ones(shape), oa, SolveConfig())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        epsilon=st.floats(1e-300, 1e300),
+        offset=st.integers(-4, 4),
+        scale=st.floats(0.5, 2.0),
+    )
+    def test_square_limit_matches_root_test(self, epsilon, offset, scale):
+        limit = _square_limit(epsilon)
+        q = np.float64(limit)
+        for _ in range(abs(offset)):
+            q = np.nextafter(q, np.inf if offset > 0 else -np.inf)
+        for value in (max(q, 0.0), np.float64(limit * scale)):
+            assert (value <= limit) == (np.sqrt(value) <= epsilon)
 
 
 class TestSlewCheck:

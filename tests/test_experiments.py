@@ -146,6 +146,18 @@ class TestLambdaSweepScenario:
         assert all(r.lambda_m_min >= r.u_min * r.lambda_min * (1 - 1e-12) for r in records)
         assert "envelope_fit:" in summary
 
+    def test_exhausted_draw_counts_as_failed_attempt(self, tmp_path):
+        # at master seed 31 the first draw for system 52 finds no PD matrix
+        # within max_tries; the next attempt succeeds
+        spec = ExperimentSpec(
+            "lambda_sweep",
+            seed=31,
+            output_dir=tmp_path,
+            parameters={"systems": 53, "vectors_per_system": 1},
+        )
+        records, _ = run_experiment(spec)
+        assert records[52].lambda_min == pytest.approx(0.306, abs=5e-4)
+
     def test_thread_determinism(self, tmp_path):
         params = {"systems": 5, "vectors_per_system": 2}
         blobs = []

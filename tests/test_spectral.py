@@ -76,6 +76,34 @@ class TestDirectSolve:
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):
             direct_solve(np.eye(2), np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(DomainError):
+            direct_solve(np.eye(2), np.ones((3, 2)))
+
+    def test_block_matches_columns(self):
+        rng = np.random.default_rng(5)
+        a = rng.uniform(0.0, 1.0, (6, 6)) + 3.0 * np.eye(6)
+        block = rng.uniform(-1.0, 1.0, (6, 4))
+        x = direct_solve(a, block)
+        assert x.shape == (6, 4)
+        for j in range(4):
+            assert np.allclose(x[:, j], direct_solve(a, block[:, j]), rtol=1e-13, atol=0.0)
+
+    def test_residual_guard_per_column(self):
+        # Wilkinson's matrix is well conditioned, but partial pivoting grows
+        # its LU factors by 2^(n-1), so most right-hand sides fail the
+        # residual test; e_1 does not.
+        n = 40
+        w = np.eye(n) - np.tril(np.ones((n, n)), -1)
+        w[:, -1] = 1.0
+        assert np.linalg.cond(w) < 1e3
+        good = np.eye(n)[:, 0]
+        bad = np.random.default_rng(0).standard_normal(n)
+        direct_solve(w, good)
+        direct_solve(w, good[:, None])
+        with pytest.raises(NumericalError):
+            direct_solve(w, bad)
+        with pytest.raises(NumericalError, match="column 1"):
+            direct_solve(w, np.column_stack([good, bad]))
 
 
 class TestANorm:
