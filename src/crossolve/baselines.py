@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .spectral import _is_symmetric
 
 __all__ = ["CgResult", "conjugate_gradient"]
 
@@ -40,8 +41,7 @@ def conjugate_gradient(a, b, tol: float = 1e-8, max_iters: int | None = None) ->
         raise DomainError(f"matrix must be square, got shape {a.shape}")
     if b.shape != (a.shape[0],):
         raise DomainError(f"rhs shape {b.shape} does not match matrix {a.shape}")
-    scale = max(float(np.abs(a).max()), np.finfo(float).tiny)
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * scale):
+    if not _is_symmetric(a):
         raise DomainError("conjugate gradient requires a symmetric matrix")
     if not tol >= 0:
         raise DomainError(f"tol must be nonnegative, got {tol}")

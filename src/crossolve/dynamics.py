@@ -34,7 +34,7 @@ from .errors import (
     StabilityError,
     UsageError,
 )
-from .spectral import direct_solve
+from .spectral import direct_solve, factorize
 
 __all__ = [
     "OpAmpModel",
@@ -82,11 +82,19 @@ class OpAmpModel:
 
 @dataclass
 class FeedbackSystem:
-    """A realized feedback loop: matrix a, row attenuations u, and m = diag(u) a."""
+    """A realized feedback loop: matrix a, row attenuations u, and m = diag(u) a.
+
+    The eigenvalues of m and the guarded LU factors of a are computed on
+    first use and kept, so every solve against the same system shares them.
+    """
 
     a: np.ndarray
     u: np.ndarray
     m: np.ndarray
+
+    @cached_property
+    def lu(self) -> tuple[np.ndarray, np.ndarray]:
+        return factorize(self.a)
 
     @cached_property
     def m_eigenvalues(self) -> np.ndarray:
@@ -286,7 +294,7 @@ def simulate(
     block = b.reshape(n, -1)
     k = block.shape[1]
 
-    x_star = direct_solve(system.a, block)
+    x_star = direct_solve(system.a, block, system.lu)
     alpha, dt = resolve_step(system, oa, cfg)
 
     m_eff = system.m
@@ -398,7 +406,7 @@ def analytic_trajectory(system: FeedbackSystem, b, x0, oa: OpAmpModel | None = N
     b = np.asarray(b, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     try:
-        x_star = direct_solve(system.a, b)
+        x_star = direct_solve(system.a, b, system.lu)
     except NumericalError as exc:
         raise DomainError(f"no fixed point: {exc}") from exc
     if x0.shape != x_star.shape:
@@ -418,8 +426,9 @@ def time_bound(system: FeedbackSystem, b, epsilon: float = 1e-3, oa: OpAmpModel 
         oa = OpAmpModel()
     if not epsilon > 0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    x_star = direct_solve(system.a, np.asarray(b, dtype=float))
-    energy = float(x_star @ np.asarray(b, dtype=float))
+    b = np.asarray(b, dtype=float)
+    x_star = direct_solve(system.a, b, system.lu)
+    energy = float(x_star @ b)
     if energy <= 0:
         raise DomainError(f"x*^T b = {energy:.3e} must be positive for the energy bound")
     lam_min = float(system.m_eigenvalues.real.min())

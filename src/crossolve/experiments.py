@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from .baselines import conjugate_gradient
 from .devices import DevicePolicy, program, read_effective
@@ -41,6 +42,7 @@ from .errors import (
 )
 from .generators import SparsePdSpec, covariance_matrix, random_discrete_pd, random_vector, sparse_pd
 from .spectral import (
+    _is_symmetric,
     complexity_cg_estimate,
     complexity_quantum_estimate,
     fit_scaling,
@@ -131,15 +133,20 @@ def child_seed(master: int, *indices: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _digest(*parts) -> str:
-    h = hashlib.sha256()
+def _hasher(*parts, prefix=None):
+    """sha256 state over parts, continuing from a copy of prefix if given."""
+    h = hashlib.sha256() if prefix is None else prefix.copy()
     for part in parts:
         if isinstance(part, np.ndarray):
-            h.update(np.ascontiguousarray(part, dtype=float).tobytes())
+            h.update(np.ascontiguousarray(part, dtype=float))
         else:
             h.update(str(part).encode())
         h.update(b"|")
-    return h.hexdigest()[:12]
+    return h
+
+
+def _digest(*parts, prefix=None) -> str:
+    return _hasher(*parts, prefix=prefix).hexdigest()[:12]
 
 
 def _map_tasks(tasks: list[Callable[[], object]], threads: int) -> list:
@@ -255,8 +262,7 @@ def _unit_vector(n: int, seed: int, normalize: bool) -> np.ndarray:
 
 def _bounds(system, a: np.ndarray, bs: list[np.ndarray], epsilon: float, oa: OpAmpModel) -> list[float | None]:
     """Energy-norm time bound for each right-hand side, None where it does not apply."""
-    scale = max(float(np.abs(a).max()), np.finfo(float).tiny)
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * scale):
+    if not _is_symmetric(a):
         return [None] * len(bs)
     bounds = []
     for b in bs:
@@ -267,10 +273,10 @@ def _bounds(system, a: np.ndarray, bs: list[np.ndarray], epsilon: float, oa: OpA
     return bounds
 
 
-def _final_error(a: np.ndarray, b: np.ndarray, x: np.ndarray, norm_kind: str) -> float:
-    delta = x - np.linalg.solve(a, b)
+def _final_error(system, b: np.ndarray, x: np.ndarray, norm_kind: str) -> float:
+    delta = x - scipy.linalg.lu_solve(system.lu, b, check_finite=False)
     if norm_kind == "a_norm":
-        return math.sqrt(max(float(delta @ (a @ delta)), 0.0))
+        return math.sqrt(max(float(delta @ (system.a @ delta)), 0.0))
     return float(np.linalg.norm(delta))
 
 
@@ -289,7 +295,7 @@ def _solve_columns(system, a: np.ndarray, bs: list[np.ndarray], oa: OpAmpModel, 
             "converged": bool(result.converged[j]),
             "diverged": bool(result.diverged[j]),
             "steps": int(result.column_steps[j]),
-            "final_error": _final_error(a, b, result.x_final[:, j], cfg.norm_kind),
+            "final_error": _final_error(system, b, result.x_final[:, j], cfg.norm_kind),
             "epsilon": cfg.epsilon,
         }
         for j, b in enumerate(bs)
@@ -314,7 +320,7 @@ def _run_transient(spec: ExperimentSpec, p: dict):
     system = build_feedback(a)
     report = stability_report(system, oa)
     result = simulate(system, b, oa, cfg)
-    err = _final_error(a, b, result.x_final, cfg.norm_kind)
+    err = _final_error(system, b, result.x_final, cfg.norm_kind)
     record = RunRecord(
         scenario=spec.scenario,
         system_index=0,
@@ -380,6 +386,7 @@ def _run_lambda_sweep(spec: ExperimentSpec, p: dict):
                 _unit_vector(a.shape[0], child_seed(spec.seed, mi, 10_000 + k), p["normalize_b"])
                 for k in range(vectors)
             ]
+            a_hash = _hasher(a)
             return [
                 RunRecord(
                     scenario=spec.scenario,
@@ -388,7 +395,7 @@ def _run_lambda_sweep(spec: ExperimentSpec, p: dict):
                     lambda_min=lam,
                     lambda_m_min=report.lambda_m_min,
                     u_min=float(system.u.min()),
-                    notes=f"digest={_digest(a, b)};matrix={mi}",
+                    notes=f"digest={_digest(b, prefix=a_hash)};matrix={mi}",
                     **fields,
                 )
                 for k, (b, fields) in enumerate(zip(bs, _solve_columns(system, a, bs, oa, cfg)))
@@ -452,6 +459,7 @@ def _run_scaling(spec: ExperimentSpec, p: dict):
             report = stability_report(system, oa)
             lam_min = sym_part_lambda_min(a_eff)
             bs = [_unit_vector(n, child_seed(spec.seed, si, k), p["normalize_b"]) for k in range(vectors)]
+            a_hash = _hasher(a_eff)
             return [
                 RunRecord(
                     scenario=spec.scenario,
@@ -461,7 +469,7 @@ def _run_scaling(spec: ExperimentSpec, p: dict):
                     lambda_min=lam_min,
                     lambda_m_min=report.lambda_m_min,
                     u_min=float(system.u.min()),
-                    notes=f"digest={_digest(a_eff, b)};variant={variant}",
+                    notes=f"digest={_digest(b, prefix=a_hash)};variant={variant}",
                     **fields,
                 )
                 for k, (b, fields) in enumerate(zip(bs, _solve_columns(system, a_eff, bs, oa, cfg)))

@@ -117,21 +117,24 @@ def sparse_pd(spec: SparsePdSpec) -> np.ndarray:
     rng = np.random.default_rng(spec.seed)
     a = np.zeros((n, n))
     if want > 0 and n > 1:
-        degree = np.zeros(n, dtype=int)
+        degree = [0] * n
         budget = 20 * n * want
-        rows = rng.integers(0, n, size=budget)
-        cols = rng.integers(0, n, size=budget)
+        rows = rng.integers(0, n, size=budget).tolist()
+        cols = rng.integers(0, n, size=budget).tolist()
         vals = 1.0 - rng.random(budget)  # uniform on (0, 1]
-        placed, capacity = 0, (n * want) // 2
-        for i, j, v in zip(rows, cols, vals):
-            if i == j or degree[i] >= want or degree[j] >= want or a[i, j] != 0.0:
+        placed: dict[tuple[int, int], int] = {}  # draw index, under both orientations of each pair
+        capacity = (n * want) // 2
+        for t, (i, j) in enumerate(zip(rows, cols)):
+            if i == j or degree[i] >= want or degree[j] >= want or (i, j) in placed:
                 continue
-            a[i, j] = a[j, i] = v
+            placed[i, j] = placed[j, i] = t
             degree[i] += 1
             degree[j] += 1
-            placed += 1
-            if placed == capacity:
+            if len(placed) == 2 * capacity:
                 break
+        if placed:
+            pi, pj = zip(*placed)
+            a[pi, pj] = vals[list(placed.values())]
     np.fill_diagonal(a, a.sum(axis=1))
     lam0 = float(np.linalg.eigvalsh(a)[0])
     a[np.diag_indices(n)] += spec.lambda_target - lam0

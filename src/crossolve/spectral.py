@@ -13,12 +13,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DomainError, NumericalError, UsageError
 
 __all__ = [
     "SpectralReport",
     "ScalingFit",
+    "factorize",
     "direct_solve",
     "a_norm",
     "attenuation",
@@ -55,31 +57,56 @@ def sym_part_lambda_min(a) -> float:
     return float(np.linalg.eigvalsh((a + a.T) / 2.0)[0])
 
 
-def direct_solve(a, b) -> np.ndarray:
+def _is_symmetric(a: np.ndarray) -> bool:
+    """Symmetry to within 1e-12 of the largest entry's magnitude."""
+    scale = max(float(np.abs(a).max()), np.finfo(float).tiny)
+    return bool(np.allclose(a, a.T, rtol=0.0, atol=1e-12 * scale))
+
+
+def factorize(a) -> tuple[np.ndarray, np.ndarray]:
+    """LU factors of A with partial pivoting, guarded by a condition estimate.
+
+    Returns (lu, piv) as scipy.linalg.lu_factor does. The guard is LAPACK's
+    estimate of the 1-norm reciprocal condition number (xGECON, Higham's
+    estimator): NumericalError is raised when A is singular or when the
+    estimated 1-norm condition number is not finite or exceeds 1e12, which
+    also rejects any A holding a NaN or an infinity.
+    """
+    a = _as_square(a)
+    if a.size == 0:
+        raise NumericalError("cannot factorize an empty matrix")
+    lu, piv, info = scipy.linalg.lapack.dgetrf(a)
+    if info > 0:
+        raise NumericalError(f"matrix is singular: pivot {info - 1} is exactly zero")
+    rcond, _ = scipy.linalg.lapack.dgecon(lu, float(np.abs(a).sum(axis=0).max()), norm="1")
+    cond = 1.0 / rcond if rcond > 0 else math.inf
+    if not cond <= _COND_LIMIT:
+        raise NumericalError(f"matrix 1-norm condition estimate {cond:.3e} exceeds {_COND_LIMIT:.0e}")
+    return lu, piv
+
+
+def direct_solve(a, b, factors: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Reference solution of A x = b with residual and conditioning guards.
 
     b is one right-hand side of shape (n,) or a block of shape (n, k), and
-    the solution has the same shape. Raises NumericalError when the 2-norm
-    condition number exceeds 1e12, or when any column fails the residual
-    test ||Ax - b|| <= 1e-10 (||A|| ||x|| + ||b||).
+    the C-ordered solution has the same shape. factors are the output of
+    factorize(a) when the caller has them already; otherwise A is
+    factorized here. Raises NumericalError when factorize rejects A (1-norm
+    condition estimate above 1e12; cond_2 / n <= cond_1 <= n cond_2), or
+    when any column fails the residual test
+    ||Ax - b|| <= 1e-10 (||A|| ||x|| + ||b||), a non-finite residual
+    included.
     """
     a = _as_square(a)
     b = np.asarray(b, dtype=float)
     if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
         raise DomainError(f"rhs shape {b.shape} does not match matrix {a.shape}")
-    try:
-        cond = np.linalg.cond(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - cond rarely raises
-        raise NumericalError(f"conditioning estimate failed: {exc}") from exc
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise NumericalError(f"matrix condition {cond:.3e} exceeds {_COND_LIMIT:.0e}")
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"direct solve failed: {exc}") from exc
+    if factors is None:
+        factors = factorize(a)
+    x = np.ascontiguousarray(scipy.linalg.lu_solve(factors, b, check_finite=False))
     resid = np.atleast_1d(np.linalg.norm(a @ x - b, axis=0))
     limit = np.atleast_1d(1e-10 * (np.linalg.norm(a) * np.linalg.norm(x, axis=0) + np.linalg.norm(b, axis=0)))
-    bad = np.flatnonzero(resid > limit)
+    bad = np.flatnonzero(~(resid <= limit))
     if bad.size:
         j = bad[0]
         where = f" in column {j}" if b.ndim == 2 else ""
@@ -123,10 +150,8 @@ def spectral_report(a) -> SpectralReport:
     """
     a = _as_square(a)
     u = attenuation(a)
-    scale = max(float(np.abs(a).max()), np.finfo(float).tiny)
-    symmetric = bool(np.allclose(a, a.T, rtol=0.0, atol=1e-12 * scale))
     try:
-        if symmetric:
+        if _is_symmetric(a):
             w = np.linalg.eigvalsh(a)
             lam_min, lam_max = float(w[0]), float(w[-1])
             if lam_min > 0:

@@ -11,6 +11,7 @@ from crossolve import (
     ConfigError,
     DomainError,
     InversionError,
+    NumericalError,
     OpAmpModel,
     SolveConfig,
     StabilityError,
@@ -147,6 +148,13 @@ class TestSimulate:
         cfg = SolveConfig(allow_unstable=True, max_steps=100_000)
         res = simulate(build_feedback(SWAP), np.array([1.0, 2.0]), oa, cfg)
         assert res.diverged and not res.converged
+
+    def test_non_finite_rhs_rejected(self, demo_system, oa):
+        # Without the guard, the NaN error never meets epsilon and the run
+        # would step to max_steps and report a timeout.
+        system, _ = demo_system
+        with pytest.raises(NumericalError):
+            simulate(system, np.array([0.1, np.nan, 0.2]), oa, SolveConfig())
 
     def test_timeout_reports_neither(self, demo_system, oa):
         system, b = demo_system

@@ -3,20 +3,28 @@
 import numpy as np
 import pytest
 
+import crossolve.dynamics
+import crossolve.spectral
 from crossolve import (
     CSV_COLUMNS,
     SCHEMA_VERSION,
     ConfigError,
     ExperimentSpec,
     NumericalError,
+    OpAmpModel,
     OutputError,
     RunRecord,
+    SolveConfig,
     UsageError,
+    build_feedback,
     child_seed,
+    covariance_matrix,
     emit_outputs,
+    random_vector,
     run_experiment,
     scenario_defaults,
 )
+from crossolve.experiments import _solve_columns
 
 
 class TestChildSeed:
@@ -112,6 +120,25 @@ class TestSpecValidation:
         assert scenario_defaults("transient")["epsilon"] == 1e-3
         with pytest.raises(ConfigError):
             scenario_defaults("bogus")
+
+
+class TestSolveColumns:
+    def test_one_factorization_per_matrix(self, monkeypatch):
+        calls = []
+        factorize = crossolve.spectral.factorize
+
+        def counted(a):
+            calls.append(a.shape)
+            return factorize(a)
+
+        monkeypatch.setattr(crossolve.spectral, "factorize", counted)
+        monkeypatch.setattr(crossolve.dynamics, "factorize", counted)
+        a = covariance_matrix(12, 1.0)  # symmetric positive definite, so bounds are computed
+        bs = [random_vector(12, seed=k) for k in range(4)]
+        fields = _solve_columns(build_feedback(a), a, bs, OpAmpModel(), SolveConfig(record_trace=False))
+        assert calls == [(12, 12)]
+        assert all(f["converged"] and f["tau_bound_s"] is not None for f in fields)
+        assert all(f["final_error"] <= f["epsilon"] for f in fields)
 
 
 class TestTransientScenario:

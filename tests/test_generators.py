@@ -19,6 +19,32 @@ from crossolve import (
 )
 
 
+def _reference_sparse_pd(spec: SparsePdSpec) -> np.ndarray:
+    """sparse_pd written as a plain placement loop over the array itself."""
+    n, want = spec.n, spec.s - 1
+    rng = np.random.default_rng(spec.seed)
+    a = np.zeros((n, n))
+    if want > 0 and n > 1:
+        degree = np.zeros(n, dtype=int)
+        budget = 20 * n * want
+        rows = rng.integers(0, n, size=budget)
+        cols = rng.integers(0, n, size=budget)
+        vals = 1.0 - rng.random(budget)
+        placed, capacity = 0, (n * want) // 2
+        for i, j, v in zip(rows, cols, vals):
+            if i == j or degree[i] >= want or degree[j] >= want or a[i, j] != 0.0:
+                continue
+            a[i, j] = a[j, i] = v
+            degree[i] += 1
+            degree[j] += 1
+            placed += 1
+            if placed == capacity:
+                break
+    np.fill_diagonal(a, a.sum(axis=1))
+    a[np.diag_indices(n)] += spec.lambda_target - float(np.linalg.eigvalsh(a)[0])
+    return a
+
+
 class TestCovarianceMatrix:
     def test_three_by_three_beta_one(self):
         a = covariance_matrix(3, 1.0)
@@ -117,6 +143,17 @@ class TestSparsePd:
         a1 = sparse_pd(SparsePdSpec(n=30, s=5, seed=4))
         a2 = sparse_pd(SparsePdSpec(n=30, s=5, seed=4))
         assert np.array_equal(a1, a2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=60),
+        st.integers(min_value=1, max_value=12),
+        st.floats(min_value=0.05, max_value=3.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_reference_placement(self, n, s, lam, seed):
+        spec = SparsePdSpec(n=n, s=min(s, n), lambda_target=lam, seed=seed)
+        assert sparse_pd(spec).tobytes() == _reference_sparse_pd(spec).tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(

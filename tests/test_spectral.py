@@ -18,6 +18,7 @@ from crossolve import (
     spectral_report,
     sym_part_lambda_min,
 )
+from crossolve.spectral import factorize
 
 DEMO_A = np.array([[1.2, 0.15, 0.8], [0.5, 0.5, 0.6], [0.6, 0.1, 0.8]])
 DEMO_B = np.array([-0.12, 0.36, 0.24])
@@ -104,6 +105,46 @@ class TestDirectSolve:
             direct_solve(w, bad)
         with pytest.raises(NumericalError, match="column 1"):
             direct_solve(w, np.column_stack([good, bad]))
+
+    def test_non_finite_rhs_rejected(self):
+        # A NaN residual compares False against any limit; the guard must
+        # still reject it rather than return an all-NaN solution.
+        with pytest.raises(NumericalError):
+            direct_solve(DEMO_A, np.array([0.1, np.nan, 0.2]))
+        with pytest.raises(NumericalError, match="column 1"):
+            direct_solve(DEMO_A, np.column_stack([DEMO_B, [0.1, np.inf, 0.2]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        a = DEMO_A.copy()
+        a[1, 2] = bad
+        with pytest.raises(NumericalError):
+            factorize(a)
+        with pytest.raises(NumericalError):
+            direct_solve(a, DEMO_B)
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 4)])
+    def test_solution_is_c_contiguous(self, shape):
+        b = np.random.default_rng(2).uniform(-1.0, 1.0, shape)
+        x = direct_solve(DEMO_A, b)
+        assert x.shape == shape
+        assert x.flags["C_CONTIGUOUS"]
+
+    def test_condition_guard_boundary(self):
+        # For a diagonal matrix the 1-norm condition estimate is exact.
+        b = np.array([1.0, 1.0])
+        assert np.allclose(direct_solve(np.diag([1.0, 1e-11]), b), [1.0, 1e11])
+        with pytest.raises(NumericalError, match="condition"):
+            direct_solve(np.diag([1.0, 1e-13]), b)
+        with pytest.raises(NumericalError, match="singular"):
+            direct_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), b)
+
+    def test_given_factors_are_used(self):
+        factors = factorize(DEMO_A)
+        assert np.array_equal(direct_solve(DEMO_A, DEMO_B, factors), direct_solve(DEMO_A, DEMO_B))
+        # factors of another matrix give a solution that fails the residual guard
+        with pytest.raises(NumericalError):
+            direct_solve(DEMO_A, DEMO_B, factorize(np.eye(3)))
 
 
 class TestANorm:
