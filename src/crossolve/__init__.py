@@ -61,14 +61,12 @@ from .experiments import (
 from .generators import SparsePdSpec, covariance_matrix, random_discrete_pd, random_vector, sparse_pd
 from .spectral import (
     ScalingFit,
-    SpectralReport,
     a_norm,
     attenuation,
     complexity_cg_estimate,
     complexity_quantum_estimate,
     direct_solve,
     fit_scaling,
-    spectral_report,
     sym_part_lambda_min,
 )
 
@@ -93,13 +91,11 @@ __all__ = [
     "quantize_levels",
     "program",
     "read_effective",
-    "SpectralReport",
     "ScalingFit",
     "direct_solve",
     "a_norm",
     "attenuation",
     "sym_part_lambda_min",
-    "spectral_report",
     "complexity_cg_estimate",
     "complexity_quantum_estimate",
     "fit_scaling",

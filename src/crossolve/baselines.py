@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .spectral import _is_symmetric
+from .spectral import _as_square, _is_symmetric
 
 __all__ = ["CgResult", "conjugate_gradient"]
 
@@ -35,10 +35,8 @@ def conjugate_gradient(a, b, tol: float = 1e-8, max_iters: int | None = None) ->
     DomainError for a non-symmetric matrix or when an indefinite direction
     (p^T A p <= 0) is encountered.
     """
-    a = np.asarray(a, dtype=float)
+    a = _as_square(a)
     b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"matrix must be square, got shape {a.shape}")
     if b.shape != (a.shape[0],):
         raise DomainError(f"rhs shape {b.shape} does not match matrix {a.shape}")
     if not _is_symmetric(a):

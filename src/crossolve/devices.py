@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .spectral import _as_square
 
 __all__ = [
     "DevicePolicy",
@@ -136,9 +137,7 @@ class ConductanceMatrix:
     policy_used: DevicePolicy = field(default_factory=DevicePolicy)
 
     def __post_init__(self) -> None:
-        self.g = np.asarray(self.g, dtype=float)
-        if self.g.ndim != 2 or self.g.shape[0] != self.g.shape[1]:
-            raise DomainError(f"conductance matrix must be square, got shape {self.g.shape}")
+        self.g = _as_square(self.g)
         if (self.g < 0).any():
             raise DomainError("conductances cannot be negative")
         if not self.g0 > 0:
@@ -175,9 +174,7 @@ def program(
     """
     if policy is None:
         policy = DevicePolicy()
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"matrix must be square, got shape {a.shape}")
+    a = _as_square(a)
     if (a < 0).any():
         raise DomainError("negative entries cannot be programmed as conductances")
     amax = float(a.max()) if a.size else 0.0

@@ -34,7 +34,7 @@ from .errors import (
     StabilityError,
     UsageError,
 )
-from .spectral import direct_solve, factorize
+from .spectral import _as_square, direct_solve, factorize, sym_part_lambda_min
 
 __all__ = [
     "OpAmpModel",
@@ -106,9 +106,7 @@ class FeedbackSystem:
 
 def build_feedback(a) -> FeedbackSystem:
     """Wrap a nonnegative square matrix into its feedback-loop form."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"matrix must be square, got shape {a.shape}")
+    a = _as_square(a)
     if (a < 0).any():
         raise DomainError("feedback conductances cannot be negative")
     u = 1.0 / (1.0 + a.sum(axis=1))
@@ -117,24 +115,34 @@ def build_feedback(a) -> FeedbackSystem:
 
 @dataclass
 class StabilityReport:
-    """Pole placement of the closed loop for a given op-amp model."""
+    """Spectral summary of one feedback system for a given op-amp model.
+
+    lambda_min is the smallest eigenvalue of (A + A^T)/2, u_min the
+    smallest row attenuation, and lambda_m_min the smallest real part of
+    an eigenvalue of M = diag(u) A: the three per-system numbers every
+    experiment record reports.
+    """
 
     eigenvalues: np.ndarray
+    lambda_min: float
     lambda_m_min: float
+    u_min: float
     spectral_radius: float
     poles: np.ndarray
     stable: bool
 
 
 def stability_report(system: FeedbackSystem, oa: OpAmpModel | None = None) -> StabilityReport:
-    """Eigenvalues of M, the poles -gbw * eig(M), and the stability verdict."""
+    """Spectral summary: eig(M), the poles -gbw * eig(M), stability, lambda_min, u_min."""
     if oa is None:
         oa = OpAmpModel()
     ev = system.m_eigenvalues
     lam_min = float(ev.real.min())
     return StabilityReport(
         eigenvalues=ev,
+        lambda_min=sym_part_lambda_min(system.a),
         lambda_m_min=lam_min,
+        u_min=float(system.u.min()),
         spectral_radius=float(np.abs(ev).max()),
         poles=-oa.gbw * ev,
         stable=lam_min > 0,
@@ -438,18 +446,17 @@ def time_bound(system: FeedbackSystem, b, epsilon: float = 1e-3, oa: OpAmpModel 
 
 
 def invert_matrix(
-    a,
+    system: FeedbackSystem,
     oa: OpAmpModel | None = None,
     cfg: SolveConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Invert a matrix with one block transient over the identity columns.
+    """Invert the system's matrix with one block transient over the identity columns.
 
     Returns (a_inv, per_column_tau, per_column_steps), the steps as
     integers. Any column whose transient fails to converge raises
     InversionError naming the first such column; a silent partial inverse
     is never returned.
     """
-    system = build_feedback(a)
     result = simulate(system, np.eye(system.a.shape[0]), oa, cfg)
     failed = np.flatnonzero(~result.converged)
     if failed.size:

@@ -45,8 +45,8 @@ from .spectral import (
     _is_symmetric,
     complexity_cg_estimate,
     complexity_quantum_estimate,
+    direct_solve,
     fit_scaling,
-    sym_part_lambda_min,
 )
 
 __all__ = [
@@ -260,9 +260,20 @@ def _unit_vector(n: int, seed: int, normalize: bool) -> np.ndarray:
     return b
 
 
-def _bounds(system, a: np.ndarray, bs: list[np.ndarray], epsilon: float, oa: OpAmpModel) -> list[float | None]:
+def _programmed(ideal: np.ndarray, p: dict, ratio: float, seed: int) -> np.ndarray:
+    """The matrix the circuit reads back after ideal is programmed under p's device policy."""
+    policy = DevicePolicy(
+        num_levels=int(p["num_levels"]),
+        g_max=float(p["g_max"]),
+        ratio=ratio,
+        noise_fraction=float(p["noise_fraction"]),
+    )
+    return read_effective(program(ideal, None, policy, seed=seed))
+
+
+def _bounds(system, bs: list[np.ndarray], epsilon: float, oa: OpAmpModel) -> list[float | None]:
     """Energy-norm time bound for each right-hand side, None where it does not apply."""
-    if not _is_symmetric(a):
+    if not _is_symmetric(system.a):
         return [None] * len(bs)
     bounds = []
     for b in bs:
@@ -280,25 +291,44 @@ def _final_error(system, b: np.ndarray, x: np.ndarray, norm_kind: str) -> float:
     return float(np.linalg.norm(delta))
 
 
-def _solve_columns(system, a: np.ndarray, bs: list[np.ndarray], oa: OpAmpModel, cfg: SolveConfig) -> list[dict]:
-    """Solve every right-hand side of bs in one block transient.
+def _system_records(
+    spec: ExperimentSpec,
+    system,
+    bs: list[np.ndarray],
+    oa: OpAmpModel,
+    cfg: SolveConfig,
+    first: int,
+    notes: str,
+    **shared,
+) -> list[RunRecord]:
+    """One RunRecord per right-hand side of bs, all solved in one block transient.
 
-    Returns, per right-hand side, the RunRecord fields that the solve
-    determines.
+    Record k gets system_index first + k and notes "digest=<hash of A and
+    b_k>" followed by notes; shared holds RunRecord fields common to all.
     """
+    report = stability_report(system, oa)
     result = simulate(system, np.column_stack(bs), oa, cfg)
-    bounds = _bounds(system, a, bs, cfg.epsilon, oa)
+    bounds = _bounds(system, bs, cfg.epsilon, oa)
+    a_hash = _hasher(system.a)
     return [
-        {
-            "tau_measured_s": float(result.tau[j]),
-            "tau_bound_s": bounds[j],
-            "converged": bool(result.converged[j]),
-            "diverged": bool(result.diverged[j]),
-            "steps": int(result.column_steps[j]),
-            "final_error": _final_error(system, b, result.x_final[:, j], cfg.norm_kind),
-            "epsilon": cfg.epsilon,
-        }
-        for j, b in enumerate(bs)
+        RunRecord(
+            scenario=spec.scenario,
+            system_index=first + k,
+            n=system.a.shape[0],
+            lambda_min=report.lambda_min,
+            lambda_m_min=report.lambda_m_min,
+            u_min=report.u_min,
+            tau_measured_s=float(result.tau[k]),
+            tau_bound_s=bounds[k],
+            converged=bool(result.converged[k]),
+            diverged=bool(result.diverged[k]),
+            steps=int(result.column_steps[k]),
+            notes=f"digest={_digest(b, prefix=a_hash)}{notes}",
+            final_error=_final_error(system, b, result.x_final[:, k], cfg.norm_kind),
+            epsilon=cfg.epsilon,
+            **shared,
+        )
+        for k, b in enumerate(bs)
     ]
 
 
@@ -325,11 +355,11 @@ def _run_transient(spec: ExperimentSpec, p: dict):
         scenario=spec.scenario,
         system_index=0,
         n=a.shape[0],
-        lambda_min=sym_part_lambda_min(a),
+        lambda_min=report.lambda_min,
         lambda_m_min=report.lambda_m_min,
-        u_min=float(system.u.min()),
+        u_min=report.u_min,
         tau_measured_s=result.tau,
-        tau_bound_s=_bounds(system, a, [b], cfg.epsilon, oa)[0],
+        tau_bound_s=_bounds(system, [b], cfg.epsilon, oa)[0],
         converged=result.converged,
         diverged=result.diverged,
         steps=result.steps,
@@ -351,7 +381,7 @@ def _run_transient(spec: ExperimentSpec, p: dict):
     return [record], lines, {"trace.csv": "\n".join(trace_lines) + "\n"}
 
 
-def _sweep_matrix(master: int, mi: int, p: dict) -> tuple[np.ndarray, float]:
+def _sweep_matrix(master: int, mi: int, p: dict) -> np.ndarray:
     floor = float(p["lambda_floor"])
     for attempt in range(int(p["floor_tries"])):
         try:
@@ -364,7 +394,7 @@ def _sweep_matrix(master: int, mi: int, p: dict) -> tuple[np.ndarray, float]:
         except GenerationError:
             continue  # a draw with no PD candidate is one more failed attempt
         if lam >= floor:
-            return a, lam
+            return a
     raise GenerationError(f"no draw with lambda_min >= {floor} for system {mi}")
 
 
@@ -377,29 +407,14 @@ def _run_lambda_sweep(spec: ExperimentSpec, p: dict):
     prepared = [_sweep_matrix(spec.seed, mi, p) for mi in range(systems_count)]
 
     def make_task(mi: int) -> Callable[[], list[RunRecord]]:
-        a, lam = prepared[mi]
+        a = prepared[mi]
 
         def task() -> list[RunRecord]:
-            system = build_feedback(a)
-            report = stability_report(system, oa)
             bs = [
                 _unit_vector(a.shape[0], child_seed(spec.seed, mi, 10_000 + k), p["normalize_b"])
                 for k in range(vectors)
             ]
-            a_hash = _hasher(a)
-            return [
-                RunRecord(
-                    scenario=spec.scenario,
-                    system_index=mi * vectors + k,
-                    n=a.shape[0],
-                    lambda_min=lam,
-                    lambda_m_min=report.lambda_m_min,
-                    u_min=float(system.u.min()),
-                    notes=f"digest={_digest(b, prefix=a_hash)};matrix={mi}",
-                    **fields,
-                )
-                for k, (b, fields) in enumerate(zip(bs, _solve_columns(system, a, bs, oa, cfg)))
-            ]
+            return _system_records(spec, build_feedback(a), bs, oa, cfg, mi * vectors, f";matrix={mi}")
 
         return task
 
@@ -437,43 +452,15 @@ def _run_scaling(spec: ExperimentSpec, p: dict):
     for si, n in enumerate(sizes):
         ideal = covariance_matrix(n, beta)
         for variant in variants:
-            if variant == "ideal":
-                a_eff = ideal
-            else:
-                policy = DevicePolicy(
-                    num_levels=int(p["num_levels"]),
-                    g_max=float(p["g_max"]),
-                    ratio=ratio,
-                    noise_fraction=float(p["noise_fraction"]),
-                )
-                a_eff = read_effective(program(ideal, None, policy, seed=child_seed(spec.seed, si)))
-            system = build_feedback(a_eff)
-            system.m_eigenvalues  # warm the eigenvalue cache serially
-            prepared[(si, variant)] = (a_eff, system)
+            a_eff = ideal if variant == "ideal" else _programmed(ideal, p, ratio, child_seed(spec.seed, si))
+            prepared[(si, variant)] = build_feedback(a_eff)
 
     def make_task(first: int, si: int, variant: str) -> Callable[[], list[RunRecord]]:
-        a_eff, system = prepared[(si, variant)]
+        system = prepared[(si, variant)]
 
         def task() -> list[RunRecord]:
-            n = a_eff.shape[0]
-            report = stability_report(system, oa)
-            lam_min = sym_part_lambda_min(a_eff)
-            bs = [_unit_vector(n, child_seed(spec.seed, si, k), p["normalize_b"]) for k in range(vectors)]
-            a_hash = _hasher(a_eff)
-            return [
-                RunRecord(
-                    scenario=spec.scenario,
-                    system_index=first + k,
-                    n=n,
-                    beta_or_s=beta,
-                    lambda_min=lam_min,
-                    lambda_m_min=report.lambda_m_min,
-                    u_min=float(system.u.min()),
-                    notes=f"digest={_digest(b, prefix=a_hash)};variant={variant}",
-                    **fields,
-                )
-                for k, (b, fields) in enumerate(zip(bs, _solve_columns(system, a_eff, bs, oa, cfg)))
-            ]
+            bs = [_unit_vector(sizes[si], child_seed(spec.seed, si, k), p["normalize_b"]) for k in range(vectors)]
+            return _system_records(spec, system, bs, oa, cfg, first, f";variant={variant}", beta_or_s=beta)
 
         return task
 
@@ -541,22 +528,10 @@ def _run_sparse_suite(spec: ExperimentSpec, p: dict):
             lam_target = float(rng.uniform(lam_lo, lam_hi))
             a = sparse_pd(SparsePdSpec(n=n, s=min(s, n), lambda_target=lam_target, seed=child_seed(spec.seed, i, 1)))
             b = _unit_vector(n, child_seed(spec.seed, i, 2), p["normalize_b"])
-            system = build_feedback(a)
-            fields = _solve_columns(system, a, [b], oa, cfg)[0]
-            report = stability_report(system, oa)
             cg = conjugate_gradient(a, b, tol=cg_tol)
-            return RunRecord(
-                scenario=spec.scenario,
-                system_index=i,
-                n=n,
-                beta_or_s=float(s),
-                lambda_min=float(np.linalg.eigvalsh(a)[0]),
-                lambda_m_min=report.lambda_m_min,
-                u_min=float(system.u.min()),
-                cg_iterations=cg.iterations,
-                notes=f"digest={_digest(a, b)}",
-                **fields,
-            )
+            return _system_records(
+                spec, build_feedback(a), [b], oa, cfg, i, "", beta_or_s=float(s), cg_iterations=cg.iterations
+            )[0]
 
         return task
 
@@ -583,24 +558,14 @@ def _run_inversion(spec: ExperimentSpec, p: dict):
     n = int(p["n"])
     beta = float(p["beta"])
     ideal = covariance_matrix(n, beta)
-    if p["noisy"]:
-        policy = DevicePolicy(
-            num_levels=int(p["num_levels"]),
-            g_max=float(p["g_max"]),
-            ratio=float(p["ratio"]),
-            noise_fraction=float(p["noise_fraction"]),
-        )
-        a_eff = read_effective(program(ideal, None, policy, seed=child_seed(spec.seed, 0)))
-    else:
-        a_eff = ideal
+    a_eff = _programmed(ideal, p, float(p["ratio"]), child_seed(spec.seed, 0)) if p["noisy"] else ideal
 
     system = build_feedback(a_eff)
     report = stability_report(system, oa)
-    computed, taus, steps = invert_matrix(a_eff, oa, cfg)
+    computed, taus, steps = invert_matrix(system, oa, cfg)
     reference = np.linalg.inv(ideal)
-    x_true = np.linalg.solve(a_eff, np.eye(n))
+    x_true = direct_solve(a_eff, np.eye(n), system.lu)
 
-    lam_min = sym_part_lambda_min(a_eff)
     records = []
     for j in range(n):
         err = float(np.linalg.norm(computed[:, j] - x_true[:, j]))
@@ -610,9 +575,9 @@ def _run_inversion(spec: ExperimentSpec, p: dict):
                 system_index=j,
                 n=n,
                 beta_or_s=beta,
-                lambda_min=lam_min,
+                lambda_min=report.lambda_min,
                 lambda_m_min=report.lambda_m_min,
-                u_min=float(system.u.min()),
+                u_min=report.u_min,
                 tau_measured_s=float(taus[j]),
                 converged=True,  # invert_matrix raises unless every column converged
                 diverged=False,

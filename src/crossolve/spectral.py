@@ -18,14 +18,12 @@ import scipy.linalg
 from .errors import DomainError, NumericalError, UsageError
 
 __all__ = [
-    "SpectralReport",
     "ScalingFit",
     "factorize",
     "direct_solve",
     "a_norm",
     "attenuation",
     "sym_part_lambda_min",
-    "spectral_report",
     "complexity_cg_estimate",
     "complexity_quantum_estimate",
     "fit_scaling",
@@ -122,60 +120,6 @@ def a_norm(a, x) -> float:
     if q < 0:
         raise DomainError(f"x^T A x = {q:.3e} is negative; not a norm for this matrix")
     return math.sqrt(q)
-
-
-@dataclass
-class SpectralReport:
-    """Eigenvalue summary of A and of the attenuated matrix M = diag(u) A.
-
-    For non-symmetric A the lambda fields are extreme real parts. u_factor
-    is lambda_m_min / lambda_min_a, the fraction of A's smallest eigenvalue
-    that survives the row attenuation.
-    """
-
-    lambda_min_a: float
-    lambda_max_a: float
-    lambda_m_min: float
-    u_min: float
-    u_factor: float
-    condition_number: float
-
-
-def spectral_report(a) -> SpectralReport:
-    """Spectral quantities controlling circuit speed and stability.
-
-    Symmetric A uses the symmetric eigensolver; symmetric positive-definite
-    A additionally gets lambda_m_min from the symmetric similarity
-    diag(sqrt(u)) A diag(sqrt(u)), which shares M's spectrum.
-    """
-    a = _as_square(a)
-    u = attenuation(a)
-    try:
-        if _is_symmetric(a):
-            w = np.linalg.eigvalsh(a)
-            lam_min, lam_max = float(w[0]), float(w[-1])
-            if lam_min > 0:
-                root_u = np.sqrt(u)
-                sim = root_u[:, None] * a * root_u[None, :]
-                lam_m_min = float(np.linalg.eigvalsh(sim)[0])
-            else:
-                lam_m_min = float(np.linalg.eigvals(u[:, None] * a).real.min())
-        else:
-            w = np.linalg.eigvals(a)
-            lam_min, lam_max = float(w.real.min()), float(w.real.max())
-            lam_m_min = float(np.linalg.eigvals(u[:, None] * a).real.min())
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed: {exc}") from exc
-    u_factor = lam_m_min / lam_min if lam_min != 0 else math.nan
-    cond = lam_max / lam_min if lam_min != 0 else math.inf
-    return SpectralReport(
-        lambda_min_a=lam_min,
-        lambda_max_a=lam_max,
-        lambda_m_min=lam_m_min,
-        u_min=float(u.min()),
-        u_factor=u_factor,
-        condition_number=cond,
-    )
 
 
 def _check_estimate_args(n: int, s: int, lambda_max: float, lambda_min: float, epsilon: float) -> None:

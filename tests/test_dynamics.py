@@ -14,6 +14,7 @@ from crossolve import (
     NumericalError,
     OpAmpModel,
     SolveConfig,
+    SparsePdSpec,
     StabilityError,
     UsageError,
     analytic_trajectory,
@@ -21,9 +22,11 @@ from crossolve import (
     covariance_matrix,
     direct_solve,
     invert_matrix,
+    random_discrete_pd,
     resolve_step,
     simulate,
     slew_check,
+    sparse_pd,
     stability_report,
     time_bound,
 )
@@ -61,14 +64,41 @@ class TestStabilityReport:
     def test_identity_poles(self, oa):
         rep = stability_report(build_feedback(np.eye(3)), oa)
         assert rep.stable
+        assert rep.lambda_min == pytest.approx(1.0)
+        assert rep.u_min == pytest.approx(0.5)
+        # M = A/2 exactly, so the attenuation bound is tight here
         assert rep.lambda_m_min == pytest.approx(0.5)
         assert np.allclose(rep.poles.real, -5e7)
 
     def test_swap_matrix_unstable(self, oa):
         rep = stability_report(build_feedback(SWAP), oa)
         assert not rep.stable
+        assert rep.lambda_min == pytest.approx(-1.0)
         assert rep.lambda_m_min == pytest.approx(-0.5)
         assert rep.spectral_radius == pytest.approx(0.5)
+
+    def test_attenuation_inequality_on_spd(self, spd_pair, oa):
+        a, _ = spd_pair
+        rep = stability_report(build_feedback(a), oa)
+        assert rep.lambda_m_min >= rep.u_min * rep.lambda_min - 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        s=st.integers(1, 10),
+        lam=st.floats(0.05, 1.5),
+    )
+    def test_lambda_min_of_sparse_pd_is_eigvalsh(self, seed, n, s, lam):
+        # sparse_pd output is exactly symmetric, so (A + A^T)/2 == A bit for bit
+        a = sparse_pd(SparsePdSpec(n=n, s=min(s, n), lambda_target=lam, seed=seed))
+        assert stability_report(build_feedback(a)).lambda_min == np.linalg.eigvalsh(a)[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3))
+    def test_lambda_min_of_discrete_pd_is_screen_value(self, seed, dim):
+        a, lam = random_discrete_pd(dim=dim, seed=seed, max_tries=1_000)
+        assert stability_report(build_feedback(a)).lambda_min == lam
 
     def test_demo_stable(self, demo_system, oa):
         system, _ = demo_system
@@ -297,7 +327,7 @@ class TestInvertMatrix:
     def test_spd_inverse(self, spd_pair, oa):
         a, _ = spd_pair
         cfg = SolveConfig(epsilon=1e-5, record_trace=False)
-        inv, taus, steps = invert_matrix(a, oa, cfg)
+        inv, taus, steps = invert_matrix(build_feedback(a), oa, cfg)
         expected = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
         assert np.allclose(inv, expected, atol=1e-4)
         assert taus.shape == (2,)
@@ -309,7 +339,7 @@ class TestInvertMatrix:
     def test_matches_column_transients(self, oa):
         a = covariance_matrix(4, 1.0)
         cfg = SolveConfig(epsilon=1e-5)
-        inv, taus, steps = invert_matrix(a, oa, cfg)
+        inv, taus, steps = invert_matrix(build_feedback(a), oa, cfg)
         for j, unit in enumerate(np.eye(4)):
             single = simulate(build_feedback(a), unit, oa, cfg)
             assert steps[j] == single.steps
@@ -319,7 +349,7 @@ class TestInvertMatrix:
     def test_failure_names_column(self, oa):
         cfg = SolveConfig(allow_unstable=True, max_steps=50_000, record_trace=False)
         with pytest.raises(InversionError, match="column 0"):
-            invert_matrix(SWAP, oa, cfg)
+            invert_matrix(build_feedback(SWAP), oa, cfg)
 
 
 def _random_stable(seed: int, n: int) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Experiment harness tests: seeding, scenarios, CSV emission, determinism."""
 
+import functools
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from crossolve import (
     SCHEMA_VERSION,
     ConfigError,
     ExperimentSpec,
+    FeedbackSystem,
     NumericalError,
     OpAmpModel,
     OutputError,
@@ -24,7 +28,7 @@ from crossolve import (
     run_experiment,
     scenario_defaults,
 )
-from crossolve.experiments import _solve_columns
+from crossolve.experiments import _system_records
 
 
 class TestChildSeed:
@@ -122,7 +126,7 @@ class TestSpecValidation:
             scenario_defaults("bogus")
 
 
-class TestSolveColumns:
+class TestSystemRecords:
     def test_one_factorization_per_matrix(self, monkeypatch):
         calls = []
         factorize = crossolve.spectral.factorize
@@ -135,10 +139,12 @@ class TestSolveColumns:
         monkeypatch.setattr(crossolve.dynamics, "factorize", counted)
         a = covariance_matrix(12, 1.0)  # symmetric positive definite, so bounds are computed
         bs = [random_vector(12, seed=k) for k in range(4)]
-        fields = _solve_columns(build_feedback(a), a, bs, OpAmpModel(), SolveConfig(record_trace=False))
+        spec = ExperimentSpec("scaling", seed=0, output_dir="unused")
+        cfg = SolveConfig(record_trace=False)
+        records = _system_records(spec, build_feedback(a), bs, OpAmpModel(), cfg, 0, "")
         assert calls == [(12, 12)]
-        assert all(f["converged"] and f["tau_bound_s"] is not None for f in fields)
-        assert all(f["final_error"] <= f["epsilon"] for f in fields)
+        assert all(r.converged and r.tau_bound_s is not None for r in records)
+        assert all(r.final_error <= r.epsilon for r in records)
 
 
 class TestTransientScenario:
@@ -263,6 +269,20 @@ class TestInversionScenario:
         line = next(s for s in summary.splitlines() if s.startswith("max_rel_error_significant:"))
         assert float(line.split(":")[1]) < 0.01
 
+    def test_one_eigendecomposition(self, tmp_path, monkeypatch):
+        computed = []
+        eigenvalues = FeedbackSystem.m_eigenvalues.func
+
+        def counted(system):
+            computed.append(system.a.shape)
+            return eigenvalues(system)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(FeedbackSystem, "m_eigenvalues")
+        monkeypatch.setattr(FeedbackSystem, "m_eigenvalues", prop)
+        run_experiment(ExperimentSpec("inversion", seed=7, output_dir=tmp_path, parameters={"n": 4}))
+        assert computed == [(4, 4)]
+
 
 class TestEstimateScenario:
     def test_algebraic_records(self, tmp_path):
@@ -281,3 +301,37 @@ class TestEstimateScenario:
         )
         records, _ = run_experiment(spec)
         assert records[0].n == 100000000
+
+
+# records.csv sha256 of acceptance criterion 10's six configurations at
+# master seed 11 and one worker.
+_PINNED_RECORDS = [
+    ("transient", {}, "e23f4e7ea6f99784b7c29caf995fbe510511fde35a2034b9a38483f50f88fddc"),
+    (
+        "lambda_sweep",
+        {"systems": 6, "vectors_per_system": 3},
+        "8f53b5735193d67512afa97efc05ba8560ab4f072b6adcb9dde1df90e6bfcf91",
+    ),
+    (
+        "scaling",
+        {"sizes": (3, 10, 30), "vectors_per_size": 4},
+        "5a773d40723b5cc4fd0f8724cff7fbbaf25171655f455f202dab1fc84122f596",
+    ),
+    ("sparse_suite", {"systems": 24}, "899a76a9c0f0ff164adce04b3e8858d063d0cf35de2f88fc268414a14d366640"),
+    ("inversion", {"n": 4}, "ec43b09f403d7102101f2217caf84d5802954bd9667ddf61cf558f238b3f9d62"),
+    ("estimate", {"sizes": (10, 100, 1000)}, "44332697588cb9d73dbc2a00acc31ff84fa6030b01868cbfb92c8da81163fe7e"),
+]
+
+
+@pytest.mark.parametrize(("scenario", "params", "digest"), _PINNED_RECORDS, ids=[c[0] for c in _PINNED_RECORDS])
+def test_records_bytes_pinned(tmp_path, scenario, params, digest):
+    """records.csv bytes are pinned, so a refactor that moves any byte fails here.
+
+    The digests were recorded with Python 3.11, numpy 2.4.6 and scipy
+    1.17.1 on their OpenBLAS 0.3.31 wheels (x86-64, Haswell kernels);
+    another numpy/scipy/BLAS build or CPU kernel may round eigenvalues and
+    solves differently in the last bit and move them. A change that moves
+    them on purpose must re-pin them and say why in CHANGES.md.
+    """
+    run_experiment(ExperimentSpec(scenario, seed=11, output_dir=tmp_path, parameters=params, threads=1))
+    assert hashlib.sha256((tmp_path / "records.csv").read_bytes()).hexdigest() == digest

@@ -15,7 +15,6 @@ from crossolve import (
     complexity_quantum_estimate,
     direct_solve,
     fit_scaling,
-    spectral_report,
     sym_part_lambda_min,
 )
 from crossolve.spectral import factorize
@@ -46,6 +45,21 @@ class TestAttenuation:
     def test_non_square_rejected(self):
         with pytest.raises(DomainError):
             attenuation(np.ones((2, 3)))
+
+    def test_symmetric_similarity_matches_m_spectrum(self):
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            w = rng.uniform(0.2, 3.0, size=5)
+            q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+            a = q @ np.diag(w) @ q.T
+            a = np.abs(a + a.T) / 2  # nonnegative symmetric
+            a += 5 * np.eye(5)  # keep it strongly PD after abs
+            u = attenuation(a)
+            m = u[:, None] * a
+            direct = np.sort(np.linalg.eigvals(m).real)
+            root_u = np.sqrt(u)
+            similar = np.linalg.eigvalsh(root_u[:, None] * a * root_u[None, :])
+            assert np.allclose(direct, similar, rtol=1e-10, atol=1e-12)
 
 
 class TestSymPartLambdaMin:
@@ -160,43 +174,6 @@ class TestANorm:
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(DomainError):
             a_norm(a, np.array([1.0, -1.0]))
-
-
-class TestSpectralReport:
-    def test_identity(self):
-        rep = spectral_report(np.eye(3))
-        assert rep.lambda_min_a == pytest.approx(1.0)
-        assert rep.lambda_max_a == pytest.approx(1.0)
-        assert rep.u_min == pytest.approx(0.5)
-        # M = A/2 exactly, so the attenuation bound is tight here
-        assert rep.lambda_m_min == pytest.approx(0.5)
-        assert rep.u_factor == pytest.approx(0.5)
-        assert rep.condition_number == pytest.approx(1.0)
-
-    def test_swap_matrix_unstable(self):
-        rep = spectral_report(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert rep.lambda_m_min == pytest.approx(-0.5)
-
-    def test_attenuation_inequality_on_spd(self, spd_pair):
-        a, _ = spd_pair
-        rep = spectral_report(a)
-        assert rep.lambda_m_min >= rep.u_min * rep.lambda_min_a - 1e-12
-        assert rep.condition_number == pytest.approx(3.0)
-
-    def test_symmetric_similarity_matches_m_spectrum(self):
-        rng = np.random.default_rng(17)
-        for _ in range(10):
-            w = rng.uniform(0.2, 3.0, size=5)
-            q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-            a = q @ np.diag(w) @ q.T
-            a = np.abs(a + a.T) / 2  # nonnegative symmetric
-            a += 5 * np.eye(5)  # keep it strongly PD after abs
-            u = attenuation(a)
-            m = u[:, None] * a
-            direct = np.sort(np.linalg.eigvals(m).real)
-            root_u = np.sqrt(u)
-            similar = np.linalg.eigvalsh(root_u[:, None] * a * root_u[None, :])
-            assert np.allclose(direct, similar, rtol=1e-10, atol=1e-12)
 
 
 class TestComplexityEstimates:
