@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from crossolve import (
     DomainError,
@@ -11,10 +12,12 @@ from crossolve import (
     UsageError,
     a_norm,
     attenuation,
+    build_feedback,
     complexity_cg_estimate,
     complexity_quantum_estimate,
     direct_solve,
     fit_scaling,
+    stability_report,
     sym_part_lambda_min,
 )
 from crossolve.spectral import factorize
@@ -174,6 +177,26 @@ class TestANorm:
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(DomainError):
             a_norm(a, np.array([1.0, -1.0]))
+
+
+class TestSpectralReport:
+    """The per-system spectral numbers, as stability_report carries them."""
+
+    def test_identity(self):
+        rep = stability_report(build_feedback(np.eye(3)))
+        assert rep.lambda_min == pytest.approx(1.0)
+        assert rep.u_min == pytest.approx(0.5)
+        # M = A/2 exactly, so the attenuation bound is tight here
+        assert rep.lambda_m_min == pytest.approx(0.5)
+        # cond_1(I) = 1, and the LAPACK estimate is exact for a diagonal matrix
+        lu, _ = factorize(np.eye(3))
+        rcond, _ = scipy.linalg.lapack.dgecon(lu, 1.0, norm="1")
+        assert 1.0 / rcond == pytest.approx(1.0)
+
+    def test_swap_matrix_unstable(self):
+        rep = stability_report(build_feedback(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        assert rep.lambda_min == pytest.approx(-1.0)
+        assert rep.lambda_m_min == pytest.approx(-0.5)
 
 
 class TestComplexityEstimates:
