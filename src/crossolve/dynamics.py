@@ -34,7 +34,7 @@ from .errors import (
     StabilityError,
     UsageError,
 )
-from .spectral import _as_square, direct_solve, factorize, sym_part_lambda_min
+from .spectral import _as_square, attenuation, direct_solve, factorize, sym_part_lambda_min
 
 __all__ = [
     "OpAmpModel",
@@ -107,9 +107,7 @@ class FeedbackSystem:
 def build_feedback(a) -> FeedbackSystem:
     """Wrap a nonnegative square matrix into its feedback-loop form."""
     a = _as_square(a)
-    if (a < 0).any():
-        raise DomainError("feedback conductances cannot be negative")
-    u = 1.0 / (1.0 + a.sum(axis=1))
+    u = attenuation(a)
     return FeedbackSystem(a=a, u=u, m=u[:, None] * a)
 
 
@@ -423,12 +421,18 @@ def analytic_trajectory(system: FeedbackSystem, b, x0, oa: OpAmpModel | None = N
     return x_star + decay @ (x0 - x_star)
 
 
-def time_bound(system: FeedbackSystem, b, epsilon: float = 1e-3, oa: OpAmpModel | None = None) -> float:
+def time_bound(
+    system: FeedbackSystem, b, epsilon: float = 1e-3, oa: OpAmpModel | None = None
+) -> float | np.ndarray:
     """Computing-time bound ln(sqrt(x*^T b) / epsilon) / (lambda_m_min * gbw).
 
     Valid for symmetric positive-definite A with the error measured in the
     energy norm: the initial error from x(0) = 0 is sqrt(x*^T b) and each
     step contracts it by at least alpha * lambda_m_min.
+
+    b is one right-hand side of shape (n,), which gives a float, or a block
+    of shape (n, k), which gives one bound per column from one guarded
+    solve. DomainError names the first column with x*^T b <= 0.
     """
     if oa is None:
         oa = OpAmpModel()
@@ -436,13 +440,17 @@ def time_bound(system: FeedbackSystem, b, epsilon: float = 1e-3, oa: OpAmpModel 
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
     b = np.asarray(b, dtype=float)
     x_star = direct_solve(system.a, b, system.lu)
-    energy = float(x_star @ b)
-    if energy <= 0:
-        raise DomainError(f"x*^T b = {energy:.3e} must be positive for the energy bound")
+    energy = np.atleast_1d(np.vecdot(x_star, b, axis=0))
+    bad = np.flatnonzero(energy <= 0)
+    if bad.size:
+        j = bad[0]
+        where = f" in column {j}" if b.ndim == 2 else ""
+        raise DomainError(f"x*^T b = {energy[j]:.3e}{where} must be positive for the energy bound")
     lam_min = float(system.m_eigenvalues.real.min())
     if lam_min <= 0:
         raise StabilityError(f"bound undefined: min Re eig(M) = {lam_min:.3e} is not positive")
-    return math.log(math.sqrt(energy) / epsilon) / (lam_min * oa.gbw)
+    bounds = [math.log(math.sqrt(e) / epsilon) / (lam_min * oa.gbw) for e in energy.tolist()]
+    return np.array(bounds) if b.ndim == 2 else bounds[0]
 
 
 def invert_matrix(

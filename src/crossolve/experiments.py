@@ -9,6 +9,7 @@ regardless of thread count or execution order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -271,17 +272,22 @@ def _programmed(ideal: np.ndarray, p: dict, ratio: float, seed: int) -> np.ndarr
     return read_effective(program(ideal, None, policy, seed=seed))
 
 
-def _bounds(system, bs: list[np.ndarray], epsilon: float, oa: OpAmpModel) -> list[float | None]:
-    """Energy-norm time bound for each right-hand side, None where it does not apply."""
-    if not _is_symmetric(system.a):
-        return [None] * len(bs)
-    bounds = []
-    for b in bs:
+def _bounds(system, block: np.ndarray, epsilon: float, oa: OpAmpModel) -> list[float | None]:
+    """Energy-norm time bound for each column of block, None where it does not apply.
+
+    The bound needs a symmetric A. When time_bound raises for the block,
+    every column's bound is None. Callers first run the block transient on
+    the same columns, which already solved them and checked stability, so
+    only a zero column can raise here: a symmetric A whose M is stable is
+    positive definite, so x*^T b > 0 for every nonzero b, and every
+    scenario's b is nonzero.
+    """
+    if _is_symmetric(system.a):
         try:
-            bounds.append(time_bound(system, b, epsilon=epsilon, oa=oa))
+            return time_bound(system, block, epsilon=epsilon, oa=oa).tolist()
         except (DomainError, StabilityError, NumericalError):
-            bounds.append(None)
-    return bounds
+            pass
+    return [None] * block.shape[1]
 
 
 def _final_error(system, b: np.ndarray, x: np.ndarray, norm_kind: str) -> float:
@@ -306,9 +312,10 @@ def _system_records(
     Record k gets system_index first + k and notes "digest=<hash of A and
     b_k>" followed by notes; shared holds RunRecord fields common to all.
     """
+    block = np.column_stack(bs)
     report = stability_report(system, oa)
-    result = simulate(system, np.column_stack(bs), oa, cfg)
-    bounds = _bounds(system, bs, cfg.epsilon, oa)
+    result = simulate(system, block, oa, cfg)
+    bounds = _bounds(system, block, cfg.epsilon, oa)
     a_hash = _hasher(system.a)
     return [
         RunRecord(
@@ -359,7 +366,7 @@ def _run_transient(spec: ExperimentSpec, p: dict):
         lambda_m_min=report.lambda_m_min,
         u_min=report.u_min,
         tau_measured_s=result.tau,
-        tau_bound_s=_bounds(system, [b], cfg.epsilon, oa)[0],
+        tau_bound_s=_bounds(system, b[:, None], cfg.epsilon, oa)[0],
         converged=result.converged,
         diverged=result.diverged,
         steps=result.steps,
@@ -400,25 +407,18 @@ def _sweep_matrix(master: int, mi: int, p: dict) -> np.ndarray:
 
 def _run_lambda_sweep(spec: ExperimentSpec, p: dict):
     oa = _op_amp(p)
-    cfg = SolveConfig(epsilon=float(p["epsilon"]), norm_kind=p["norm"], record_trace=False)
-    systems_count = int(p["systems"])
+    cfg = SolveConfig(epsilon=float(p["epsilon"]), norm_kind=p["norm"])
     vectors = int(p["vectors_per_system"])
 
-    prepared = [_sweep_matrix(spec.seed, mi, p) for mi in range(systems_count)]
+    def task(mi: int) -> list[RunRecord]:
+        a = _sweep_matrix(spec.seed, mi, p)
+        bs = [
+            _unit_vector(a.shape[0], child_seed(spec.seed, mi, 10_000 + k), p["normalize_b"])
+            for k in range(vectors)
+        ]
+        return _system_records(spec, build_feedback(a), bs, oa, cfg, mi * vectors, f";matrix={mi}")
 
-    def make_task(mi: int) -> Callable[[], list[RunRecord]]:
-        a = prepared[mi]
-
-        def task() -> list[RunRecord]:
-            bs = [
-                _unit_vector(a.shape[0], child_seed(spec.seed, mi, 10_000 + k), p["normalize_b"])
-                for k in range(vectors)
-            ]
-            return _system_records(spec, build_feedback(a), bs, oa, cfg, mi * vectors, f";matrix={mi}")
-
-        return task
-
-    by_matrix = _map_tasks([make_task(mi) for mi in range(systems_count)], spec.threads)
+    by_matrix = _map_tasks([functools.partial(task, mi) for mi in range(int(p["systems"]))], spec.threads)
     records = [rec for recs in by_matrix for rec in recs]
 
     inv_lam = np.array([1.0 / max(recs[0].lambda_m_min, 1e-30) for recs in by_matrix])
@@ -438,7 +438,7 @@ def _run_lambda_sweep(spec: ExperimentSpec, p: dict):
 
 def _run_scaling(spec: ExperimentSpec, p: dict):
     oa = _op_amp(p)
-    cfg = SolveConfig(epsilon=float(p["epsilon"]), norm_kind=p["norm"], record_trace=False)
+    cfg = SolveConfig(epsilon=float(p["epsilon"]), norm_kind=p["norm"])
     beta = float(p["beta"])
     sizes = [int(n) for n in p["sizes"]]
     vectors = int(p["vectors_per_size"])
@@ -446,47 +446,37 @@ def _run_scaling(spec: ExperimentSpec, p: dict):
     for variant in variants:
         if variant not in ("ideal", "rram"):
             raise ConfigError(f"unknown scaling variant {variant!r}")
+    if len(set(variants)) != len(variants):
+        raise ConfigError(f"scaling variants must be distinct, got {p['variants']}")
+    if len(set(sizes)) != len(sizes) or any(n < 1 for n in sizes):
+        raise ConfigError(f"scaling sizes must be distinct and positive, got {p['sizes']}")
     ratio = float(p["ratio"]) if p["ratio"] is not None else (1e4 if beta >= 2 else 1e3)
+    jobs = [(si, variant) for si in range(len(sizes)) for variant in variants]
 
-    prepared = {}
-    for si, n in enumerate(sizes):
-        ideal = covariance_matrix(n, beta)
-        for variant in variants:
-            a_eff = ideal if variant == "ideal" else _programmed(ideal, p, ratio, child_seed(spec.seed, si))
-            prepared[(si, variant)] = build_feedback(a_eff)
+    def task(job: int) -> list[RunRecord]:
+        si, variant = jobs[job]
+        a = covariance_matrix(sizes[si], beta)
+        if variant == "rram":
+            a = _programmed(a, p, ratio, child_seed(spec.seed, si))
+        bs = [_unit_vector(sizes[si], child_seed(spec.seed, si, k), p["normalize_b"]) for k in range(vectors)]
+        return _system_records(
+            spec, build_feedback(a), bs, oa, cfg, job * vectors, f";variant={variant}", beta_or_s=beta
+        )
 
-    def make_task(first: int, si: int, variant: str) -> Callable[[], list[RunRecord]]:
-        system = prepared[(si, variant)]
+    groups = _map_tasks([functools.partial(task, job) for job in range(len(jobs))], spec.threads)
+    records = [rec for recs in groups for rec in recs]
 
-        def task() -> list[RunRecord]:
-            bs = [_unit_vector(sizes[si], child_seed(spec.seed, si, k), p["normalize_b"]) for k in range(vectors)]
-            return _system_records(spec, system, bs, oa, cfg, first, f";variant={variant}", beta_or_s=beta)
-
-        return task
-
-    tasks = [
-        make_task((si * len(variants) + vi) * vectors, si, variant)
-        for si in range(len(sizes))
-        for vi, variant in enumerate(variants)
-    ]
-    records = [rec for recs in _map_tasks(tasks, spec.threads) for rec in recs]
-
+    means: dict[str, dict[int, float]] = {variant: {} for variant in variants}
+    for (si, variant), recs in zip(jobs, groups):
+        taus = [r.tau_measured_s for r in recs if r.converged]
+        if taus:
+            means[variant][sizes[si]] = float(np.mean(taus))
     lines = []
-    means: dict[str, list[tuple[int, float]]] = {variant: [] for variant in variants}
     for variant in variants:
-        for n in sizes:
-            taus = [
-                r.tau_measured_s
-                for r in records
-                if r.n == n and r.notes.endswith(f"variant={variant}") and r.converged
-            ]
-            if taus:
-                means[variant].append((n, float(np.mean(taus))))
-    for variant in variants:
-        pts = means[variant]
+        pts = list(means[variant].items())
         for n, mean_tau in pts:
             lines.append(f"mean_tau_s[{variant}][n={n}]: {mean_tau:.12g}")
-        if len({n for n, _ in pts}) >= 4:
+        if len(pts) >= 4:
             fit = fit_scaling(pts)
             r2 = fit.r_squared
             lines.append(
@@ -496,22 +486,17 @@ def _run_scaling(spec: ExperimentSpec, p: dict):
                 f" linear_r2={r2['linear']:.6g}"
                 f" logarithmic_b={fit.coefficients['logarithmic'][1]:.6g}"
             )
-    if "ideal" in variants and "rram" in variants:
-        pairs = [
-            (dict(means["ideal"]).get(n), dict(means["rram"]).get(n))
-            for n in sizes
-            if dict(means["ideal"]).get(n) and dict(means["rram"]).get(n)
-        ]
-        if pairs:
-            worst = max(max(r / i, i / r) for i, r in pairs)
-            lines.append(f"rram_vs_ideal_worst_ratio: {worst:.6g}")
+    ideal, rram = means.get("ideal", {}), means.get("rram", {})
+    pairs = [(ideal[n], rram[n]) for n in sizes if ideal.get(n) and rram.get(n)]
+    if pairs:
+        worst = max(max(r / i, i / r) for i, r in pairs)
+        lines.append(f"rram_vs_ideal_worst_ratio: {worst:.6g}")
     return records, lines, {}
 
 
 def _run_sparse_suite(spec: ExperimentSpec, p: dict):
     oa = _op_amp(p)
-    cfg = SolveConfig(epsilon=float(p["epsilon"]), norm_kind=p["norm"], record_trace=False)
-    systems_count = int(p["systems"])
+    cfg = SolveConfig(epsilon=float(p["epsilon"]), norm_kind=p["norm"])
     s = int(p["s"])
     n_lo, n_hi = (int(v) for v in p["n_range"])
     lam_lo, lam_hi = (float(v) for v in p["lambda_range"])
@@ -521,21 +506,18 @@ def _run_sparse_suite(spec: ExperimentSpec, p: dict):
         raise ConfigError(f"invalid lambda_range {p['lambda_range']}")
     cg_tol = float(p["cg_tol"]) if p["cg_tol"] is not None else float(p["epsilon"])
 
-    def make_task(i: int) -> Callable[[], RunRecord]:
-        def task() -> RunRecord:
-            rng = np.random.default_rng(child_seed(spec.seed, i))
-            n = int(rng.integers(n_lo, n_hi + 1))
-            lam_target = float(rng.uniform(lam_lo, lam_hi))
-            a = sparse_pd(SparsePdSpec(n=n, s=min(s, n), lambda_target=lam_target, seed=child_seed(spec.seed, i, 1)))
-            b = _unit_vector(n, child_seed(spec.seed, i, 2), p["normalize_b"])
-            cg = conjugate_gradient(a, b, tol=cg_tol)
-            return _system_records(
-                spec, build_feedback(a), [b], oa, cfg, i, "", beta_or_s=float(s), cg_iterations=cg.iterations
-            )[0]
+    def task(i: int) -> RunRecord:
+        rng = np.random.default_rng(child_seed(spec.seed, i))
+        n = int(rng.integers(n_lo, n_hi + 1))
+        lam_target = float(rng.uniform(lam_lo, lam_hi))
+        a = sparse_pd(SparsePdSpec(n=n, s=min(s, n), lambda_target=lam_target, seed=child_seed(spec.seed, i, 1)))
+        b = _unit_vector(n, child_seed(spec.seed, i, 2), p["normalize_b"])
+        cg = conjugate_gradient(a, b, tol=cg_tol)
+        return _system_records(
+            spec, build_feedback(a), [b], oa, cfg, i, "", beta_or_s=float(s), cg_iterations=cg.iterations
+        )[0]
 
-        return task
-
-    records = _map_tasks([make_task(i) for i in range(systems_count)], spec.threads)
+    records = _map_tasks([functools.partial(task, i) for i in range(int(p["systems"]))], spec.threads)
 
     lams = np.array([r.lambda_min for r in records])
     taus = np.array([r.tau_measured_s for r in records])
@@ -554,7 +536,7 @@ def _run_sparse_suite(spec: ExperimentSpec, p: dict):
 
 def _run_inversion(spec: ExperimentSpec, p: dict):
     oa = _op_amp(p)
-    cfg = SolveConfig(epsilon=float(p["epsilon"]), norm_kind=p["norm"], record_trace=False)
+    cfg = SolveConfig(epsilon=float(p["epsilon"]), norm_kind=p["norm"])
     n = int(p["n"])
     beta = float(p["beta"])
     ideal = covariance_matrix(n, beta)

@@ -108,6 +108,14 @@ def test_unstable_system_exits_three(tmp_path):
     assert main(["transient", "--config", str(cfg)]) == 3
 
 
+def test_unreachable_sweep_floor_exits_three(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("parameters:\n  systems: 3\n  lambda_floor: 1.0e9\n  floor_tries: 1\n")
+    args = ["lambda-sweep", "--seed", "1", "--config", str(cfg), "--threads", "2", "--out", str(tmp_path / "out")]
+    assert main(args) == 3
+    assert "no draw with lambda_min >= 1000000000.0 for system 0" in capsys.readouterr().err
+
+
 def test_blocked_output_exits_four(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("x")

@@ -318,6 +318,25 @@ class TestTimeBound:
         with pytest.raises(ConfigError):
             time_bound(system, np.array([1.0, 0.0]), 0.0, oa)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), k=st.integers(1, 5), zero=st.integers(0, 4))
+    def test_block_matches_columns(self, seed, n, k, zero):
+        rng = np.random.default_rng(seed)
+        g = rng.uniform(0.0, 1.0, (n, n))
+        system = build_feedback(g + g.T + n * np.eye(n))  # symmetric, diagonally dominant: SPD
+        block = rng.uniform(-1.0, 1.0, (n, k))
+        oa = OpAmpModel()
+        bounds = time_bound(system, block, 1e-3, oa)
+        columns = [time_bound(system, block[:, j], 1e-3, oa) for j in range(k)]
+        assert bounds.shape == (k,) and all(type(c) is float for c in columns)
+        # one column solves along the same LAPACK path as a 1-D b; a wider
+        # block solves all columns at once and may round x* in the last bit
+        assert time_bound(system, block[:, :1], 1e-3, oa)[0] == columns[0]
+        assert list(bounds) == pytest.approx(columns, rel=1e-12, abs=1e-20)
+        block[:, zero % k] = 0.0
+        with pytest.raises(DomainError, match=f"in column {zero % k} "):
+            time_bound(system, block, 1e-3, oa)
+
 
 class TestInvertMatrix:
     def test_spd_inverse(self, spd_pair, oa):

@@ -227,6 +227,20 @@ class TestScalingScenario:
         with pytest.raises(ConfigError):
             run_experiment(spec)
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"sizes": [3, 3, 10, 30, 100]},
+            {"sizes": [0, 3, 10, 30]},
+            {"sizes": [-3, 10]},
+            {"variants": ["rram", "rram"]},
+        ],
+    )
+    def test_duplicate_or_nonpositive_rejected(self, tmp_path, params):
+        spec = ExperimentSpec("scaling", seed=1, output_dir=tmp_path, parameters={"vectors_per_size": 1, **params})
+        with pytest.raises(ConfigError):
+            run_experiment(spec)
+
 
 class TestSparseSuiteScenario:
     def test_small_run(self, tmp_path):
@@ -303,35 +317,74 @@ class TestEstimateScenario:
         assert records[0].n == 100000000
 
 
-# records.csv sha256 of acceptance criterion 10's six configurations at
-# master seed 11 and one worker.
+# sha256 of every file that acceptance criterion 10's six configurations
+# write at master seed 11 and one worker.
 _PINNED_RECORDS = [
-    ("transient", {}, "e23f4e7ea6f99784b7c29caf995fbe510511fde35a2034b9a38483f50f88fddc"),
+    (
+        "transient",
+        {},
+        {
+            "records.csv": "e23f4e7ea6f99784b7c29caf995fbe510511fde35a2034b9a38483f50f88fddc",
+            "summary.txt": "fdbbfd6b1315b4e50a76a70b081399926c8f358b8d2db484cd69489e7571f9d3",
+            "trace.csv": "f4fb3e31b06a1ca99dc5794970ae49ce541b05aa35a5cd5a0bdd0ba0a2c87849",
+        },
+    ),
     (
         "lambda_sweep",
         {"systems": 6, "vectors_per_system": 3},
-        "8f53b5735193d67512afa97efc05ba8560ab4f072b6adcb9dde1df90e6bfcf91",
+        {
+            "records.csv": "8f53b5735193d67512afa97efc05ba8560ab4f072b6adcb9dde1df90e6bfcf91",
+            "summary.txt": "3e36dc7a7bc0d289fe5a7a9e9d25fde496b5519de3d0e2ec080d2d1177f53efc",
+        },
     ),
     (
         "scaling",
         {"sizes": (3, 10, 30), "vectors_per_size": 4},
-        "5a773d40723b5cc4fd0f8724cff7fbbaf25171655f455f202dab1fc84122f596",
+        {
+            "records.csv": "5a773d40723b5cc4fd0f8724cff7fbbaf25171655f455f202dab1fc84122f596",
+            "summary.txt": "c5e1285796dd4f3effa9439ad735f1d3200dc102cf674a49c6a9ba88384dcb42",
+        },
     ),
-    ("sparse_suite", {"systems": 24}, "899a76a9c0f0ff164adce04b3e8858d063d0cf35de2f88fc268414a14d366640"),
-    ("inversion", {"n": 4}, "ec43b09f403d7102101f2217caf84d5802954bd9667ddf61cf558f238b3f9d62"),
-    ("estimate", {"sizes": (10, 100, 1000)}, "44332697588cb9d73dbc2a00acc31ff84fa6030b01868cbfb92c8da81163fe7e"),
+    (
+        "sparse_suite",
+        {"systems": 24},
+        {
+            "records.csv": "899a76a9c0f0ff164adce04b3e8858d063d0cf35de2f88fc268414a14d366640",
+            "summary.txt": "7142b75ae46df96782ae84e7145f1bedd6cd59f1e09377bf218c3ef1098ea71b",
+        },
+    ),
+    (
+        "inversion",
+        {"n": 4},
+        {
+            "records.csv": "ec43b09f403d7102101f2217caf84d5802954bd9667ddf61cf558f238b3f9d62",
+            "summary.txt": "60ed82ec21395a604cd244639636eed03ce9228512a52039de0e38efb2f3f8f9",
+            "inverse.csv": "15e8ba5f623228c3b0f9972b87ef74ed6e8173978d9e5853c0eb27d383a43a89",
+        },
+    ),
+    (
+        "estimate",
+        {"sizes": (10, 100, 1000)},
+        {
+            "records.csv": "44332697588cb9d73dbc2a00acc31ff84fa6030b01868cbfb92c8da81163fe7e",
+            "summary.txt": "53f9f45a153e0ead1ad4506628d425f3014b1ddeb1a7af458260d6f99ed4871c",
+        },
+    ),
 ]
 
 
-@pytest.mark.parametrize(("scenario", "params", "digest"), _PINNED_RECORDS, ids=[c[0] for c in _PINNED_RECORDS])
-def test_records_bytes_pinned(tmp_path, scenario, params, digest):
-    """records.csv bytes are pinned, so a refactor that moves any byte fails here.
+@pytest.mark.parametrize(("scenario", "params", "digests"), _PINNED_RECORDS, ids=[c[0] for c in _PINNED_RECORDS])
+def test_records_bytes_pinned(tmp_path, scenario, params, digests):
+    """Output bytes are pinned, so a refactor that moves any byte fails here.
 
-    The digests were recorded with Python 3.11, numpy 2.4.6 and scipy
-    1.17.1 on their OpenBLAS 0.3.31 wheels (x86-64, Haswell kernels);
-    another numpy/scipy/BLAS build or CPU kernel may round eigenvalues and
-    solves differently in the last bit and move them. A change that moves
-    them on purpose must re-pin them and say why in CHANGES.md.
+    Every file a run writes is hashed: records.csv, summary.txt, and
+    trace.csv or inverse.csv where the scenario writes one. The digests
+    were recorded with Python 3.11, numpy 2.4.6 and scipy 1.17.1 on their
+    OpenBLAS 0.3.31 wheels (x86-64, Haswell kernels); another
+    numpy/scipy/BLAS build or CPU kernel may round eigenvalues and solves
+    differently in the last bit and move them. A change that moves them
+    on purpose must re-pin them and say why in CHANGES.md.
     """
     run_experiment(ExperimentSpec(scenario, seed=11, output_dir=tmp_path, parameters=params, threads=1))
-    assert hashlib.sha256((tmp_path / "records.csv").read_bytes()).hexdigest() == digest
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+    assert written == digests
