@@ -15,6 +15,14 @@ and reports the computing time tau = steps * alpha / gbw at which the
 error against the direct-solve oracle first drops below epsilon. Poles
 sit at -gbw * eig(M), so the circuit is stable exactly when every
 eigenvalue of M has positive real part.
+
+At small n each step is a few flops, and one Python round trip per step
+would cost far more than the arithmetic. The simulator therefore evaluates
+the same recurrence K steps at a time, x(t + j dt) = P^j x(t) + c_j with
+P = I - alpha M, from stacked powers of P (the matrix powers kernel of
+s-step Krylov methods), and still tests every step. K is chosen from n and
+the step count that eig(M) predicts, and is 1 (the one-step recurrence bit
+for bit) at large n and whenever a trace is recorded.
 """
 
 from __future__ import annotations
@@ -186,11 +194,6 @@ class SolveConfig:
             raise ConfigError(f"divergence_factor must be positive, got {self.divergence_factor}")
 
 
-def _stability_numbers(system: FeedbackSystem) -> tuple[float, float]:
-    ev = system.m_eigenvalues
-    return float(ev.real.min()), float(np.abs(ev).max())
-
-
 def resolve_step(system: FeedbackSystem, oa: OpAmpModel, cfg: SolveConfig) -> tuple[float, float]:
     """Resolve the step gain alpha and physical step dt = alpha / gbw.
 
@@ -198,7 +201,8 @@ def resolve_step(system: FeedbackSystem, oa: OpAmpModel, cfg: SolveConfig) -> tu
     unstable runs, and ConfigError when alpha * rho(M) >= 1 (the update
     would not contract even for the fastest mode).
     """
-    lam_min, rho = _stability_numbers(system)
+    ev = system.m_eigenvalues
+    lam_min, rho = float(ev.real.min()), float(np.abs(ev).max())
     if lam_min <= 0 and not cfg.allow_unstable:
         raise StabilityError(
             f"system is unstable (min Re eig(M) = {lam_min:.3e}); "
@@ -229,13 +233,14 @@ class SolveResult:
     For a single right-hand side b of shape (n,), x_final has shape (n,),
     tau is steps * alpha / gbw exactly, and converged and diverged are
     both False when the run hit max_steps (a timeout). trace is None when
-    recording was disabled.
+    recording was disabled. max_slew is the largest |x_i(t + dt) - x_i(t)| / dt
+    (V/s) over every step the run took, whether or not a trace was kept.
 
     For a block b of shape (n, k), x_final has shape (n, k) and tau,
     converged and diverged are length-k arrays, one entry per column.
-    column_steps holds each column's integer step count and steps is
-    their total. A block run records no trace. column_steps is None for a
-    single right-hand side.
+    column_steps holds each column's integer step count and steps is their
+    total. A block run records no trace and no max_slew (None).
+    column_steps is None for a single right-hand side.
     """
 
     x_final: np.ndarray
@@ -244,6 +249,7 @@ class SolveResult:
     diverged: bool | np.ndarray
     trace: Trace | None
     steps: int
+    max_slew: float | None
     column_steps: np.ndarray | None = None
 
 
@@ -252,6 +258,49 @@ class SolveResult:
 # far above the rounding error of the norms, so the verdict is the one an
 # exact ||x|| test on every step would give.
 _SCREEN_SLACK = 1e-9
+
+# Cost model of the K-step lookahead. One pass of the transient loop costs
+# about _PASS_S of interpreter time whatever its K, and building the stacked
+# powers of P costs about 2 K n^3 flops at _FLOP_S each (10 GFLOP/s, below
+# what one x86-64 core's BLAS reaches on products of n = 100-300). Over a run
+# of S steps the sum S _PASS_S / K + 2 K n^3 _FLOP_S is least at
+# K = sqrt(S _PASS_S / (2 n^3 _FLOP_S)).
+_PASS_S = 15e-6
+_FLOP_S = 1e-10
+_MAX_LOOKAHEAD = 64
+# Cap on the K n^2 doubles of the stacked powers (512 KiB).
+_STACK_DOUBLES = 1 << 16
+
+
+def _lookahead(n: int, steps: float) -> int:
+    """Steps K that one pass of the transient loop advances an n x n system.
+
+    steps is the step count the run is predicted to take. K is the cost
+    model's optimum, clamped to [1, _MAX_LOOKAHEAD] and to K n^2 <=
+    _STACK_DOUBLES: 64 at n <= 10, 1 at n > 181, and 1 wherever the run is
+    too short for the powers to pay for themselves.
+    """
+    if not steps > 0:
+        return 1
+    best = int(math.sqrt(steps * _PASS_S / (2.0 * n**3 * _FLOP_S)))
+    return max(1, min(best, _MAX_LOOKAHEAD, _STACK_DOUBLES // (n * n)))
+
+
+def _stack_powers(propagate: np.ndarray, drive: np.ndarray, lookahead: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked powers [P; P^2; ...; P^K] of shape (K n, n) and offsets [c_1; ...; c_K] of shape (K, n, k).
+
+    c_j = (I + P + ... + P^(j-1)) drive is the state j steps after x = 0, so
+    the state j steps after x is P^j x + c_j. The powers double, P^(m+i) =
+    P^i P^m; K = 1 gives P itself and c_1 = drive.
+    """
+    n = propagate.shape[0]
+    powers = propagate[None]
+    while len(powers) < lookahead:
+        j = min(len(powers), lookahead - len(powers))
+        powers = np.concatenate([powers, powers[:j] @ powers[-1]])
+    sums = np.cumsum(np.concatenate([np.eye(n)[None], powers[:-1]]), axis=0)[1:]
+    offsets = np.concatenate([drive[None], (sums.reshape(-1, n) @ drive).reshape(-1, *drive.shape)])
+    return powers.reshape(-1, n), offsets
 
 
 def _square_limit(epsilon: float) -> float:
@@ -280,14 +329,23 @@ def simulate(
     b is one right-hand side of shape (n,) or a block of k right-hand
     sides of shape (n, k). A block steps all its columns together as
     X <- alpha U B + (I - alpha M) X and drops each column once it stops,
-    so every column takes exactly the steps it would take on its own.
-    The error of every column against the direct-solve oracle is
-    evaluated every step; a column converges when its error first drops
-    to epsilon or below. Divergence is declared when ||x||_2 exceeds
+    so every column takes the steps it would take on its own.
+
+    Each pass of the loop evaluates the next K states of that recurrence at
+    once, as [P; ...; P^K] X + [c_1; ...; c_K] with P = I - alpha M, and
+    scans all K for the stopping tests, so every step is still tested. K
+    comes from n and the step count that lambda_M,min predicts; it is 1 for
+    large n, and for a recorded trace, where the loop is the one-step
+    recurrence bit for bit. Under K > 1, x_final may differ in its last bits
+    from one-at-a-time stepping, and a column whose error lies within
+    rounding of epsilon may stop one step earlier or later.
+
+    A column converges when its error against the direct-solve oracle first
+    drops to epsilon or below. Divergence is declared when ||x||_2 exceeds
     divergence_factor * max(1, ||x*||_2). The recorded trace (single
     right-hand side only) is decimated by stride doubling to at most
-    trace_limit samples; tau and convergence always use every step. See
-    SolveResult for the shapes of a block result.
+    trace_limit samples; tau, convergence and max_slew always use every
+    step. See SolveResult for the shapes of a block result.
     """
     if oa is None:
         oa = OpAmpModel()
@@ -306,7 +364,6 @@ def simulate(
     m_eff = system.m
     if cfg.include_gain_correction:
         m_eff = system.m + np.eye(n) / oa.l0
-    propagate = np.eye(n) - alpha * m_eff
     drive = alpha * (system.u[:, None] * block)
     energy = system.a if cfg.norm_kind == "a_norm" else None
     limit = _square_limit(cfg.epsilon)
@@ -316,60 +373,86 @@ def simulate(
     screen = blow_up * (1.0 - _SCREEN_SLACK) - star_norm
     screen_sq = np.where(screen > 0, screen * screen, -1.0)
 
-    x = np.zeros((n, k))
+    max_steps = cfg.max_steps
+    single = b.ndim == 1
+    record = cfg.record_trace and single
+    lam_min = float(system.m_eigenvalues.real.min())
+    top = float(star_norm.max())
+    predicted = math.log(top / cfg.epsilon) / (alpha * lam_min) if lam_min > 0 and top > cfg.epsilon else 0.0
+    lookahead = 1 if record else _lookahead(n, min(predicted, max_steps))
+    powers, offsets = _stack_powers(np.eye(n) - alpha * m_eff, drive, lookahead)
+
+    # Each pass scans states, the states after steps base .. base + K - 1,
+    # then writes the next pass into spare, which holds the previous pass
+    # until then. The first pass is x(0) = 0, c_1, ..., c_(K-1).
+    states = np.concatenate([np.zeros((1, n, k)), offsets[:-1]])
+    spare = np.zeros_like(states)
+    x_star = x_star[None]
+    base = 0
     cols = np.arange(k)  # original index of each column still in the block
     x_final = np.empty((n, k))
     column_steps = np.zeros(k, dtype=np.int64)
     converged = np.zeros(k, dtype=bool)
     diverged = np.zeros(k, dtype=bool)
-    steps = 0
-    max_steps = cfg.max_steps
-    record = cfg.record_trace and b.ndim == 1
+    jumps = np.zeros((lookahead, n, 1))  # a single right-hand side's largest |dx_i| per row
     sample_steps: list[int] = []
     sample_states: list[np.ndarray] = []
-    sample_errors: list[float] = []
+    sample_sq: list[float] = []  # squared error norms
     stride = 1
 
     while True:
-        d = x - x_star
-        sq = np.vecdot(d, d, axis=0)
-        q = sq if energy is None else np.vecdot(d, energy @ d, axis=0)
+        d = states - x_star
+        sq = np.vecdot(d, d, axis=1)
+        q = sq if energy is None else np.vecdot(d, energy @ d, axis=1)
         conv = q <= limit
         near = sq > screen_sq
-        alert = np.count_nonzero(conv) or np.count_nonzero(near) or steps >= max_steps
-        if alert and energy is not None and np.count_nonzero(q < 0):
-            raise DomainError(f"x^T A x = {q.min():.3e} is negative; not a norm for this matrix")
-        if record and steps % stride == 0:
-            sample_steps.append(steps)
-            sample_states.append(x[:, 0].copy())
-            sample_errors.append(float(np.sqrt(q[0])))
+        if single:  # spare[-1] is still the state before this pass
+            jump = np.abs(states - np.concatenate([spare[-1:], states[:-1]]))
+        if record and base % stride == 0:  # a recorded run has one state per pass
+            sample_steps.append(base)
+            sample_states.append(states[0, :, 0].copy())
+            sample_sq.append(q[0, 0])
             if len(sample_steps) > cfg.trace_limit:
                 sample_steps = sample_steps[::2]
                 sample_states = sample_states[::2]
-                sample_errors = sample_errors[::2]
+                sample_sq = sample_sq[::2]
                 stride *= 2
-        if alert:
+        cut = max_steps - base  # the row of step max_steps; later rows are never taken
+        if np.count_nonzero(conv) or np.count_nonzero(near) or cut < lookahead:
             div = near & ~conv
             if np.count_nonzero(div):
-                xd = x[:, div]
-                div[div] = np.sqrt(np.vecdot(xd, xd, axis=0)) > blow_up[div]
-            done = conv | div if steps < max_steps else np.ones_like(conv)
-            if np.count_nonzero(done):
+                div &= np.sqrt(np.vecdot(states, states, axis=1)) > blow_up
+            stop = conv | div
+            if cut < lookahead:
+                stop[cut] = True
+            # each column's first stopping row, or K for a column that runs on
+            row = np.where(stop.any(axis=0), stop.argmax(axis=0), lookahead)
+            if single:
+                np.maximum(jumps, np.where(np.arange(lookahead)[:, None, None] > row, 0.0, jump), out=jumps)
+            done = np.flatnonzero(row < lookahead)
+            if done.size:
+                at = row[done]
+                if energy is not None and np.count_nonzero(q[at, done] < 0):
+                    raise DomainError(f"x^T A x = {q[at, done].min():.3e} is negative; not a norm for this matrix")
                 idx = cols[done]
-                x_final[:, idx] = x[:, done]
-                column_steps[idx] = steps
-                converged[idx] = conv[done]
-                diverged[idx] = div[done]
-                live = ~done
+                x_final[:, idx] = states[at, :, done].T
+                column_steps[idx] = base + at
+                converged[idx] = conv[at, done]
+                diverged[idx] = div[at, done]
+                live = row == lookahead
                 if not np.count_nonzero(live):
                     break
-                x, x_star, drive = x[:, live], x_star[:, live], drive[:, live]
+                states, spare, x_star, offsets = states[:, :, live], spare[:, :, live], x_star[:, :, live], offsets[:, :, live]
                 blow_up, screen_sq, cols = blow_up[live], screen_sq[live], cols[live]
-        x = drive + propagate @ x
-        steps += 1
+        elif single:
+            np.maximum(jumps, jump, out=jumps)
+        np.matmul(powers, states[-1], out=spare.reshape(lookahead * n, -1))
+        spare += offsets
+        states, spare = spare, states
+        base += lookahead
 
     tau = column_steps * alpha / oa.gbw
-    if b.ndim == 2:
+    if not single:
         return SolveResult(
             x_final=x_final,
             tau=tau,
@@ -377,18 +460,19 @@ def simulate(
             diverged=diverged,
             trace=None,
             steps=int(column_steps.sum()),
+            max_slew=None,
             column_steps=column_steps,
         )
     trace = None
     if record:
-        if sample_steps[-1] != steps:
-            sample_steps.append(steps)
-            sample_states.append(x[:, 0].copy())
-            sample_errors.append(float(np.sqrt(q[0])))
+        if sample_steps[-1] != column_steps[0]:
+            sample_steps.append(int(column_steps[0]))
+            sample_states.append(x_final[:, 0].copy())
+            sample_sq.append(q[0, 0])
         trace = Trace(
             times=np.asarray(sample_steps, dtype=float) * dt,
             states=np.vstack(sample_states),
-            errors=np.asarray(sample_errors),
+            errors=np.sqrt(np.asarray(sample_sq)),
         )
     return SolveResult(
         x_final=x_final[:, 0],
@@ -397,6 +481,7 @@ def simulate(
         diverged=bool(diverged[0]),
         trace=trace,
         steps=int(column_steps[0]),
+        max_slew=float(jumps.max()) / dt,
     )
 
 
@@ -475,16 +560,14 @@ def invert_matrix(
 
 
 def slew_check(result: SolveResult, oa: OpAmpModel | None = None) -> bool:
-    """True when the recorded trace never exceeds the op amp's slew rate.
+    """True when no step of a single-right-hand-side transient exceeds the slew rate.
 
-    Evaluates max |x_i(t+dt) - x_i(t)| / dt over consecutive trace
-    samples. Requires a recorded trace with at least two samples.
+    Reads result.max_slew, the largest |x_i(t + dt) - x_i(t)| / dt over
+    every step the run took, so the verdict does not depend on whether or
+    how a trace was recorded. A block result carries no max_slew.
     """
     if oa is None:
         oa = OpAmpModel()
-    if result.trace is None or result.trace.times.size < 2:
-        raise UsageError("slew_check needs a recorded trace with at least two samples")
-    dt = np.diff(result.trace.times)
-    dx = np.abs(np.diff(result.trace.states, axis=0))
-    rate = float((dx / dt[:, None]).max())
-    return rate <= oa.slew_rate
+    if result.max_slew is None:
+        raise UsageError("slew_check needs the result of a single right-hand side")
+    return result.max_slew <= oa.slew_rate

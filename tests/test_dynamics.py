@@ -1,6 +1,7 @@
 """Feedback-loop dynamics tests: stability, transient, bound, inversion."""
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from crossolve import (
     stability_report,
     time_bound,
 )
+from crossolve import dynamics
 from crossolve.dynamics import _square_limit
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -481,7 +483,158 @@ class TestSlewCheck:
         assert not slew_check(res, sluggish)
 
     def test_needs_trace(self, demo_system, oa):
+        # The verdict reads the per-step rate tracked in the loop, so a run
+        # without a trace gives the same rate; only a block result has none.
         system, b = demo_system
+        traced = simulate(system, b, oa, SolveConfig())
         res = simulate(system, b, oa, SolveConfig(record_trace=False))
+        assert res.trace is None
+        assert res.max_slew == traced.max_slew > 0
+        assert slew_check(res, OpAmpModel(slew_rate=res.max_slew))
+        assert not slew_check(res, OpAmpModel(slew_rate=0.99 * res.max_slew))
+        block = simulate(system, b[:, None], oa, SolveConfig())
+        assert block.max_slew is None
         with pytest.raises(UsageError):
-            slew_check(res, oa)
+            slew_check(block, oa)
+
+    def test_decimated_trace_keeps_true_rate(self, demo_system, oa):
+        # Stride doubling averages slopes over two or more steps: this trace's
+        # samples show 7.8e6 V/s, while the first step moves at 1.38e7 V/s.
+        system, b = demo_system
+        res = simulate(system, b, oa, SolveConfig(trace_limit=16))
+        alpha, dt = resolve_step(system, oa, SolveConfig())
+        first_step = float(np.abs(alpha * system.u * b).max()) / dt
+        assert res.max_slew == pytest.approx(first_step, rel=1e-12)
+        assert not slew_check(res, OpAmpModel(slew_rate=1e7))
+
+
+def _simulate_at(k: int, system, b, oa, cfg):
+    """simulate with its private K rule replaced by the constant k."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_lookahead", lambda n, steps: k)
+        return simulate(system, b, oa, cfg)
+
+
+def _energy_crossing(system, b, alpha: float, epsilon: float) -> tuple[int, Callable[[int], float]]:
+    """First step at which the closed-form ||e_k||_A^2 drops to epsilon^2, and that form.
+
+    For symmetric A, P = I - alpha U A = U^1/2 (I - alpha S) U^-1/2 with
+    S = U^1/2 A U^1/2 = V diag(mu) V^T, so from x(0) = 0 the error
+    e_k = P^k (-x*) has ||e_k||_A^2 = sum_i mu_i w_i^2 (1 - alpha mu_i)^(2k),
+    w = V^T U^-1/2 x*. Each factor lies in (0, 1), so the form falls
+    monotonically and bisection finds its first crossing without stepping.
+    """
+    root_u = np.sqrt(system.u)
+    mu, v = np.linalg.eigh(root_u[:, None] * system.a * root_u[None, :])
+    w = v.T @ (direct_solve(system.a, b) / root_u)
+    weight, decay = mu * w * w, np.log1p(-alpha * mu)
+
+    def energy(k: int) -> float:
+        return float(np.sum(weight * np.exp(2 * k * decay)))
+
+    target = epsilon * epsilon
+    lo, hi = -1, 1  # energy(hi) <= target, and energy(lo) > target unless lo = -1
+    while energy(hi) > target:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if energy(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return hi, energy
+
+
+class TestLookahead:
+    """K-step passes of simulate against one-step passes and a closed form.
+
+    The private K rule is replaced by a constant K so that both K = 1, the
+    one-step recurrence, and K > 1 run on the same inputs.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        k=st.integers(1, 3),
+        lookahead=st.sampled_from([1, 2, 5, 16]),
+        epsilon=st.sampled_from([1e-2, 1e-4, 1e-7]),
+    )
+    def test_energy_norm_oracle(self, seed, n, k, lookahead, epsilon):
+        """column_steps equals the closed-form first crossing of epsilon.
+
+        The engine evaluates ||e||_A^2 from rounded states, the oracle from
+        a rounded eigendecomposition; the two differ by far less than 1e-6
+        of epsilon^2. A step count one away from the oracle's is accepted
+        only where the form at the disputed step lies within that 1e-6 of
+        epsilon^2, so that rounding alone decides the side.
+        """
+        rng = np.random.default_rng(seed)
+        g = rng.uniform(0.0, 1.0, (n, n))
+        a = g + g.T
+        a[np.diag_indices(n)] += rng.uniform(1.0, 2.0) * a.sum(axis=1)  # dominant diagonal: SPD
+        system = build_feedback(a)
+        block = rng.uniform(-1.0, 1.0, (n, k))
+        oa = OpAmpModel()
+        cfg = SolveConfig(epsilon=epsilon, norm_kind="a_norm", record_trace=False)
+        alpha, _ = resolve_step(system, oa, cfg)
+        res = _simulate_at(lookahead, system, block, oa, cfg)
+        assert res.converged.all()
+        for j in range(k):
+            crossing, energy = _energy_crossing(system, block[:, j], alpha, epsilon)
+            steps = int(res.column_steps[j])
+            if steps != crossing:
+                disputed = min(steps, crossing)
+                assert abs(steps - crossing) == 1
+                assert energy(disputed) == pytest.approx(epsilon * epsilon, rel=1e-6)
+
+    @pytest.mark.parametrize("norm_kind", ["l2", "a_norm"])
+    def test_batch_edges(self, norm_kind, oa):
+        # K = 8 passes cover steps 0-7, 8-15, ...: the converging column stops
+        # at step 35 and the timeouts at 60, both inside a pass.
+        a = _random_stable(3, 4)
+        b = np.random.default_rng(4).uniform(-1.0, 1.0, 4)
+        block = np.column_stack([np.zeros(4), b, 1e-2 * b, 0.3 * b, 1e3 * b])
+        cfg = SolveConfig(epsilon=1e-3, norm_kind=norm_kind, max_steps=60)
+        res = self._same_at_one_and_eight(build_feedback(a), block, oa, cfg)
+        assert res.converged[0] and res.column_steps[0] == 0
+        assert res.converged[2] and 0 < res.column_steps[2] % 8 < 7
+        assert not res.converged[4] and not res.diverged[4] and res.column_steps[4] == 60
+        assert 60 % 8 != 0
+
+    def test_divergence_inside_a_pass(self, oa):
+        block = np.array([[1.0, 1.0, 0.0, -3.0], [2.0, 1.0, 0.0, 0.5]])
+        cfg = SolveConfig(allow_unstable=True, max_steps=100_000)
+        res = self._same_at_one_and_eight(build_feedback(SWAP), block, oa, cfg)
+        assert list(res.diverged) == [True, False, False, True]
+        assert list(res.converged) == [False, True, True, False]
+        assert res.column_steps[2] == 0
+        for j in (0, 1, 3):
+            assert 0 < res.column_steps[j] % 8 < 7
+
+    def test_negative_form_still_rejected(self, oa):
+        a = np.array([[1.0, 3.0], [0.0, 1.0]])
+        b = a @ np.array([1.0, -1.0])
+        cfg = SolveConfig(norm_kind="a_norm", record_trace=False)
+        for rhs in (b, np.column_stack([np.ones(2), b])):
+            with pytest.raises(DomainError):
+                _simulate_at(8, build_feedback(a), rhs, oa, cfg)
+
+    @staticmethod
+    def _same_at_one_and_eight(system, block, oa, cfg):
+        one = _simulate_at(1, system, block, oa, cfg)
+        eight = _simulate_at(8, system, block, oa, cfg)
+        assert np.array_equal(eight.column_steps, one.column_steps)
+        assert np.array_equal(eight.converged, one.converged)
+        assert np.array_equal(eight.diverged, one.diverged)
+        scale = max(1.0, float(np.abs(one.x_final).max()))
+        assert np.abs(eight.x_final - one.x_final).max() <= 1e-12 * scale
+        return eight
+
+    def test_rule(self):
+        assert dynamics._lookahead(3, 2000.0) == 64
+        assert dynamics._lookahead(300, 2000.0) == 1
+        assert dynamics._lookahead(30, 0.0) == 1
+        for n in (3, 30, 100, 181):
+            k = dynamics._lookahead(n, 1e9)
+            assert 1 <= k <= 64 and k * n * n <= dynamics._STACK_DOUBLES
