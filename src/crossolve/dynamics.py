@@ -277,7 +277,7 @@ def _lookahead(n: int, steps: float) -> int:
 
     steps is the step count the run is predicted to take. K is the cost
     model's optimum, clamped to [1, _MAX_LOOKAHEAD] and to K n^2 <=
-    _STACK_DOUBLES: 64 at n <= 10, 1 at n > 181, and 1 wherever the run is
+    _STACK_DOUBLES: up to 64 at n <= 10, 1 at n > 181, and 1 wherever the run is
     too short for the powers to pay for themselves.
     """
     if not steps > 0:
