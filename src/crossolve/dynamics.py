@@ -277,8 +277,8 @@ def _lookahead(n: int, steps: float) -> int:
 
     steps is the step count the run is predicted to take. K is the cost
     model's optimum, clamped to [1, _MAX_LOOKAHEAD] and to K n^2 <=
-    _STACK_DOUBLES: up to 64 at n <= 10, 1 at n > 181, and 1 wherever the run is
-    too short for the powers to pay for themselves.
+    _STACK_DOUBLES: up to 64 at n <= 10, 1 at n > 181, and 1 wherever the
+    run is too short for the powers to pay for themselves.
     """
     if not steps > 0:
         return 1
@@ -433,7 +433,8 @@ def simulate(
             if done.size:
                 at = row[done]
                 if energy is not None and np.count_nonzero(q[at, done] < 0):
-                    raise DomainError(f"x^T A x = {q[at, done].min():.3e} is negative; not a norm for this matrix")
+                    worst = q[at, done].min()
+                    raise DomainError(f"x^T A x = {worst:.3e} is negative; not a norm for this matrix")
                 idx = cols[done]
                 x_final[:, idx] = states[at, :, done].T
                 column_steps[idx] = base + at
@@ -442,7 +443,8 @@ def simulate(
                 live = row == lookahead
                 if not np.count_nonzero(live):
                     break
-                states, spare, x_star, offsets = states[:, :, live], spare[:, :, live], x_star[:, :, live], offsets[:, :, live]
+                states, spare, offsets = states[:, :, live], spare[:, :, live], offsets[:, :, live]
+                x_star = x_star[:, :, live]
                 blow_up, screen_sq, cols = blow_up[live], screen_sq[live], cols[live]
         elif single:
             np.maximum(jumps, jump, out=jumps)
