@@ -42,7 +42,7 @@ from .errors import (
     StabilityError,
     UsageError,
 )
-from .spectral import _as_square, attenuation, direct_solve, factorize, sym_part_lambda_min
+from .spectral import _as_square, _is_symmetric, attenuation, direct_solve, factorize, sym_part_lambda_min
 
 __all__ = [
     "OpAmpModel",
@@ -92,8 +92,9 @@ class OpAmpModel:
 class FeedbackSystem:
     """A realized feedback loop: matrix a, row attenuations u, and m = diag(u) a.
 
-    The eigenvalues of m and the guarded LU factors of a are computed on
-    first use and kept, so every solve against the same system shares them.
+    Whether a is symmetric, the eigenvalues of m and the guarded LU factors
+    of a are computed on first use and kept, so every solve against the
+    same system shares them.
     """
 
     a: np.ndarray
@@ -105,8 +106,20 @@ class FeedbackSystem:
         return factorize(self.a)
 
     @cached_property
+    def symmetric(self) -> bool:
+        return _is_symmetric(self.a)
+
+    @cached_property
     def m_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of m: real and ascending when a is symmetric, else complex.
+
+        For symmetric a, m = U a is similar to the symmetric U^1/2 a U^1/2
+        (U = diag(u) > 0), so the symmetric eigensolver gives its spectrum.
+        """
         try:
+            if self.symmetric:
+                root_u = np.sqrt(self.u)
+                return np.linalg.eigvalsh(root_u[:, None] * self.a * root_u[None, :])
             return np.linalg.eigvals(self.m)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigensolver failed on M: {exc}") from exc
@@ -126,7 +139,8 @@ class StabilityReport:
     lambda_min is the smallest eigenvalue of (A + A^T)/2, u_min the
     smallest row attenuation, and lambda_m_min the smallest real part of
     an eigenvalue of M = diag(u) A: the three per-system numbers every
-    experiment record reports.
+    experiment record reports. eigenvalues are those of M, real and in
+    ascending order when A is symmetric, complex otherwise.
     """
 
     eigenvalues: np.ndarray

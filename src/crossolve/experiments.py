@@ -43,7 +43,6 @@ from .errors import (
 )
 from .generators import SparsePdSpec, covariance_matrix, random_discrete_pd, random_vector, sparse_pd
 from .spectral import (
-    _is_symmetric,
     complexity_cg_estimate,
     complexity_quantum_estimate,
     direct_solve,
@@ -282,7 +281,7 @@ def _bounds(system, block: np.ndarray, epsilon: float, oa: OpAmpModel) -> list[f
     positive definite, so x*^T b > 0 for every nonzero b, and every
     scenario's b is nonzero.
     """
-    if _is_symmetric(system.a):
+    if system.symmetric:
         try:
             return time_bound(system, block, epsilon=epsilon, oa=oa).tolist()
         except (DomainError, StabilityError, NumericalError):

@@ -112,6 +112,14 @@ def sparse_pd(spec: SparsePdSpec) -> np.ndarray:
     and a uniform diagonal shift places the smallest eigenvalue at
     lambda_target. All entries stay nonnegative because the shift can
     never exceed the smallest diagonal element.
+
+    The pattern comes from 20 n (s-1) random (row, column) draws taken in
+    order: a draw is placed unless it is diagonal, joins a pair already
+    placed, or touches a row that already holds s-1 entries. A full row
+    never reopens, so each chunk of draws is first screened in numpy
+    against the rows open when the chunk begins, and only the survivors
+    go through the exact test. Placement ends once fewer than two rows are
+    open, since no later draw could be placed.
     """
     n, want = spec.n, spec.s - 1
     rng = np.random.default_rng(spec.seed)
@@ -119,18 +127,26 @@ def sparse_pd(spec: SparsePdSpec) -> np.ndarray:
     if want > 0 and n > 1:
         degree = [0] * n
         budget = 20 * n * want
-        rows = rng.integers(0, n, size=budget).tolist()
-        cols = rng.integers(0, n, size=budget).tolist()
+        rows = rng.integers(0, n, size=budget)
+        cols = rng.integers(0, n, size=budget)
         vals = 1.0 - rng.random(budget)  # uniform on (0, 1]
         placed: dict[tuple[int, int], int] = {}  # draw index, under both orientations of each pair
-        capacity = (n * want) // 2
-        for t, (i, j) in enumerate(zip(rows, cols)):
-            if i == j or degree[i] >= want or degree[j] >= want or (i, j) in placed:
-                continue
-            placed[i, j] = placed[j, i] = t
-            degree[i] += 1
-            degree[j] += 1
-            if len(placed) == 2 * capacity:
+        is_open = np.ones(n, dtype=bool)
+        still_open = n
+        chunk = 4 * n
+        for start in range(0, budget, chunk):
+            r, c = rows[start : start + chunk], cols[start : start + chunk]
+            live = np.flatnonzero((r != c) & is_open[r] & is_open[c])
+            for t, i, j in zip((live + start).tolist(), r[live].tolist(), c[live].tolist()):
+                if degree[i] >= want or degree[j] >= want or (i, j) in placed:
+                    continue
+                placed[i, j] = placed[j, i] = t
+                for row in (i, j):
+                    degree[row] += 1
+                    if degree[row] == want:
+                        is_open[row] = False
+                        still_open -= 1
+            if still_open < 2:
                 break
         if placed:
             pi, pj = zip(*placed)

@@ -103,6 +103,53 @@ class TestStabilityReport:
         assert stability_report(system, oa).stable
 
 
+def _sorted_eigvals_real(system) -> np.ndarray:
+    return np.sort(np.linalg.eigvals(system.m).real)
+
+
+class TestMEigenvalues:
+    @pytest.mark.parametrize(
+        "a",
+        [
+            sparse_pd(SparsePdSpec(n=200, s=10, lambda_target=0.05, seed=3)),
+            sparse_pd(SparsePdSpec(n=37, s=10, lambda_target=1.0, seed=8)),
+            sparse_pd(SparsePdSpec(n=5, s=1, lambda_target=2.0, seed=0)),
+            covariance_matrix(30, 1.0),
+            covariance_matrix(300, 2.0),
+        ],
+        ids=["sparse_pd_n200", "sparse_pd_n37", "sparse_pd_diagonal", "covariance_n30", "covariance_n300"],
+    )
+    def test_symmetric_matches_eigvals(self, a):
+        system = build_feedback(a)
+        assert system.symmetric
+        ev = system.m_eigenvalues
+        assert ev.dtype == np.float64
+        np.testing.assert_allclose(ev, _sorted_eigvals_real(system), rtol=1e-10, atol=0)
+
+    def test_transient_demo_keeps_eigvals(self, demo_system):
+        system, _ = demo_system
+        assert not system.symmetric
+        assert np.array_equal(system.m_eigenvalues, np.linalg.eigvals(system.m))
+
+    def test_discrete_draw_keeps_complex_pair(self):
+        a, _ = random_discrete_pd(dim=3, seed=0)
+        system = build_feedback(a)
+        assert not system.symmetric
+        ev = system.m_eigenvalues
+        assert np.array_equal(ev, np.linalg.eigvals(system.m))
+        assert np.count_nonzero(ev.imag) == 2 and np.iscomplexobj(ev)
+
+    def test_symmetry_tested_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dynamics, "_is_symmetric", lambda a: calls.append(a.shape) or True)
+        system = build_feedback(covariance_matrix(4, 1.0))
+        for _ in range(3):
+            assert system.symmetric
+        stability_report(system)
+        resolve_step(system, OpAmpModel(), SolveConfig())
+        assert calls == [(4, 4)]
+
+
 class TestResolveStep:
     def test_identity_defaults(self, oa):
         alpha, dt = resolve_step(build_feedback(np.eye(2)), oa, SolveConfig())

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import crossolve.dynamics
+import crossolve.experiments
 import crossolve.spectral
 from crossolve import (
     CSV_COLUMNS,
@@ -255,6 +256,22 @@ class TestSparseSuiteScenario:
             assert r.tau_measured_s <= r.tau_bound_s
         assert "loglog_slope_tau_vs_lambda_min:" in summary
 
+    def test_symmetric_eigensolver_only(self, tmp_path, monkeypatch):
+        """Each system's symmetry is tested once, and eig(M) never runs the general solver."""
+        tested, general = [], []
+        is_symmetric = crossolve.dynamics._is_symmetric
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(
+            crossolve.dynamics, "_is_symmetric", lambda a: tested.append(a.shape) or is_symmetric(a)
+        )
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: general.append(a.shape) or eigvals(a))
+        records, _ = run_experiment(
+            ExperimentSpec("sparse_suite", seed=3, output_dir=tmp_path, parameters={"systems": 5})
+        )
+        assert tested == [(r.n, r.n) for r in records]
+        assert general == []
+        assert not hasattr(crossolve.experiments, "_is_symmetric")
+
     def test_range_validation(self, tmp_path):
         bad = ExperimentSpec(
             "sparse_suite", seed=3, output_dir=tmp_path, parameters={"lambda_range": [0.0, 1.0]}
@@ -282,6 +299,25 @@ class TestInversionScenario:
         records, summary = run_experiment(spec)
         line = next(s for s in summary.splitlines() if s.startswith("max_rel_error_significant:"))
         assert float(line.split(":")[1]) < 0.01
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_eigensolver_follows_symmetry(self, tmp_path, monkeypatch, noisy):
+        systems = []
+
+        def recorded(a):
+            systems.append(build_feedback(a))
+            return systems[-1]
+
+        monkeypatch.setattr(crossolve.experiments, "build_feedback", recorded)
+        spec = ExperimentSpec("inversion", seed=7, output_dir=tmp_path, parameters={"n": 6, "noisy": noisy})
+        run_experiment(spec)
+        (system,) = systems
+        ev = system.m_eigenvalues
+        assert system.symmetric is not noisy
+        if noisy:
+            assert np.array_equal(ev, np.linalg.eigvals(system.m))
+        else:
+            np.testing.assert_allclose(ev, np.sort(np.linalg.eigvals(system.m).real), rtol=1e-10, atol=0)
 
     def test_one_eigendecomposition(self, tmp_path, monkeypatch):
         computed = []

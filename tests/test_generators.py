@@ -146,7 +146,7 @@ class TestSparsePd:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        st.integers(min_value=2, max_value=60),
+        st.integers(min_value=2, max_value=200),
         st.integers(min_value=1, max_value=12),
         st.floats(min_value=0.05, max_value=3.0),
         st.integers(min_value=0, max_value=2**32 - 1),
@@ -154,6 +154,25 @@ class TestSparsePd:
     def test_matches_reference_placement(self, n, s, lam, seed):
         spec = SparsePdSpec(n=n, s=min(s, n), lambda_target=lam, seed=seed)
         assert sparse_pd(spec).tobytes() == _reference_sparse_pd(spec).tobytes()
+
+    @pytest.mark.parametrize(
+        ("case", "n", "seed"),
+        [("one_open_row_short_by_2", 20, 1), ("two_open_rows_joined", 20, 0), ("odd_degree_total", 27, 0)],
+        ids=["one_open_row_short_by_2", "two_open_rows_joined", "odd_degree_total"],
+    )
+    def test_reference_placement_at_the_end_of_the_draws(self, case, n, seed):
+        """Suite-size (s = 10) draws whose placement ends with rows still open."""
+        spec = SparsePdSpec(n=n, s=10, lambda_target=0.5, seed=seed)
+        a = sparse_pd(spec)
+        assert a.tobytes() == _reference_sparse_pd(spec).tobytes()
+        short = spec.s - np.count_nonzero(a, axis=1)  # missing off-diagonal entries per row
+        open_rows = np.flatnonzero(short > 0)
+        if case == "one_open_row_short_by_2":
+            assert open_rows.size == 1 and short[open_rows[0]] >= 2
+        elif case == "two_open_rows_joined":
+            assert open_rows.size == 2 and a[open_rows[0], open_rows[1]] > 0
+        else:
+            assert n * (spec.s - 1) % 2 == 1 and open_rows.size >= 1
 
     @settings(max_examples=25, deadline=None)
     @given(
