@@ -272,6 +272,27 @@ class TestSparseSuiteScenario:
         assert general == []
         assert not hasattr(crossolve.experiments, "_is_symmetric")
 
+    def test_beta_or_s_is_realized_nonzeros(self, tmp_path, monkeypatch):
+        """beta_or_s and the CG cost fit read the sparsity that was built, not the requested s."""
+        matrices = []
+
+        def recorded(a):
+            matrices.append(a)
+            return build_feedback(a)
+
+        monkeypatch.setattr(crossolve.experiments, "build_feedback", recorded)
+        params = {"systems": 6, "lambda_range": [0.9, 1.0]}
+        records, summary = run_experiment(
+            ExperimentSpec("sparse_suite", seed=3, output_dir=tmp_path, parameters=params)
+        )
+        realized = np.array([np.count_nonzero(a) / a.shape[0] for a in matrices])
+        assert [r.beta_or_s for r in records] == realized.tolist()
+        assert realized.min() < 10  # some draw left a row short of s = 10
+        ns = np.array([r.n for r in records], dtype=float)
+        cg_time = np.array([r.cg_iterations for r in records]) * realized * ns
+        slope = float(np.polyfit(ns, cg_time, 1)[0])
+        assert f"subset_cg_time_slope: {slope:.6g}" in summary.splitlines()
+
     def test_range_validation(self, tmp_path):
         bad = ExperimentSpec(
             "sparse_suite", seed=3, output_dir=tmp_path, parameters={"lambda_range": [0.0, 1.0]}
@@ -385,7 +406,7 @@ _PINNED_RECORDS = [
         "sparse_suite",
         {"systems": 24},
         {
-            "records.csv": "899a76a9c0f0ff164adce04b3e8858d063d0cf35de2f88fc268414a14d366640",
+            "records.csv": "2d3ad62c64a6e9d3524a2b8c8376e6faebf4e71e3e9b3f37d5a52a3d005ff4f9",
             "summary.txt": "7142b75ae46df96782ae84e7145f1bedd6cd59f1e09377bf218c3ef1098ea71b",
         },
     ),
