@@ -103,10 +103,6 @@ class TestStabilityReport:
         assert stability_report(system, oa).stable
 
 
-def _sorted_eigvals_real(system) -> np.ndarray:
-    return np.sort(np.linalg.eigvals(system.m).real)
-
-
 class TestMEigenvalues:
     @pytest.mark.parametrize(
         "a",
@@ -124,7 +120,7 @@ class TestMEigenvalues:
         assert system.symmetric
         ev = system.m_eigenvalues
         assert ev.dtype == np.float64
-        np.testing.assert_allclose(ev, _sorted_eigvals_real(system), rtol=1e-10, atol=0)
+        np.testing.assert_allclose(ev, np.sort(np.linalg.eigvals(system.m).real), rtol=1e-10, atol=0)
 
     def test_transient_demo_keeps_eigvals(self, demo_system):
         system, _ = demo_system
@@ -138,16 +134,6 @@ class TestMEigenvalues:
         ev = system.m_eigenvalues
         assert np.array_equal(ev, np.linalg.eigvals(system.m))
         assert np.count_nonzero(ev.imag) == 2 and np.iscomplexobj(ev)
-
-    def test_symmetry_tested_once(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(dynamics, "_is_symmetric", lambda a: calls.append(a.shape) or True)
-        system = build_feedback(covariance_matrix(4, 1.0))
-        for _ in range(3):
-            assert system.symmetric
-        stability_report(system)
-        resolve_step(system, OpAmpModel(), SolveConfig())
-        assert calls == [(4, 4)]
 
 
 class TestResolveStep:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossolve import (
@@ -151,6 +151,8 @@ class TestSparsePd:
         st.floats(min_value=0.05, max_value=3.0),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
+    @example(200, 10, 0.5, 0)
+    @example(151, 10, 1.0, 11)
     def test_matches_reference_placement(self, n, s, lam, seed):
         spec = SparsePdSpec(n=n, s=min(s, n), lambda_target=lam, seed=seed)
         assert sparse_pd(spec).tobytes() == _reference_sparse_pd(spec).tobytes()
