@@ -529,7 +529,8 @@ def time_bound(
 
     Valid for symmetric positive-definite A with the error measured in the
     energy norm: the initial error from x(0) = 0 is sqrt(x*^T b) and each
-    step contracts it by at least alpha * lambda_m_min.
+    step contracts it by at least alpha * lambda_m_min. A nonsymmetric A
+    (system.symmetric unset) raises DomainError before anything is solved.
 
     b is one right-hand side of shape (n,), which gives a float, or a block
     of shape (n, k), which gives one bound per column from one guarded
@@ -539,6 +540,8 @@ def time_bound(
         oa = OpAmpModel()
     if not epsilon > 0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
+    if not system.symmetric:
+        raise DomainError("the computing-time bound is proven only for a symmetric A")
     b = np.asarray(b, dtype=float)
     x_star = direct_solve(system.a, b, system.lu)
     energy = np.atleast_1d(np.vecdot(x_star, b, axis=0))

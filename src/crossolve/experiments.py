@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
-import scipy.linalg
 
 from .baselines import conjugate_gradient
 from .devices import DevicePolicy, program, read_effective
@@ -43,6 +42,7 @@ from .errors import (
 )
 from .generators import SparsePdSpec, covariance_matrix, random_discrete_pd, random_vector, sparse_pd
 from .spectral import (
+    a_norm,
     complexity_cg_estimate,
     complexity_quantum_estimate,
     direct_solve,
@@ -98,6 +98,7 @@ class RunRecord:
     final_error <= epsilon.
     """
 
+    schema_version: ClassVar[int] = SCHEMA_VERSION
     scenario: str
     system_index: int
     n: int
@@ -274,25 +275,23 @@ def _programmed(ideal: np.ndarray, p: dict, ratio: float, seed: int) -> np.ndarr
 def _bounds(system, block: np.ndarray, epsilon: float, oa: OpAmpModel) -> list[float | None]:
     """Energy-norm time bound for each column of block, None where it does not apply.
 
-    The bound needs a symmetric A. When time_bound raises for the block,
-    every column's bound is None. Callers first run the block transient on
-    the same columns, which already solved them and checked stability, so
-    only a zero column can raise here: a symmetric A whose M is stable is
-    positive definite, so x*^T b > 0 for every nonzero b, and every
-    scenario's b is nonzero.
+    When time_bound raises for the block, every column's bound is None. It
+    raises DomainError for a nonsymmetric A. Callers first run the block
+    transient on the same columns, which already solved them and checked
+    stability, so for a symmetric A only a zero column can raise here: a
+    symmetric A whose M is stable is positive definite, so x*^T b > 0 for
+    every nonzero b, and every scenario's b is nonzero.
     """
-    if system.symmetric:
-        try:
-            return time_bound(system, block, epsilon=epsilon, oa=oa).tolist()
-        except (DomainError, StabilityError, NumericalError):
-            pass
-    return [None] * block.shape[1]
+    try:
+        return time_bound(system, block, epsilon=epsilon, oa=oa).tolist()
+    except (DomainError, StabilityError, NumericalError):
+        return [None] * block.shape[1]
 
 
-def _final_error(system, b: np.ndarray, x: np.ndarray, norm_kind: str) -> float:
-    delta = x - scipy.linalg.lu_solve(system.lu, b, check_finite=False)
+def _final_error(system, delta: np.ndarray, norm_kind: str) -> float:
+    """Norm of one column's error delta = x - x*, in the run's norm_kind."""
     if norm_kind == "a_norm":
-        return math.sqrt(max(float(delta @ (system.a @ delta)), 0.0))
+        return a_norm(system.a, delta)
     return float(np.linalg.norm(delta))
 
 
@@ -310,10 +309,13 @@ def _system_records(
 
     Record k gets system_index first + k and notes "digest=<hash of A and
     b_k>" followed by notes; shared holds RunRecord fields common to all.
+    Each final_error is measured against the same guarded oracle solve of
+    the block that the transient stopped on.
     """
     block = np.column_stack(bs)
     report = stability_report(system, oa)
     result = simulate(system, block, oa, cfg)
+    delta = result.x_final - direct_solve(system.a, block, system.lu)
     bounds = _bounds(system, block, cfg.epsilon, oa)
     a_hash = _hasher(system.a)
     return [
@@ -330,7 +332,7 @@ def _system_records(
             diverged=bool(result.diverged[k]),
             steps=int(result.column_steps[k]),
             notes=f"digest={_digest(b, prefix=a_hash)}{notes}",
-            final_error=_final_error(system, b, result.x_final[:, k], cfg.norm_kind),
+            final_error=_final_error(system, delta[:, k], cfg.norm_kind),
             epsilon=cfg.epsilon,
             **shared,
         )
@@ -356,7 +358,7 @@ def _run_transient(spec: ExperimentSpec, p: dict):
     system = build_feedback(a)
     report = stability_report(system, oa)
     result = simulate(system, b, oa, cfg)
-    err = _final_error(system, b, result.x_final, cfg.norm_kind)
+    err = _final_error(system, result.x_final - direct_solve(a, b, system.lu), cfg.norm_kind)
     record = RunRecord(
         scenario=spec.scenario,
         system_index=0,
@@ -546,11 +548,10 @@ def _run_inversion(spec: ExperimentSpec, p: dict):
     report = stability_report(system, oa)
     computed, taus, steps = invert_matrix(system, oa, cfg)
     reference = np.linalg.inv(ideal)
-    x_true = direct_solve(a_eff, np.eye(n), system.lu)
+    delta = computed - direct_solve(a_eff, np.eye(n), system.lu)
 
     records = []
     for j in range(n):
-        err = float(np.linalg.norm(computed[:, j] - x_true[:, j]))
         records.append(
             RunRecord(
                 scenario=spec.scenario,
@@ -565,7 +566,7 @@ def _run_inversion(spec: ExperimentSpec, p: dict):
                 diverged=False,
                 steps=int(steps[j]),
                 notes=f"digest={_digest(a_eff, j)};column={j}",
-                final_error=err,
+                final_error=_final_error(system, delta[:, j], cfg.norm_kind),
                 epsilon=cfg.epsilon,
             )
         )
@@ -633,6 +634,8 @@ SCENARIOS: dict[str, Callable] = {
 def _cell(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -640,6 +643,9 @@ def _cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".12g")
     return str(value)
+
+
+_csv_values = operator.attrgetter(*CSV_COLUMNS)
 
 
 def _summary_text(spec: ExperimentSpec, params: dict, records: list[RunRecord], extra: list[str]) -> str:
@@ -680,6 +686,16 @@ def _summary_text(spec: ExperimentSpec, params: dict, records: list[RunRecord], 
     return "\n".join(lines) + "\n"
 
 
+def _write(path: Path, text: str) -> Path:
+    """Write text to path as UTF-8 with newline line ends, creating its directory."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
+    return path
+
+
 def emit_outputs(records: list[RunRecord], summary: str, output_dir: str | Path) -> tuple[Path, Path]:
     """Write records.csv and summary.txt; byte-stable for identical inputs.
 
@@ -700,38 +716,9 @@ def emit_outputs(records: list[RunRecord], summary: str, output_dir: str | Path)
             raise UsageError(f"record {rec.system_index} notes must not contain commas/newlines")
 
     rows = [",".join(CSV_COLUMNS)]
-    for rec in records:
-        rows.append(
-            ",".join(
-                [
-                    str(SCHEMA_VERSION),
-                    rec.scenario,
-                    str(rec.system_index),
-                    str(rec.n),
-                    _cell(rec.beta_or_s),
-                    _cell(rec.lambda_min),
-                    _cell(rec.lambda_m_min),
-                    _cell(rec.u_min),
-                    _cell(rec.tau_measured_s),
-                    _cell(rec.tau_bound_s),
-                    _cell(rec.converged),
-                    _cell(rec.diverged),
-                    _cell(rec.steps),
-                    _cell(rec.cg_iterations),
-                    rec.notes,
-                ]
-            )
-        )
+    rows += [",".join(map(_cell, _csv_values(rec))) for rec in records]
     out = Path(output_dir)
-    records_path = out / "records.csv"
-    summary_path = out / "summary.txt"
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        records_path.write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
-        summary_path.write_text(summary, encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise OutputError(f"cannot write outputs under {out}: {exc}") from exc
-    return records_path, summary_path
+    return _write(out / "records.csv", "\n".join(rows) + "\n"), _write(out / "summary.txt", summary)
 
 
 def run_experiment(spec: ExperimentSpec) -> tuple[list[RunRecord], str]:
@@ -753,9 +740,5 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[RunRecord], str]:
     summary = _summary_text(spec, params, records, extra_lines)
     emit_outputs(records, summary, spec.output_dir)
     for name, text in aux.items():
-        path = Path(spec.output_dir) / name
-        try:
-            path.write_text(text, encoding="utf-8", newline="\n")
-        except OSError as exc:
-            raise OutputError(f"cannot write {path}: {exc}") from exc
+        _write(Path(spec.output_dir) / name, text)
     return records, summary

@@ -56,9 +56,9 @@ def sym_part_lambda_min(a) -> float:
 
 
 def _is_symmetric(a: np.ndarray) -> bool:
-    """Symmetry to within 1e-12 of the largest entry's magnitude."""
-    scale = max(float(np.abs(a).max()), np.finfo(float).tiny)
-    return bool(np.allclose(a, a.T, rtol=0.0, atol=1e-12 * scale))
+    """Symmetry to within 1e-12 of the largest entry's magnitude; a NaN or an infinity fails it."""
+    tol = 1e-12 * max(float(np.abs(a).max()), np.finfo(float).tiny)
+    return bool(np.abs(a - a.T).max() <= tol < math.inf)
 
 
 def factorize(a) -> tuple[np.ndarray, np.ndarray]:

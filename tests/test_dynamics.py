@@ -33,6 +33,7 @@ from crossolve import (
 )
 from crossolve import dynamics
 from crossolve.dynamics import _square_limit
+from crossolve.experiments import DEFAULT_TRANSIENT_A, DEFAULT_TRANSIENT_B
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -101,6 +102,14 @@ class TestStabilityReport:
     def test_demo_stable(self, demo_system, oa):
         system, _ = demo_system
         assert stability_report(system, oa).stable
+
+    def test_infinite_entries_rejected(self, oa):
+        # an infinite symmetric pair once passed the symmetry test, and the
+        # symmetric eigensolver then gave an all-NaN report
+        with np.errstate(invalid="ignore"):
+            system = build_feedback(np.array([[1.0, np.inf], [np.inf, 1.0]]))
+            with pytest.raises(NumericalError):
+                stability_report(system, oa)
 
 
 class TestMEigenvalues:
@@ -347,6 +356,13 @@ class TestTimeBound:
     def test_unstable_rejected(self, oa):
         with pytest.raises(StabilityError):
             time_bound(build_feedback(SWAP), np.array([1.0, 2.0]), 1e-3, oa)
+
+    def test_nonsymmetric_rejected_before_solving(self, oa, monkeypatch):
+        # the bound is proven only for symmetric A; the transient demo's A is not
+        monkeypatch.setattr(dynamics, "direct_solve", lambda *args: pytest.fail("solved a nonsymmetric system"))
+        system = build_feedback(DEFAULT_TRANSIENT_A)
+        with pytest.raises(DomainError, match="symmetric"):
+            time_bound(system, DEFAULT_TRANSIENT_B, 1e-3, oa)
 
     def test_epsilon_validated(self, oa):
         system = build_feedback(np.eye(2))

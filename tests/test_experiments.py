@@ -128,7 +128,8 @@ class TestSpecValidation:
 
 
 class TestSystemRecords:
-    def test_one_factorization_per_matrix(self, monkeypatch):
+    @pytest.mark.parametrize("norm_kind", ["l2", "a_norm"])
+    def test_one_factorization_per_matrix(self, monkeypatch, norm_kind):
         calls = []
         factorize = crossolve.spectral.factorize
 
@@ -141,7 +142,7 @@ class TestSystemRecords:
         a = covariance_matrix(12, 1.0)  # symmetric positive definite, so bounds are computed
         bs = [random_vector(12, seed=k) for k in range(4)]
         spec = ExperimentSpec("scaling", seed=0, output_dir="unused")
-        cfg = SolveConfig(record_trace=False)
+        cfg = SolveConfig(norm_kind=norm_kind, record_trace=False)
         records = _system_records(spec, build_feedback(a), bs, OpAmpModel(), cfg, 0, "")
         assert calls == [(12, 12)]
         assert all(r.converged and r.tau_bound_s is not None for r in records)
@@ -302,12 +303,24 @@ class TestSparseSuiteScenario:
 
 
 class TestInversionScenario:
-    def test_small_run(self, tmp_path):
-        spec = ExperimentSpec("inversion", seed=7, output_dir=tmp_path, parameters={"n": 4})
+    @pytest.mark.parametrize("norm", ["l2", "a_norm"])
+    def test_small_run(self, tmp_path, monkeypatch, norm):
+        calls = []
+        factorize = crossolve.spectral.factorize
+
+        def counted(a):
+            calls.append(a.shape)
+            return factorize(a)
+
+        monkeypatch.setattr(crossolve.spectral, "factorize", counted)
+        monkeypatch.setattr(crossolve.dynamics, "factorize", counted)
+        spec = ExperimentSpec("inversion", seed=7, output_dir=tmp_path, parameters={"n": 4, "norm": norm})
         records, summary = run_experiment(spec)
+        assert calls == [(4, 4)]
         assert len(records) == 4
         assert all(r.converged for r in records)
         assert all(r.epsilon == 1e-4 for r in records)
+        assert all(r.final_error <= r.epsilon for r in records)
         inv = (tmp_path / "inverse.csv").read_text().splitlines()
         assert inv[0] == "row,col,computed,reference,rel_error"
         assert len(inv) == 17
