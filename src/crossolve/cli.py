@@ -126,10 +126,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, NumericalError, StabilityError, GenerationError, InversionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OutputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
+    except (OutputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     sys.stdout.write(summary)

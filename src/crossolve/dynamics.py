@@ -244,6 +244,9 @@ class Trace:
 class SolveResult:
     """Outcome of one transient run over one right-hand side or a block.
 
+    x_star is the guarded direct solve of A x = b that the run's error was
+    measured against, with the same shape as x_final.
+
     For a single right-hand side b of shape (n,), x_final has shape (n,),
     tau is steps * alpha / gbw exactly, and converged and diverged are
     both False when the run hit max_steps (a timeout). trace is None when
@@ -258,6 +261,7 @@ class SolveResult:
     """
 
     x_final: np.ndarray
+    x_star: np.ndarray
     tau: float | np.ndarray
     converged: bool | np.ndarray
     diverged: bool | np.ndarray
@@ -322,14 +326,15 @@ def _square_limit(epsilon: float) -> float:
 
     Square root is correctly rounded and therefore monotone, so for any
     q >= 0 the test q <= _square_limit(epsilon) gives the same verdict as
-    sqrt(q) <= epsilon, without a square root per step.
+    sqrt(q) <= epsilon, without a square root per step. The math module
+    steps past the largest double to inf without an overflow warning.
     """
-    q = epsilon * epsilon
-    while np.sqrt(q) > epsilon:
-        q = np.nextafter(q, -np.inf)
-    while np.sqrt(np.nextafter(q, np.inf)) <= epsilon:
-        q = np.nextafter(q, np.inf)
-    return float(q)
+    q = float(epsilon) * float(epsilon)
+    while math.sqrt(q) > epsilon:
+        q = math.nextafter(q, -math.inf)
+    while math.sqrt(math.nextafter(q, math.inf)) <= epsilon:
+        q = math.nextafter(q, math.inf)
+    return q
 
 
 def simulate(
@@ -401,7 +406,7 @@ def simulate(
     # until then. The first pass is x(0) = 0, c_1, ..., c_(K-1).
     states = np.concatenate([np.zeros((1, n, k)), offsets[:-1]])
     spare = np.zeros_like(states)
-    x_star = x_star[None]
+    target = x_star[None]  # the oracle of the columns still in the block
     base = 0
     cols = np.arange(k)  # original index of each column still in the block
     x_final = np.empty((n, k))
@@ -415,7 +420,7 @@ def simulate(
     stride = 1
 
     while True:
-        d = states - x_star
+        d = states - target
         sq = np.vecdot(d, d, axis=1)
         q = sq if energy is None else np.vecdot(d, energy @ d, axis=1)
         conv = q <= limit
@@ -458,7 +463,7 @@ def simulate(
                 if not np.count_nonzero(live):
                     break
                 states, spare, offsets = states[:, :, live], spare[:, :, live], offsets[:, :, live]
-                x_star = x_star[:, :, live]
+                target = target[:, :, live]
                 blow_up, screen_sq, cols = blow_up[live], screen_sq[live], cols[live]
         elif single:
             np.maximum(jumps, jump, out=jumps)
@@ -471,6 +476,7 @@ def simulate(
     if not single:
         return SolveResult(
             x_final=x_final,
+            x_star=x_star,
             tau=tau,
             converged=converged,
             diverged=diverged,
@@ -492,6 +498,7 @@ def simulate(
         )
     return SolveResult(
         x_final=x_final[:, 0],
+        x_star=x_star[:, 0],
         tau=float(tau[0]),
         converged=bool(converged[0]),
         diverged=bool(diverged[0]),
@@ -561,13 +568,14 @@ def invert_matrix(
     system: FeedbackSystem,
     oa: OpAmpModel | None = None,
     cfg: SolveConfig | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> SolveResult:
     """Invert the system's matrix with one block transient over the identity columns.
 
-    Returns (a_inv, per_column_tau, per_column_steps), the steps as
-    integers. Any column whose transient fails to converge raises
-    InversionError naming the first such column; a silent partial inverse
-    is never returned.
+    Returns the block SolveResult: x_final is the computed inverse, x_star
+    the direct-solve inverse it was measured against, and tau and
+    column_steps hold each column's time and integer step count. Any column
+    whose transient fails to converge raises InversionError naming the
+    first such column; a silent partial inverse is never returned.
     """
     result = simulate(system, np.eye(system.a.shape[0]), oa, cfg)
     failed = np.flatnonzero(~result.converged)
@@ -575,7 +583,7 @@ def invert_matrix(
         j = failed[0]
         outcome = "diverged" if result.diverged[j] else "timed out"
         raise InversionError(f"column {j} {outcome} after {result.column_steps[j]} steps")
-    return result.x_final, result.tau, result.column_steps
+    return result
 
 
 def slew_check(result: SolveResult, oa: OpAmpModel | None = None) -> bool:

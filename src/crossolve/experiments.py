@@ -45,7 +45,6 @@ from .spectral import (
     a_norm,
     complexity_cg_estimate,
     complexity_quantum_estimate,
-    direct_solve,
     fit_scaling,
 )
 
@@ -309,13 +308,13 @@ def _system_records(
 
     Record k gets system_index first + k and notes "digest=<hash of A and
     b_k>" followed by notes; shared holds RunRecord fields common to all.
-    Each final_error is measured against the same guarded oracle solve of
-    the block that the transient stopped on.
+    Each final_error is measured against the oracle x* that the transient
+    stopped on.
     """
     block = np.column_stack(bs)
     report = stability_report(system, oa)
     result = simulate(system, block, oa, cfg)
-    delta = result.x_final - direct_solve(system.a, block, system.lu)
+    delta = result.x_final - result.x_star
     bounds = _bounds(system, block, cfg.epsilon, oa)
     a_hash = _hasher(system.a)
     return [
@@ -358,7 +357,7 @@ def _run_transient(spec: ExperimentSpec, p: dict):
     system = build_feedback(a)
     report = stability_report(system, oa)
     result = simulate(system, b, oa, cfg)
-    err = _final_error(system, result.x_final - direct_solve(a, b, system.lu), cfg.norm_kind)
+    err = _final_error(system, result.x_final - result.x_star, cfg.norm_kind)
     record = RunRecord(
         scenario=spec.scenario,
         system_index=0,
@@ -546,9 +545,10 @@ def _run_inversion(spec: ExperimentSpec, p: dict):
 
     system = build_feedback(a_eff)
     report = stability_report(system, oa)
-    computed, taus, steps = invert_matrix(system, oa, cfg)
+    result = invert_matrix(system, oa, cfg)
+    computed = result.x_final
     reference = np.linalg.inv(ideal)
-    delta = computed - direct_solve(a_eff, np.eye(n), system.lu)
+    delta = computed - result.x_star
 
     records = []
     for j in range(n):
@@ -561,10 +561,10 @@ def _run_inversion(spec: ExperimentSpec, p: dict):
                 lambda_min=report.lambda_min,
                 lambda_m_min=report.lambda_m_min,
                 u_min=report.u_min,
-                tau_measured_s=float(taus[j]),
+                tau_measured_s=float(result.tau[j]),
                 converged=True,  # invert_matrix raises unless every column converged
                 diverged=False,
-                steps=int(steps[j]),
+                steps=int(result.column_steps[j]),
                 notes=f"digest={_digest(a_eff, j)};column={j}",
                 final_error=_final_error(system, delta[:, j], cfg.norm_kind),
                 epsilon=cfg.epsilon,
@@ -585,7 +585,7 @@ def _run_inversion(spec: ExperimentSpec, p: dict):
     lines = [
         f"significant_entries: {int(significant.sum())}",
         f"max_rel_error_significant: {float(rel.max()):.6g}",
-        f"mean_column_tau_s: {float(np.mean(taus)):.12g}",
+        f"mean_column_tau_s: {float(np.mean(result.tau)):.12g}",
     ]
     return records, lines, {"inverse.csv": "\n".join(inv_lines) + "\n"}
 

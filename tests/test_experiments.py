@@ -5,6 +5,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import crossolve.dynamics
 import crossolve.experiments
@@ -29,7 +30,7 @@ from crossolve import (
     run_experiment,
     scenario_defaults,
 )
-from crossolve.experiments import _system_records
+from crossolve.experiments import DEFAULT_TRANSIENT_A, _system_records
 
 
 class TestChildSeed:
@@ -131,22 +132,40 @@ class TestSystemRecords:
     @pytest.mark.parametrize("norm_kind", ["l2", "a_norm"])
     def test_one_factorization_per_matrix(self, monkeypatch, norm_kind):
         calls = []
+        solves = []
         factorize = crossolve.spectral.factorize
+        lu_solve = scipy.linalg.lu_solve
 
         def counted(a):
             calls.append(a.shape)
             return factorize(a)
 
+        def counted_solve(factors, b, **kwargs):
+            solves.append(b.shape)
+            return lu_solve(factors, b, **kwargs)
+
         monkeypatch.setattr(crossolve.spectral, "factorize", counted)
         monkeypatch.setattr(crossolve.dynamics, "factorize", counted)
-        a = covariance_matrix(12, 1.0)  # symmetric positive definite, so bounds are computed
-        bs = [random_vector(12, seed=k) for k in range(4)]
+        monkeypatch.setattr(scipy.linalg, "lu_solve", counted_solve)
         spec = ExperimentSpec("scaling", seed=0, output_dir="unused")
         cfg = SolveConfig(norm_kind=norm_kind, record_trace=False)
+
+        a = covariance_matrix(12, 1.0)  # symmetric positive definite, so bounds are computed
+        bs = [random_vector(12, seed=k) for k in range(4)]
         records = _system_records(spec, build_feedback(a), bs, OpAmpModel(), cfg, 0, "")
         assert calls == [(12, 12)]
+        assert solves == [(12, 4)] * 2  # the transient's oracle and time_bound's
         assert all(r.converged and r.tau_bound_s is not None for r in records)
         assert all(r.final_error <= r.epsilon for r in records)
+
+        # a nonsymmetric A has no bound, so only the transient solves
+        calls.clear()
+        solves.clear()
+        bs = [random_vector(3, seed=k) for k in range(3)]
+        records = _system_records(spec, build_feedback(DEFAULT_TRANSIENT_A), bs, OpAmpModel(), cfg, 0, "")
+        assert calls == [(3, 3)]
+        assert solves == [(3, 3)]
+        assert all(r.converged and r.tau_bound_s is None for r in records)
 
 
 class TestTransientScenario:
