@@ -18,17 +18,22 @@ eigenvalue of M has positive real part.
 
 At small n each step is a few flops, and one Python round trip per step
 would cost far more than the arithmetic. The simulator therefore evaluates
-the same recurrence K steps at a time, x(t + j dt) = P^j x(t) + c_j with
-P = I - alpha M, from stacked powers of P (the matrix powers kernel of
-s-step Krylov methods), and still tests every step. K is chosen from n and
-the step count that eig(M) predicts, and is 1 (the one-step recurrence bit
-for bit) at large n and whenever a trace is recorded.
+the same recurrence D steps per product, x(t + j dt) = P^j x(t) + c_j with
+P = I - alpha M, from stacked powers of P of degree D (the matrix powers
+kernel of s-step Krylov methods). D is chosen from n and the step count
+that eig(M) predicts, and is 1 (the one-step recurrence bit for bit) at
+large n and whenever a trace is recorded. Each pass of the loop fills T
+states with T/D such products and runs the stopping tests once over all T,
+so every step is still tested. T is D for a block and under a trace; a
+single right-hand side, whose stop ends the run, tests at least 16 steps
+per pass with the same products, so that at large n the tests no longer
+cost as much as the product on every step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -94,16 +99,28 @@ class FeedbackSystem:
 
     Whether a is symmetric, the eigenvalues of m and the guarded LU factors
     of a are computed on first use and kept, so every solve against the
-    same system shares them.
+    same system shares them. The last right-hand side solved is kept with
+    its solution, so a transient and the time bound of the same block share
+    one solve.
     """
 
     a: np.ndarray
     u: np.ndarray
     m: np.ndarray
+    _solved: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def lu(self) -> tuple[np.ndarray, np.ndarray]:
         return factorize(self.a)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Guarded direct solve of a x = b: a fresh array, shaped like b."""
+        solved = self._solved
+        if solved is not None and np.array_equal(solved[0], b):
+            return solved[1].copy()
+        x = direct_solve(self.a, b, self.lu)
+        self._solved = (b.copy(), x.copy())
+        return x
 
     @cached_property
     def symmetric(self) -> bool:
@@ -277,24 +294,26 @@ class SolveResult:
 # exact ||x|| test on every step would give.
 _SCREEN_SLACK = 1e-9
 
-# Cost model of the K-step lookahead. One pass of the transient loop costs
-# about _PASS_S of interpreter time whatever its K, and building the stacked
-# powers of P costs about 2 K n^3 flops at _FLOP_S each (10 GFLOP/s, below
-# what one x86-64 core's BLAS reaches on products of n = 100-300). Over a run
-# of S steps the sum S _PASS_S / K + 2 K n^3 _FLOP_S is least at
-# K = sqrt(S _PASS_S / (2 n^3 _FLOP_S)).
+# Cost model of the degree D of the stacked powers. One product and its
+# round of stopping tests cost about _PASS_S of interpreter time whatever its
+# D, and building the stacked powers of P costs about 2 D n^3 flops at
+# _FLOP_S each (10 GFLOP/s, below what one x86-64 core's BLAS reaches on
+# products of n = 100-300). Over a run of S steps the sum
+# S _PASS_S / D + 2 D n^3 _FLOP_S is least at D = sqrt(S _PASS_S / (2 n^3 _FLOP_S)).
 _PASS_S = 15e-6
 _FLOP_S = 1e-10
 _MAX_LOOKAHEAD = 64
-# Cap on the K n^2 doubles of the stacked powers (512 KiB).
+# Cap on the D n^2 doubles of the stacked powers (512 KiB).
 _STACK_DOUBLES = 1 << 16
+# Matrix size from which _stack_powers sums the powers with whole-matrix adds.
+_ACCUMULATE_BELOW = 16
 
 
 def _lookahead(n: int, steps: float) -> int:
-    """Steps K that one pass of the transient loop advances an n x n system.
+    """Degree D of the stacked powers: the steps one product advances an n x n system.
 
-    steps is the step count the run is predicted to take. K is the cost
-    model's optimum, clamped to [1, _MAX_LOOKAHEAD] and to K n^2 <=
+    steps is the step count the run is predicted to take. D is the cost
+    model's optimum, clamped to [1, _MAX_LOOKAHEAD] and to D n^2 <=
     _STACK_DOUBLES: up to 64 at n <= 10, 1 at n > 181, and 1 wherever the
     run is too short for the powers to pay for themselves.
     """
@@ -305,20 +324,67 @@ def _lookahead(n: int, steps: float) -> int:
 
 
 def _stack_powers(propagate: np.ndarray, drive: np.ndarray, lookahead: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked powers [P; P^2; ...; P^K] of shape (K n, n) and offsets [c_1; ...; c_K] of shape (K, n, k).
+    """Stacked powers [P; P^2; ...; P^D] of shape (D n, n) and offsets [c_1; ...; c_D] of shape (D, n, k).
 
     c_j = (I + P + ... + P^(j-1)) drive is the state j steps after x = 0, so
     the state j steps after x is P^j x + c_j. The powers double, P^(m+i) =
-    P^i P^m; K = 1 gives P itself and c_1 = drive.
+    P^i P^m; D = 1 gives P itself and c_1 = drive.
     """
     n = propagate.shape[0]
     powers = propagate[None]
     while len(powers) < lookahead:
         j = min(len(powers), lookahead - len(powers))
         powers = np.concatenate([powers, powers[:j] @ powers[-1]])
-    sums = np.cumsum(np.concatenate([np.eye(n)[None], powers[:-1]]), axis=0)[1:]
+    # sums[j - 1] = I + P + ... + P^j. numpy accumulates axis 0 one entry at a
+    # time, which beats D - 1 whole-matrix adds only for a small matrix
+    # (12 against 99 us at n = 3, 800 against 137 us at n = 30, D = 64). Both
+    # make the same additions in the same order.
+    if n < _ACCUMULATE_BELOW:
+        sums = np.cumsum(np.concatenate([np.eye(n)[None], powers[:-1]]), axis=0)[1:]
+    else:
+        sums = np.empty((lookahead - 1, n, n))
+        total = np.eye(n)
+        for j in range(lookahead - 1):
+            total = np.add(total, powers[j], out=sums[j])
     offsets = np.concatenate([drive[None], (sums.reshape(-1, n) @ drive).reshape(-1, *drive.shape)])
     return powers.reshape(-1, n), offsets
+
+
+# Steps that one pass tests for a single right-hand side. One round of the
+# stopping tests costs about the same interpreter time whatever its row
+# count (about 9 us at n = 200, next to 12 us for one step's product), so
+# 16 rows per round cut that cost per step 16-fold, while a run computes at
+# most 15 states past its stop.
+_BATCH_STEPS = 16
+
+
+def _batch(lookahead: int, columns: int, record: bool) -> int:
+    """Steps T that one pass of the transient loop tests, a multiple of lookahead.
+
+    A single right-hand side without a trace ends the run at its stop, so
+    it can test several products' states at once: T = D ceil(16 / D) for
+    D = lookahead. A block keeps T = D, because a longer batch would keep
+    its stopped columns in the product longer, and so does a recorded
+    trace, which samples one state per pass.
+    """
+    if columns > 1 or record:
+        return lookahead
+    return lookahead * -(-_BATCH_STEPS // lookahead)
+
+
+def _products(buf: np.ndarray, lookahead: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The (source, out, rows) views of buf for each product that fills one pass.
+
+    buf has shape (T + 1, n, k). Product i advances the state in row i D
+    by 1 .. D steps into rows i D + 1 .. i D + D: out is those rows
+    flattened to the (D n, k) shape of the stacked product, and rows the
+    same rows for adding the offsets.
+    """
+    n = buf.shape[1]
+    return [
+        (buf[i], buf[i + 1 : i + lookahead + 1].reshape(lookahead * n, -1), buf[i + 1 : i + lookahead + 1])
+        for i in range(0, len(buf) - 1, lookahead)
+    ]
 
 
 def _square_limit(epsilon: float) -> float:
@@ -350,14 +416,17 @@ def simulate(
     X <- alpha U B + (I - alpha M) X and drops each column once it stops,
     so every column takes the steps it would take on its own.
 
-    Each pass of the loop evaluates the next K states of that recurrence at
-    once, as [P; ...; P^K] X + [c_1; ...; c_K] with P = I - alpha M, and
-    scans all K for the stopping tests, so every step is still tested. K
-    comes from n and the step count that lambda_M,min predicts; it is 1 for
-    large n, and for a recorded trace, where the loop is the one-step
-    recurrence bit for bit. Under K > 1, x_final may differ in its last bits
-    from one-at-a-time stepping, and a column whose error lies within
-    rounding of epsilon may stop one step earlier or later.
+    Each product evaluates the next D states of that recurrence at once, as
+    [P; ...; P^D] X + [c_1; ...; c_D] with P = I - alpha M. Each pass of the
+    loop fills T states with T/D products and scans all T for the stopping
+    tests, so every step is still tested. D comes from n and the step count
+    that lambda_M,min predicts; it is 1 for large n, and for a recorded
+    trace, where the loop is the one-step recurrence bit for bit. Under
+    D > 1, x_final may differ in its last bits from one-at-a-time stepping,
+    and a column whose error lies within rounding of epsilon may stop one
+    step earlier or later. T is D for a block or a recorded trace and at
+    least 16 for a single column otherwise; T changes no bit of the result,
+    because the products and their order do not depend on it.
 
     A column converges when its error against the direct-solve oracle first
     drops to epsilon or below. Divergence is declared when ||x||_2 exceeds
@@ -377,7 +446,7 @@ def simulate(
     block = b.reshape(n, -1)
     k = block.shape[1]
 
-    x_star = direct_solve(system.a, block, system.lu)
+    x_star = system.solve(block)
     alpha, dt = resolve_step(system, oa, cfg)
 
     m_eff = system.m
@@ -399,13 +468,17 @@ def simulate(
     top = float(star_norm.max())
     predicted = math.log(top / cfg.epsilon) / (alpha * lam_min) if lam_min > 0 and top > cfg.epsilon else 0.0
     lookahead = 1 if record else _lookahead(n, min(predicted, max_steps))
+    batch = _batch(lookahead, k, record)
     powers, offsets = _stack_powers(np.eye(n) - alpha * m_eff, drive, lookahead)
 
-    # Each pass scans states, the states after steps base .. base + K - 1,
-    # then writes the next pass into spare, which holds the previous pass
-    # until then. The first pass is x(0) = 0, c_1, ..., c_(K-1).
-    states = np.concatenate([np.zeros((1, n, k)), offsets[:-1]])
-    spare = np.zeros_like(states)
+    # buf[1:] holds the batch of states one pass tests, the states after
+    # steps base .. base + T - 1, and buf[0] the state before them. The first
+    # pass starts from x(0) = 0, c_1, ..., c_(D-1) in place of its first product.
+    buf = np.zeros((batch + 1, n, k))
+    buf[2 : lookahead + 1] = offsets[:-1]
+    states, head, tail, products = buf[1:], buf[0], buf[-1], _products(buf, lookahead)
+    before = buf[:-1]  # the state before each of states, for a single right-hand side
+    fill = products[1:]
     target = x_star[None]  # the oracle of the columns still in the block
     base = 0
     cols = np.arange(k)  # original index of each column still in the block
@@ -413,20 +486,23 @@ def simulate(
     column_steps = np.zeros(k, dtype=np.int64)
     converged = np.zeros(k, dtype=bool)
     diverged = np.zeros(k, dtype=bool)
-    jumps = np.zeros((lookahead, n, 1))  # a single right-hand side's largest |dx_i| per row
+    jumps = np.zeros((batch, n, 1))  # a single right-hand side's largest |dx_i| per row
     sample_steps: list[int] = []
     sample_states: list[np.ndarray] = []
     sample_sq: list[float] = []  # squared error norms
     stride = 1
 
     while True:
+        for source, out, rows in fill:
+            np.matmul(powers, source, out=out)
+            rows += offsets
         d = states - target
         sq = np.vecdot(d, d, axis=1)
         q = sq if energy is None else np.vecdot(d, energy @ d, axis=1)
         conv = q <= limit
         near = sq > screen_sq
-        if single:  # spare[-1] is still the state before this pass
-            jump = np.abs(states - np.concatenate([spare[-1:], states[:-1]]))
+        if single:  # a single right-hand side never drops its column, so buf is never replaced
+            jump = np.abs(states - before)
         if record and base % stride == 0:  # a recorded run has one state per pass
             sample_steps.append(base)
             sample_states.append(states[0, :, 0].copy())
@@ -437,18 +513,18 @@ def simulate(
                 sample_sq = sample_sq[::2]
                 stride *= 2
         cut = max_steps - base  # the row of step max_steps; later rows are never taken
-        if np.count_nonzero(conv) or np.count_nonzero(near) or cut < lookahead:
+        if np.count_nonzero(conv) or np.count_nonzero(near) or cut < batch:
             div = near & ~conv
             if np.count_nonzero(div):
                 div &= np.sqrt(np.vecdot(states, states, axis=1)) > blow_up
             stop = conv | div
-            if cut < lookahead:
+            if cut < batch:
                 stop[cut] = True
-            # each column's first stopping row, or K for a column that runs on
-            row = np.where(stop.any(axis=0), stop.argmax(axis=0), lookahead)
+            # each column's first stopping row, or T for a column that runs on
+            row = np.where(stop.any(axis=0), stop.argmax(axis=0), batch)
             if single:
-                np.maximum(jumps, np.where(np.arange(lookahead)[:, None, None] > row, 0.0, jump), out=jumps)
-            done = np.flatnonzero(row < lookahead)
+                np.maximum(jumps, np.where(np.arange(batch)[:, None, None] > row, 0.0, jump), out=jumps)
+            done = np.flatnonzero(row < batch)
             if done.size:
                 at = row[done]
                 if energy is not None and np.count_nonzero(q[at, done] < 0):
@@ -459,18 +535,17 @@ def simulate(
                 column_steps[idx] = base + at
                 converged[idx] = conv[at, done]
                 diverged[idx] = div[at, done]
-                live = row == lookahead
+                live = row == batch
                 if not np.count_nonzero(live):
                     break
-                states, spare, offsets = states[:, :, live], spare[:, :, live], offsets[:, :, live]
-                target = target[:, :, live]
+                buf, offsets, target = buf[:, :, live], offsets[:, :, live], target[:, :, live]
+                states, head, tail, products = buf[1:], buf[0], buf[-1], _products(buf, lookahead)
                 blow_up, screen_sq, cols = blow_up[live], screen_sq[live], cols[live]
         elif single:
             np.maximum(jumps, jump, out=jumps)
-        np.matmul(powers, states[-1], out=spare.reshape(lookahead * n, -1))
-        spare += offsets
-        states, spare = spare, states
-        base += lookahead
+        head[...] = tail
+        fill = products
+        base += batch
 
     tau = column_steps * alpha / oa.gbw
     if not single:
@@ -520,7 +595,7 @@ def analytic_trajectory(system: FeedbackSystem, b, x0, oa: OpAmpModel | None = N
     b = np.asarray(b, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     try:
-        x_star = direct_solve(system.a, b, system.lu)
+        x_star = system.solve(b)
     except NumericalError as exc:
         raise DomainError(f"no fixed point: {exc}") from exc
     if x0.shape != x_star.shape:
@@ -550,7 +625,7 @@ def time_bound(
     if not system.symmetric:
         raise DomainError("the computing-time bound is proven only for a symmetric A")
     b = np.asarray(b, dtype=float)
-    x_star = direct_solve(system.a, b, system.lu)
+    x_star = system.solve(b)
     energy = np.atleast_1d(np.vecdot(x_star, b, axis=0))
     bad = np.flatnonzero(energy <= 0)
     if bad.size:

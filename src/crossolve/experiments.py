@@ -276,8 +276,9 @@ def _bounds(system, block: np.ndarray, epsilon: float, oa: OpAmpModel) -> list[f
 
     When time_bound raises for the block, every column's bound is None. It
     raises DomainError for a nonsymmetric A. Callers first run the block
-    transient on the same columns, which already solved them and checked
-    stability, so for a symmetric A only a zero column can raise here: a
+    transient on the same columns, which already solved them (the system
+    keeps that solve for time_bound) and checked stability, so for a
+    symmetric A only a zero column can raise here: a
     symmetric A whose M is stable is positive definite, so x*^T b > 0 for
     every nonzero b, and every scenario's b is nonzero.
     """

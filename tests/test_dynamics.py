@@ -1,5 +1,6 @@
 """Feedback-loop dynamics tests: stability, transient, bound, inversion."""
 
+import dataclasses
 import math
 from collections.abc import Callable
 
@@ -364,6 +365,20 @@ class TestTimeBound:
         with pytest.raises(DomainError, match="symmetric"):
             time_bound(system, DEFAULT_TRANSIENT_B, 1e-3, oa)
 
+    def test_reuses_the_transients_solve(self, spd_pair, oa, monkeypatch):
+        a, b = spd_pair
+        system = build_feedback(a)
+        block = np.column_stack([b, 2.0 * b])
+        res = simulate(system, block, oa, SolveConfig(record_trace=False))
+        expected = time_bound(build_feedback(a), block, 1e-3, oa)
+        res.x_star[:] = 0.0  # the system keeps its own copy of the solution
+        solves = []
+        monkeypatch.setattr(dynamics, "direct_solve", lambda *args: solves.append(args[1].shape) or direct_solve(*args))
+        assert list(time_bound(system, block, 1e-3, oa)) == list(expected)
+        assert solves == []
+        time_bound(system, b, 1e-3, oa)  # another right-hand side is solved
+        assert solves == [b.shape]
+
     def test_epsilon_validated(self, oa):
         system = build_feedback(np.eye(2))
         with pytest.raises(ConfigError):
@@ -565,11 +580,29 @@ class TestSlewCheck:
         assert not slew_check(res, OpAmpModel(slew_rate=1e7))
 
 
-def _simulate_at(k: int, system, b, oa, cfg):
-    """simulate with its private K rule replaced by the constant k."""
+def _simulate_at(k: int | None, system, b, oa, cfg, batch: bool = True):
+    """simulate with its private D rule replaced by the constant k (None keeps the rule).
+
+    batch=False also replaces the T rule, so that every pass tests the D
+    states of one product.
+    """
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamics, "_lookahead", lambda n, steps: k)
+        if k is not None:
+            patch.setattr(dynamics, "_lookahead", lambda n, steps: k)
+        if not batch:
+            patch.setattr(dynamics, "_batch", lambda lookahead, columns, record: lookahead)
         return simulate(system, b, oa, cfg)
+
+
+def _assert_same_bits(one, other):
+    """Every field of two SolveResults but the trace is equal byte for byte."""
+    for name in ("x_final", "x_star", "tau", "converged", "diverged", "column_steps"):
+        a, b = getattr(one, name), getattr(other, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+    assert one.steps == other.steps
+    assert one.max_slew == other.max_slew
 
 
 def _energy_crossing(system, b, alpha: float, epsilon: float) -> tuple[int, Callable[[int], float]]:
@@ -603,10 +636,11 @@ def _energy_crossing(system, b, alpha: float, epsilon: float) -> tuple[int, Call
 
 
 class TestLookahead:
-    """K-step passes of simulate against one-step passes and a closed form.
+    """D-step products of simulate against one-step passes and a closed form.
 
-    The private K rule is replaced by a constant K so that both K = 1, the
-    one-step recurrence, and K > 1 run on the same inputs.
+    The private D rule is replaced by a constant D so that both D = 1, the
+    one-step recurrence, and D > 1 run on the same inputs. A single
+    right-hand side tests T > D states per pass; a block tests D.
     """
 
     @settings(max_examples=40, deadline=None)
@@ -688,6 +722,62 @@ class TestLookahead:
         assert np.abs(eight.x_final - one.x_final).max() <= 1e-12 * scale
         return eight
 
+    @pytest.mark.parametrize("stop", ["converged", "diverged", "max_steps"])
+    @pytest.mark.parametrize("column", [False, True])
+    def test_single_stops_inside_a_batch(self, stop, column, oa):
+        # D = 5 gives a single right-hand side T = 20: each pass tests steps
+        # 20 p .. 20 p + 19 from four products. Each stop lands in a later
+        # product of its pass, away from that product's first and last row.
+        stable = build_feedback(_random_stable(3, 4))
+        b = np.random.default_rng(4).uniform(-1.0, 1.0, 4)
+        system, rhs, cfg = {
+            "converged": (stable, 3.0 * b, SolveConfig(epsilon=1e-4, record_trace=False)),
+            "diverged": (
+                build_feedback(SWAP),
+                np.array([1.0, 2.0]),
+                SolveConfig(allow_unstable=True, max_steps=100_000, record_trace=False),
+            ),
+            "max_steps": (stable, b, SolveConfig(epsilon=1e-12, max_steps=57, record_trace=False)),
+        }[stop]
+        if column:
+            rhs = rhs[:, None]
+        assert dynamics._batch(5, 1, False) == 20
+        res = _simulate_at(5, system, rhs, oa, cfg)
+        assert 5 <= res.steps % 20 and 0 < res.steps % 5 < 4
+        assert np.all(res.converged) == (stop == "converged")
+        assert np.all(res.diverged) == (stop == "diverged")
+        assert (res.steps == 57) == (stop == "max_steps")
+        _assert_same_bits(res, _simulate_at(5, system, rhs, oa, cfg, batch=False))
+        one = _simulate_at(1, system, rhs, oa, dataclasses.replace(cfg, record_trace=True))  # T = 1 for 1-D
+        assert (res.steps, np.all(res.converged), np.all(res.diverged)) == (one.steps, np.all(one.converged), np.all(one.diverged))
+        scale = max(1.0, float(np.abs(one.x_final).max()))
+        assert np.abs(res.x_final - one.x_final).max() <= 1e-12 * scale
+        if not column:
+            assert res.max_slew == pytest.approx(one.max_slew, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [150, 200])
+    @pytest.mark.parametrize("column", [False, True])
+    def test_batch_changes_no_bit(self, n, column, oa, monkeypatch):
+        # The default rules on suite-sized sparse systems: D = 2 at n = 150
+        # and D = 1 at n = 200, with T = 16 for a single right-hand side.
+        system = build_feedback(sparse_pd(SparsePdSpec(n=n, s=10, lambda_target=0.5, seed=n)))
+        b = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        rhs = b[:, None] if column else b
+        cfg = SolveConfig(record_trace=False)
+        rule, seen = dynamics._batch, []
+
+        def spy(lookahead, columns, record):
+            seen.append((lookahead, rule(lookahead, columns, record)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(dynamics, "_batch", spy)
+        res = simulate(system, rhs, oa, cfg)
+        assert seen == [({150: 2, 200: 1}[n], 16)]
+        assert res.steps > 100 and np.all(res.converged)
+        _assert_same_bits(res, _simulate_at(None, system, rhs, oa, cfg, batch=False))
+        if n == 200 and not column:  # a recorded trace runs T = D = 1
+            _assert_same_bits(res, simulate(system, rhs, oa, SolveConfig()))
+
     def test_rule(self):
         assert dynamics._lookahead(3, 2000.0) == 64
         assert dynamics._lookahead(300, 2000.0) == 1
@@ -695,3 +785,8 @@ class TestLookahead:
         for n in (3, 30, 100, 181):
             k = dynamics._lookahead(n, 1e9)
             assert 1 <= k <= 64 and k * n * n <= dynamics._STACK_DOUBLES
+        for d in range(1, 65):
+            t = dynamics._batch(d, 1, False)
+            assert t % d == 0 and t >= 16 and t < max(d, 16) + d
+            assert dynamics._batch(d, 2, False) == d  # a block
+            assert dynamics._batch(d, 1, True) == d  # a recorded trace

@@ -154,7 +154,7 @@ class TestSystemRecords:
         bs = [random_vector(12, seed=k) for k in range(4)]
         records = _system_records(spec, build_feedback(a), bs, OpAmpModel(), cfg, 0, "")
         assert calls == [(12, 12)]
-        assert solves == [(12, 4)] * 2  # the transient's oracle and time_bound's
+        assert solves == [(12, 4)]  # the transient's oracle, which time_bound reuses
         assert all(r.converged and r.tau_bound_s is not None for r in records)
         assert all(r.final_error <= r.epsilon for r in records)
 
