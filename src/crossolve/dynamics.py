@@ -372,18 +372,19 @@ def _batch(lookahead: int, columns: int, record: bool) -> int:
     return lookahead * -(-_BATCH_STEPS // lookahead)
 
 
-def _products(buf: np.ndarray, lookahead: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The (source, out, rows) views of buf for each product that fills one pass.
+def _products(prev: np.ndarray, cur: np.ndarray, lookahead: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The (source, out, rows) views of each product that fills cur, the pass after prev.
 
-    buf has shape (T + 1, n, k). Product i advances the state in row i D
-    by 1 .. D steps into rows i D + 1 .. i D + D: out is those rows
-    flattened to the (D n, k) shape of the stacked product, and rows the
-    same rows for adding the offsets.
+    prev and cur have shape (T, n, k). Product i advances the state before
+    row i D of cur (the last row of prev for i = 0) by 1 .. D steps into
+    rows i D .. i D + D - 1: out is those rows flattened to the (D n, k)
+    shape of the stacked product, and rows the same rows for adding the
+    offsets.
     """
-    n = buf.shape[1]
+    n = cur.shape[1]
     return [
-        (buf[i], buf[i + 1 : i + lookahead + 1].reshape(lookahead * n, -1), buf[i + 1 : i + lookahead + 1])
-        for i in range(0, len(buf) - 1, lookahead)
+        (cur[i - 1] if i else prev[-1], cur[i : i + lookahead].reshape(lookahead * n, -1), cur[i : i + lookahead])
+        for i in range(0, len(cur), lookahead)
     ]
 
 
@@ -471,14 +472,16 @@ def simulate(
     batch = _batch(lookahead, k, record)
     powers, offsets = _stack_powers(np.eye(n) - alpha * m_eff, drive, lookahead)
 
-    # buf[1:] holds the batch of states one pass tests, the states after
-    # steps base .. base + T - 1, and buf[0] the state before them. The first
-    # pass starts from x(0) = 0, c_1, ..., c_(D-1) in place of its first product.
-    buf = np.zeros((batch + 1, n, k))
-    buf[2 : lookahead + 1] = offsets[:-1]
-    states, head, tail, products = buf[1:], buf[0], buf[-1], _products(buf, lookahead)
-    before = buf[:-1]  # the state before each of states, for a single right-hand side
-    fill = products[1:]
+    # Each pass fills states, the states after steps base .. base + T - 1,
+    # from the last state of spare, which holds the previous pass until the
+    # next one overwrites it, and scans them. The first pass starts from
+    # x(0) = 0, c_1, ..., c_(D-1) in place of its first product.
+    states = np.zeros((batch, n, k))
+    states[1:lookahead] = offsets[:-1]
+    spare = np.zeros_like(states)
+    # into_states fills states from spare[-1] and into_spare the reverse
+    into_states, into_spare = _products(spare, states, lookahead), _products(states, spare, lookahead)
+    fill = into_states[1:]
     target = x_star[None]  # the oracle of the columns still in the block
     base = 0
     cols = np.arange(k)  # original index of each column still in the block
@@ -501,8 +504,8 @@ def simulate(
         q = sq if energy is None else np.vecdot(d, energy @ d, axis=1)
         conv = q <= limit
         near = sq > screen_sq
-        if single:  # a single right-hand side never drops its column, so buf is never replaced
-            jump = np.abs(states - before)
+        if single:  # spare[-1] is still the state before this pass
+            jump = np.abs(states - np.concatenate([spare[-1:], states[:-1]]))
         if record and base % stride == 0:  # a recorded run has one state per pass
             sample_steps.append(base)
             sample_states.append(states[0, :, 0].copy())
@@ -538,13 +541,15 @@ def simulate(
                 live = row == batch
                 if not np.count_nonzero(live):
                     break
-                buf, offsets, target = buf[:, :, live], offsets[:, :, live], target[:, :, live]
-                states, head, tail, products = buf[1:], buf[0], buf[-1], _products(buf, lookahead)
+                states, spare, offsets = states[:, :, live], spare[:, :, live], offsets[:, :, live]
+                into_states, into_spare = _products(spare, states, lookahead), _products(states, spare, lookahead)
+                target = target[:, :, live]
                 blow_up, screen_sq, cols = blow_up[live], screen_sq[live], cols[live]
         elif single:
             np.maximum(jumps, jump, out=jumps)
-        head[...] = tail
-        fill = products
+        states, spare = spare, states
+        into_states, into_spare = into_spare, into_states
+        fill = into_states
         base += batch
 
     tau = column_steps * alpha / oa.gbw
