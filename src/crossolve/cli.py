@@ -106,10 +106,10 @@ def _resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
     output_dir = args.out if args.out is not None else config.get("output_dir", f"runs/{scenario}")
     return ExperimentSpec(
         scenario=scenario,
-        seed=int(seed),
+        seed=seed,
         output_dir=output_dir,
         parameters=parameters,
-        threads=int(threads),
+        threads=threads,
     )
 
 

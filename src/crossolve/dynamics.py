@@ -22,12 +22,13 @@ the same recurrence D steps per product, x(t + j dt) = P^j x(t) + c_j with
 P = I - alpha M, from stacked powers of P of degree D (the matrix powers
 kernel of s-step Krylov methods). D is chosen from n and the step count
 that eig(M) predicts, and is 1 (the one-step recurrence bit for bit) at
-large n and whenever a trace is recorded. Each pass of the loop fills T
-states with T/D such products and runs the stopping tests once over all T,
-so every step is still tested. T is D for a block and under a trace; a
-single right-hand side, whose stop ends the run, tests at least 16 steps
-per pass with the same products, so that at large n the tests no longer
-cost as much as the product on every step.
+large n. Each pass of the loop fills T states with T/D such products and
+runs the stopping tests once over all T, so every step is still tested. T
+is D for a block; a single right-hand side, whose stop ends the run, tests
+at least 16 steps per pass with the same products, so that at large n the
+tests no longer cost as much as the product on every step. A recorded
+trace reads its samples from the rows of each pass, so it changes neither
+D nor T.
 """
 
 from __future__ import annotations
@@ -97,11 +98,11 @@ class OpAmpModel:
 class FeedbackSystem:
     """A realized feedback loop: matrix a, row attenuations u, and m = diag(u) a.
 
-    Whether a is symmetric, the eigenvalues of m and the guarded LU factors
-    of a are computed on first use and kept, so every solve against the
-    same system shares them. The last right-hand side solved is kept with
-    its solution, so a transient and the time bound of the same block share
-    one solve.
+    Whether a is symmetric, the eigenvalues of m, the spectral numbers read
+    from them and the guarded LU factors of a are computed on first use and
+    kept, so every solve and report on the same system shares them. The
+    last right-hand side solved is kept with its solution, so a transient
+    and the time bound of the same block share one solve.
     """
 
     a: np.ndarray
@@ -141,6 +142,21 @@ class FeedbackSystem:
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigensolver failed on M: {exc}") from exc
 
+    @cached_property
+    def lambda_m_min(self) -> float:
+        """Smallest real part of an eigenvalue of m: the slowest mode of the loop."""
+        return float(self.m_eigenvalues.real.min())
+
+    @cached_property
+    def rho(self) -> float:
+        """Spectral radius of m, which caps the step gain alpha."""
+        return float(np.abs(self.m_eigenvalues).max())
+
+    @cached_property
+    def lambda_min(self) -> float:
+        """Smallest eigenvalue of (a + a^T)/2."""
+        return sym_part_lambda_min(self.a)
+
 
 def build_feedback(a) -> FeedbackSystem:
     """Wrap a nonnegative square matrix into its feedback-loop form."""
@@ -173,16 +189,17 @@ def stability_report(system: FeedbackSystem, oa: OpAmpModel | None = None) -> St
     """Spectral summary: eig(M), the poles -gbw * eig(M), stability, lambda_min, u_min."""
     if oa is None:
         oa = OpAmpModel()
+    # M's spectrum comes first: its eigensolver rejects a non-finite A with
+    # NumericalError before lambda_min(A) is tried.
     ev = system.m_eigenvalues
-    lam_min = float(ev.real.min())
     return StabilityReport(
         eigenvalues=ev,
-        lambda_min=sym_part_lambda_min(system.a),
-        lambda_m_min=lam_min,
+        lambda_min=system.lambda_min,
+        lambda_m_min=system.lambda_m_min,
         u_min=float(system.u.min()),
-        spectral_radius=float(np.abs(ev).max()),
+        spectral_radius=system.rho,
         poles=-oa.gbw * ev,
-        stable=lam_min > 0,
+        stable=system.lambda_m_min > 0,
     )
 
 
@@ -232,8 +249,7 @@ def resolve_step(system: FeedbackSystem, oa: OpAmpModel, cfg: SolveConfig) -> tu
     unstable runs, and ConfigError when alpha * rho(M) >= 1 (the update
     would not contract even for the fastest mode).
     """
-    ev = system.m_eigenvalues
-    lam_min, rho = float(ev.real.min()), float(np.abs(ev).max())
+    lam_min, rho = system.lambda_m_min, system.rho
     if lam_min <= 0 and not cfg.allow_unstable:
         raise StabilityError(
             f"system is unstable (min Re eig(M) = {lam_min:.3e}); "
@@ -358,16 +374,15 @@ def _stack_powers(propagate: np.ndarray, drive: np.ndarray, lookahead: int) -> t
 _BATCH_STEPS = 16
 
 
-def _batch(lookahead: int, columns: int, record: bool) -> int:
+def _batch(lookahead: int, columns: int) -> int:
     """Steps T that one pass of the transient loop tests, a multiple of lookahead.
 
-    A single right-hand side without a trace ends the run at its stop, so
-    it can test several products' states at once: T = D ceil(16 / D) for
-    D = lookahead. A block keeps T = D, because a longer batch would keep
-    its stopped columns in the product longer, and so does a recorded
-    trace, which samples one state per pass.
+    A single right-hand side ends the run at its stop, so it can test
+    several products' states at once: T = D ceil(16 / D) for D = lookahead.
+    A block keeps T = D, because a longer batch would keep its stopped
+    columns in the product longer.
     """
-    if columns > 1 or record:
+    if columns > 1:
         return lookahead
     return lookahead * -(-_BATCH_STEPS // lookahead)
 
@@ -386,6 +401,17 @@ def _products(prev: np.ndarray, cur: np.ndarray, lookahead: int) -> list[tuple[n
         (cur[i - 1] if i else prev[-1], cur[i : i + lookahead].reshape(lookahead * n, -1), cur[i : i + lookahead])
         for i in range(0, len(cur), lookahead)
     ]
+
+
+def _thin(samples: list, stride: int, limit: int) -> tuple[list, int]:
+    """Drop every other sample, doubling the stride, until at most limit are left.
+
+    samples are the steps 0, stride, 2 stride, ... in order, so every other
+    one of them is the steps that are multiples of the doubled stride.
+    """
+    while len(samples) > limit:
+        samples, stride = samples[::2], 2 * stride
+    return samples, stride
 
 
 def _square_limit(epsilon: float) -> float:
@@ -421,20 +447,22 @@ def simulate(
     [P; ...; P^D] X + [c_1; ...; c_D] with P = I - alpha M. Each pass of the
     loop fills T states with T/D products and scans all T for the stopping
     tests, so every step is still tested. D comes from n and the step count
-    that lambda_M,min predicts; it is 1 for large n, and for a recorded
-    trace, where the loop is the one-step recurrence bit for bit. Under
-    D > 1, x_final may differ in its last bits from one-at-a-time stepping,
-    and a column whose error lies within rounding of epsilon may stop one
-    step earlier or later. T is D for a block or a recorded trace and at
-    least 16 for a single column otherwise; T changes no bit of the result,
-    because the products and their order do not depend on it.
+    that lambda_M,min predicts; it is 1 for large n, where the loop is the
+    one-step recurrence bit for bit. Under D > 1, x_final may differ in its
+    last bits from one-at-a-time stepping, and a column whose error lies
+    within rounding of epsilon may stop one step earlier or later. T is D
+    for a block and at least 16 for a single column; T changes no bit of
+    the result, because the products and their order do not depend on it.
 
     A column converges when its error against the direct-solve oracle first
     drops to epsilon or below. Divergence is declared when ||x||_2 exceeds
     divergence_factor * max(1, ||x*||_2). The recorded trace (single
-    right-hand side only) is decimated by stride doubling to at most
-    trace_limit samples; tau, convergence and max_slew always use every
-    step. See SolveResult for the shapes of a block result.
+    right-hand side only) holds the steps that are multiples of a stride,
+    the least power of two that keeps at most trace_limit of them up to the
+    stop, and then the stop itself. It is read from the rows each pass
+    computes anyway, so a traced run equals its untraced twin in every field
+    but the trace. tau, convergence and max_slew always use every step. See
+    SolveResult for the shapes of a block result.
     """
     if oa is None:
         oa = OpAmpModel()
@@ -465,11 +493,11 @@ def simulate(
     max_steps = cfg.max_steps
     single = b.ndim == 1
     record = cfg.record_trace and single
-    lam_min = float(system.m_eigenvalues.real.min())
+    lam_min = system.lambda_m_min
     top = float(star_norm.max())
     predicted = math.log(top / cfg.epsilon) / (alpha * lam_min) if lam_min > 0 and top > cfg.epsilon else 0.0
-    lookahead = 1 if record else _lookahead(n, min(predicted, max_steps))
-    batch = _batch(lookahead, k, record)
+    lookahead = _lookahead(n, min(predicted, max_steps))
+    batch = _batch(lookahead, k)
     powers, offsets = _stack_powers(np.eye(n) - alpha * m_eff, drive, lookahead)
 
     # Each pass fills states, the states after steps base .. base + T - 1,
@@ -490,9 +518,7 @@ def simulate(
     converged = np.zeros(k, dtype=bool)
     diverged = np.zeros(k, dtype=bool)
     jumps = np.zeros((batch, n, 1))  # a single right-hand side's largest |dx_i| per row
-    sample_steps: list[int] = []
-    sample_states: list[np.ndarray] = []
-    sample_sq: list[float] = []  # squared error norms
+    samples: list[tuple[int, np.ndarray, float]] = []  # trace (step, state, squared error)
     stride = 1
 
     while True:
@@ -506,15 +532,11 @@ def simulate(
         near = sq > screen_sq
         if single:  # spare[-1] is still the state before this pass
             jump = np.abs(states - np.concatenate([spare[-1:], states[:-1]]))
-        if record and base % stride == 0:  # a recorded run has one state per pass
-            sample_steps.append(base)
-            sample_states.append(states[0, :, 0].copy())
-            sample_sq.append(q[0, 0])
-            if len(sample_steps) > cfg.trace_limit:
-                sample_steps = sample_steps[::2]
-                sample_states = sample_states[::2]
-                sample_sq = sample_sq[::2]
-                stride *= 2
+        if record:  # the rows of this pass whose step is a multiple of the stride
+            samples, stride = _thin(samples, stride, cfg.trace_limit)
+            first = -base % stride
+            kept = slice(first, batch, stride)
+            samples += zip(range(base + first, base + batch, stride), states[kept, :, 0].copy(), q[kept, 0])
         cut = max_steps - base  # the row of step max_steps; later rows are never taken
         if np.count_nonzero(conv) or np.count_nonzero(near) or cut < batch:
             div = near & ~conv
@@ -567,10 +589,11 @@ def simulate(
         )
     trace = None
     if record:
-        if sample_steps[-1] != column_steps[0]:
-            sample_steps.append(int(column_steps[0]))
-            sample_states.append(x_final[:, 0].copy())
-            sample_sq.append(q[0, 0])
+        last = int(column_steps[0])
+        samples = _thin([sample for sample in samples if sample[0] <= last], stride, cfg.trace_limit)[0]
+        if samples[-1][0] != last:
+            samples.append((last, x_final[:, 0].copy(), q[last - base, 0]))
+        sample_steps, sample_states, sample_sq = zip(*samples)
         trace = Trace(
             times=np.asarray(sample_steps, dtype=float) * dt,
             states=np.vstack(sample_states),
@@ -637,7 +660,7 @@ def time_bound(
         j = bad[0]
         where = f" in column {j}" if b.ndim == 2 else ""
         raise DomainError(f"x*^T b = {energy[j]:.3e}{where} must be positive for the energy bound")
-    lam_min = float(system.m_eigenvalues.real.min())
+    lam_min = system.lambda_m_min
     if lam_min <= 0:
         raise StabilityError(f"bound undefined: min Re eig(M) = {lam_min:.3e} is not positive")
     bounds = [math.log(math.sqrt(e) / epsilon) / (lam_min * oa.gbw) for e in energy.tolist()]

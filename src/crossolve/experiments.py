@@ -353,7 +353,6 @@ def _run_transient(spec: ExperimentSpec, p: dict):
         norm_kind=p["norm"],
         alpha_fraction=float(p["alpha_fraction"]),
         include_gain_correction=bool(p["include_gain_correction"]),
-        record_trace=True,
     )
     system = build_feedback(a)
     report = stability_report(system, oa)
@@ -722,6 +721,11 @@ def emit_outputs(records: list[RunRecord], summary: str, output_dir: str | Path)
     return _write(out / "records.csv", "\n".join(rows) + "\n"), _write(out / "summary.txt", summary)
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool, a float or a string is none."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def run_experiment(spec: ExperimentSpec) -> tuple[list[RunRecord], str]:
     """Run a scenario end to end and write its outputs.
 
@@ -731,10 +735,10 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[RunRecord], str]:
     """
     if spec.scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {spec.scenario!r}; valid: {sorted(SCENARIOS)}")
-    if spec.seed is None or int(spec.seed) < 0:
-        raise ConfigError("a nonnegative master seed is required")
-    if int(spec.threads) < 1:
-        raise ConfigError(f"threads must be >= 1, got {spec.threads}")
+    if not _is_integer(spec.seed) or spec.seed < 0:
+        raise ConfigError(f"a nonnegative integer master seed is required, got {spec.seed!r}")
+    if not _is_integer(spec.threads) or spec.threads < 1:
+        raise ConfigError(f"threads must be an integer >= 1, got {spec.threads!r}")
     params = _merge_params(spec.scenario, dict(spec.parameters))
     records, extra_lines, aux = SCENARIOS[spec.scenario](spec, params)
     records = sorted(records, key=lambda r: r.system_index)

@@ -139,7 +139,7 @@ def test_criterion_02_discrete_matches_continuous():
         system = build_feedback(a)
         x_hat = _unit(rng, n)
         b = a @ x_hat
-        rho = float(np.max(np.abs(system.m_eigenvalues)))
+        rho = system.rho
         for alpha, bucket in ((0.01 / rho, devs), (0.005 / rho, devs_half)):
             res = simulate(system, b, cfg=SolveConfig(alpha=alpha, record_trace=False))
             assert res.converged

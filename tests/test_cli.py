@@ -141,3 +141,17 @@ def test_invert_subcommand_maps_to_inversion(tmp_path):
     text = (tmp_path / "inv" / "records.csv").read_text()
     assert ",inversion," in text
     assert (tmp_path / "inv" / "inverse.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "config",
+    ["seed: zero\n", "seed: 1.7\n", "seed: 1\nthreads: two\n", "seed: 1\nthreads: 1.5\n"],
+    ids=["seed_word", "seed_float", "threads_word", "threads_float"],
+)
+def test_non_integer_seed_or_threads_exits_two(tmp_path, capsys, config):
+    # a float once ran truncated (seed 1.7 as seed 1) and a word died with a ValueError
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(config + f"output_dir: {tmp_path / 'out'}\n")
+    assert main(["transient", "--config", str(cfg)]) == 2
+    assert "integer" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "records.csv").exists()

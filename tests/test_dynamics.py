@@ -1,6 +1,6 @@
 """Feedback-loop dynamics tests: stability, transient, bound, inversion."""
 
-import dataclasses
+import functools
 import math
 from collections.abc import Callable
 
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from crossolve import (
     ConfigError,
     DomainError,
+    FeedbackSystem,
     InversionError,
     NumericalError,
     OpAmpModel,
@@ -103,6 +104,29 @@ class TestStabilityReport:
     def test_demo_stable(self, demo_system, oa):
         system, _ = demo_system
         assert stability_report(system, oa).stable
+
+    def test_spectral_numbers_computed_once(self, spd_pair, oa, monkeypatch):
+        computed = []
+        eigenvalues, lambda_min = FeedbackSystem.m_eigenvalues.func, dynamics.sym_part_lambda_min
+
+        def counted(system):
+            computed.append("m_eigenvalues")
+            return eigenvalues(system)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(FeedbackSystem, "m_eigenvalues")
+        monkeypatch.setattr(FeedbackSystem, "m_eigenvalues", prop)
+        monkeypatch.setattr(dynamics, "sym_part_lambda_min", lambda a: computed.append("lambda_min") or lambda_min(a))
+        a, b = spd_pair
+        system = build_feedback(a)
+        first, second = stability_report(system, oa), stability_report(system, oa)
+        simulate(system, b, oa, SolveConfig())
+        time_bound(system, b, 1e-3, oa)
+        assert computed == ["m_eigenvalues", "lambda_min"]
+        ev = system.m_eigenvalues
+        assert system.lambda_m_min == first.lambda_m_min == second.lambda_m_min == float(ev.real.min())
+        assert system.rho == first.spectral_radius == second.spectral_radius == float(np.abs(ev).max())
+        assert system.lambda_min == first.lambda_min == second.lambda_min == lambda_min(a)
 
     def test_infinite_entries_rejected(self, oa):
         # an infinite symmetric pair once passed the symmetry test, and the
@@ -590,7 +614,7 @@ def _simulate_at(k: int | None, system, b, oa, cfg, batch: bool = True):
         if k is not None:
             patch.setattr(dynamics, "_lookahead", lambda n, steps: k)
         if not batch:
-            patch.setattr(dynamics, "_batch", lambda lookahead, columns, record: lookahead)
+            patch.setattr(dynamics, "_batch", lambda lookahead, columns: lookahead)
         return simulate(system, b, oa, cfg)
 
 
@@ -741,14 +765,14 @@ class TestLookahead:
         }[stop]
         if column:
             rhs = rhs[:, None]
-        assert dynamics._batch(5, 1, False) == 20
+        assert dynamics._batch(5, 1) == 20
         res = _simulate_at(5, system, rhs, oa, cfg)
         assert 5 <= res.steps % 20 and 0 < res.steps % 5 < 4
         assert np.all(res.converged) == (stop == "converged")
         assert np.all(res.diverged) == (stop == "diverged")
         assert (res.steps == 57) == (stop == "max_steps")
         _assert_same_bits(res, _simulate_at(5, system, rhs, oa, cfg, batch=False))
-        one = _simulate_at(1, system, rhs, oa, dataclasses.replace(cfg, record_trace=True))  # T = 1 for 1-D
+        one = _simulate_at(1, system, rhs, oa, cfg, batch=False)  # one step per pass
         assert res.steps == one.steps
         assert np.all(res.converged) == np.all(one.converged) and np.all(res.diverged) == np.all(one.diverged)
         scale = max(1.0, float(np.abs(one.x_final).max()))
@@ -767,8 +791,8 @@ class TestLookahead:
         cfg = SolveConfig(record_trace=False)
         rule, seen = dynamics._batch, []
 
-        def spy(lookahead, columns, record):
-            seen.append((lookahead, rule(lookahead, columns, record)))
+        def spy(lookahead, columns):
+            seen.append((lookahead, rule(lookahead, columns)))
             return seen[-1][1]
 
         monkeypatch.setattr(dynamics, "_batch", spy)
@@ -776,7 +800,7 @@ class TestLookahead:
         assert seen == [({150: 2, 200: 1}[n], 16)]
         assert res.steps > 100 and np.all(res.converged)
         _assert_same_bits(res, _simulate_at(None, system, rhs, oa, cfg, batch=False))
-        if n == 200 and not column:  # a recorded trace runs T = D = 1
+        if not column:  # a recorded trace changes no bit either
             _assert_same_bits(res, simulate(system, rhs, oa, SolveConfig()))
 
     def test_rule(self):
@@ -787,7 +811,51 @@ class TestLookahead:
             k = dynamics._lookahead(n, 1e9)
             assert 1 <= k <= 64 and k * n * n <= dynamics._STACK_DOUBLES
         for d in range(1, 65):
-            t = dynamics._batch(d, 1, False)
+            t = dynamics._batch(d, 1)
             assert t % d == 0 and t >= 16 and t < max(d, 16) + d
-            assert dynamics._batch(d, 2, False) == d  # a block
-            assert dynamics._batch(d, 1, True) == d  # a recorded trace
+            assert dynamics._batch(d, 2) == d  # a block
+
+    @pytest.mark.parametrize("case", ["demo", 5, 20, 40])
+    def test_trace_changes_no_bit(self, case, oa, monkeypatch):
+        # A trace samples the rows each pass computes anyway, so a traced run
+        # takes the same D > 1 and T as its untraced twin, and the same bits.
+        if case == "demo":
+            system, b = build_feedback(DEFAULT_TRANSIENT_A), DEFAULT_TRANSIENT_B
+        else:
+            system = build_feedback(sparse_pd(SparsePdSpec(n=case, s=min(4, case), lambda_target=0.3, seed=case)))
+            b = np.random.default_rng(case).uniform(-1.0, 1.0, case)
+        rule, seen = dynamics._lookahead, []
+        monkeypatch.setattr(dynamics, "_lookahead", lambda n, steps: seen.append(rule(n, steps)) or seen[-1])
+        traced = simulate(system, b, oa, SolveConfig())
+        plain = simulate(system, b, oa, SolveConfig(record_trace=False))
+        assert traced.trace is not None and plain.trace is None
+        _assert_same_bits(traced, plain)
+        assert seen[0] == seen[1] > 1
+
+    @pytest.mark.parametrize("trace_limit", [2, 3, 16])
+    @pytest.mark.parametrize("stop", ["converged", "max_steps", "diverged"])
+    def test_trace_samples_the_one_step_rule(self, trace_limit, stop, oa):
+        # The batched trace keeps the steps a one-step run samples: the
+        # multiples of the final stride, then the stop. The demo runs D = 64,
+        # so the cut at step 157 lands inside the third pass.
+        demo = build_feedback(DEFAULT_TRANSIENT_A)
+        system, b, cfg = {
+            "converged": (demo, DEFAULT_TRANSIENT_B, SolveConfig(trace_limit=trace_limit)),
+            "max_steps": (demo, DEFAULT_TRANSIENT_B, SolveConfig(epsilon=1e-12, max_steps=157, trace_limit=trace_limit)),
+            "diverged": (
+                build_feedback(SWAP),
+                np.array([1.0, 2.0]),
+                SolveConfig(allow_unstable=True, max_steps=100_000, trace_limit=trace_limit),
+            ),
+        }[stop]
+        res = simulate(system, b, oa, cfg)
+        one = _simulate_at(1, system, b, oa, cfg, batch=False)
+        assert (res.steps == 157) == (stop == "max_steps")
+        assert res.converged == (stop == "converged") and res.diverged == (stop == "diverged")
+        assert res.steps == one.steps
+        assert np.array_equal(res.trace.times, one.trace.times)
+        assert len(res.trace.times) <= trace_limit + 1
+        assert res.trace.times[-1] == pytest.approx(res.tau, rel=1e-15)
+        scale = max(1.0, float(np.abs(one.trace.states).max()))
+        assert np.abs(res.trace.states - one.trace.states).max() <= 1e-12 * scale
+        assert np.abs(res.trace.errors - one.trace.errors).max() <= 1e-12 * scale

@@ -415,7 +415,7 @@ _PINNED_RECORDS = [
         {
             "records.csv": "e23f4e7ea6f99784b7c29caf995fbe510511fde35a2034b9a38483f50f88fddc",
             "summary.txt": "fdbbfd6b1315b4e50a76a70b081399926c8f358b8d2db484cd69489e7571f9d3",
-            "trace.csv": "f4fb3e31b06a1ca99dc5794970ae49ce541b05aa35a5cd5a0bdd0ba0a2c87849",
+            "trace.csv": "24bc801568f4381094eae2f35182dee3189a38a1e99377c381cfc7dbfdaf4c9a",
         },
     ),
     (
