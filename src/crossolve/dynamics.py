@@ -21,14 +21,25 @@ would cost far more than the arithmetic. The simulator therefore evaluates
 the same recurrence D steps per product, x(t + j dt) = P^j x(t) + c_j with
 P = I - alpha M, from stacked powers of P of degree D (the matrix powers
 kernel of s-step Krylov methods). D is chosen from n and the step count
-that eig(M) predicts, and is 1 (the one-step recurrence bit for bit) at
-large n. Each pass of the loop fills T states with T/D such products and
-runs the stopping tests once over all T, so every step is still tested. T
-is D for a block; a single right-hand side, whose stop ends the run, tests
+that eig(M) predicts, and is 1 (one step per product) at large n. Each
+pass of the loop fills T states with T/D such products and runs the
+stopping tests once over all T, so every step is still tested. T is D for
+a block; a single right-hand side, whose stop ends the run, tests
 at least 16 steps per pass with the same products, so that at large n the
 tests no longer cost as much as the product on every step. A recorded
 trace reads its samples from the rows of each pass, so it changes neither
 D nor T.
+
+The states are stored one row per right-hand side, (k, T, n), so each
+product is X^T [P^T ... (P^D)^T] of shape (k x n)(n x D n) rather than
+[P; ...; P^D] X of shape (D n x n)(n x k). The two take the same flops, but
+OpenBLAS packs and tiles the long side D n of the output better when it
+runs along the rows: on one thread of a 2-vCPU x86-64 VM the first form
+took 0.61-0.81 of the time of the second at n = 30-300 and k = 12-25, and
+0.58-0.75 at n = 100, D = 6, k = 1, while at n = 200, D = 1, k = 1 the two
+took the same time (the packing of Goto and van de Geijn, "Anatomy of
+high-performance matrix multiplication", ACM TOMS 2008). The stopping
+tests then reduce over the contiguous last axis.
 """
 
 from __future__ import annotations
@@ -367,10 +378,10 @@ def _stack_powers(propagate: np.ndarray, drive: np.ndarray, lookahead: int) -> t
 
 
 # Steps that one pass tests for a single right-hand side. One round of the
-# stopping tests costs about the same interpreter time whatever its row
+# stopping tests costs about the same interpreter time whatever its state
 # count (about 9 us at n = 200, next to 12 us for one step's product), so
-# 16 rows per round cut that cost per step 16-fold, while a run computes at
-# most 15 states past its stop.
+# 16 states per round cut that cost per step 16-fold, while a run computes
+# at most 15 states past its stop.
 _BATCH_STEPS = 16
 
 
@@ -390,16 +401,20 @@ def _batch(lookahead: int, columns: int) -> int:
 def _products(prev: np.ndarray, cur: np.ndarray, lookahead: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The (source, out, rows) views of each product that fills cur, the pass after prev.
 
-    prev and cur have shape (T, n, k). Product i advances the state before
-    row i D of cur (the last row of prev for i = 0) by 1 .. D steps into
-    rows i D .. i D + D - 1: out is those rows flattened to the (D n, k)
-    shape of the stacked product, and rows the same rows for adding the
-    offsets.
+    prev and cur have shape (k, T, n), one row of T states per right-hand
+    side. Product i advances the state before step i D of cur (the last
+    state of prev for i = 0) by 1 .. D steps into states i D .. i D + D - 1:
+    source is that state for every column, (k, n), out is the D states
+    flattened to the (k, D n) shape of X [P^T ... (P^D)^T], and rows the
+    same states, (k, D, n), for adding the offsets. Every view shares
+    memory with its buffer, so the products write the states in place. The
+    out views put the long side D n of each product along their rows, the
+    orientation BLAS runs fastest (see the module docstring).
     """
-    n = cur.shape[1]
+    k, n = cur.shape[0], cur.shape[2]
     return [
-        (cur[i - 1] if i else prev[-1], cur[i : i + lookahead].reshape(lookahead * n, -1), cur[i : i + lookahead])
-        for i in range(0, len(cur), lookahead)
+        (cur[:, i - 1] if i else prev[:, -1], cur[:, i : i + lookahead].reshape(k, lookahead * n), cur[:, i : i + lookahead])
+        for i in range(0, cur.shape[1], lookahead)
     ]
 
 
@@ -444,15 +459,17 @@ def simulate(
     so every column takes the steps it would take on its own.
 
     Each product evaluates the next D states of that recurrence at once, as
-    [P; ...; P^D] X + [c_1; ...; c_D] with P = I - alpha M. Each pass of the
-    loop fills T states with T/D products and scans all T for the stopping
-    tests, so every step is still tested. D comes from n and the step count
-    that lambda_M,min predicts; it is 1 for large n, where the loop is the
-    one-step recurrence bit for bit. Under D > 1, x_final may differ in its
-    last bits from one-at-a-time stepping, and a column whose error lies
-    within rounding of epsilon may stop one step earlier or later. T is D
-    for a block and at least 16 for a single column; T changes no bit of
-    the result, because the products and their order do not depend on it.
+    [P; ...; P^D] X + [c_1; ...; c_D] with P = I - alpha M, computed in the
+    transposed form X^T [P^T ... (P^D)^T] that BLAS runs fastest (see the
+    module docstring). Each pass of the loop fills T states with T/D
+    products and scans all T for the stopping tests, so every step is
+    still tested. D comes from n and the step count that lambda_M,min
+    predicts; it is 1 for large n, where the loop is the one-step
+    recurrence. Under D > 1, x_final may differ in its last bits from
+    one-at-a-time stepping, and a column whose error lies within rounding
+    of epsilon may stop one step earlier or later. T is D for a block and
+    at least 16 for a single column; T changes no bit of the result,
+    because the products and their order do not depend on it.
 
     A column converges when its error against the direct-solve oracle first
     drops to epsilon or below. Divergence is declared when ||x||_2 exceeds
@@ -499,73 +516,79 @@ def simulate(
     lookahead = _lookahead(n, min(predicted, max_steps))
     batch = _batch(lookahead, k)
     powers, offsets = _stack_powers(np.eye(n) - alpha * m_eff, drive, lookahead)
+    powers_t = np.ascontiguousarray(powers.T)  # [P^T ... (P^D)^T], (n, D n)
+    offsets = np.ascontiguousarray(offsets.transpose(2, 0, 1))  # (k, D, n)
 
-    # Each pass fills states, the states after steps base .. base + T - 1,
-    # from the last state of spare, which holds the previous pass until the
-    # next one overwrites it, and scans them. The first pass starts from
-    # x(0) = 0, c_1, ..., c_(D-1) in place of its first product.
-    states = np.zeros((batch, n, k))
-    states[1:lookahead] = offsets[:-1]
+    # Each pass fills states, row j holding column j's states after steps
+    # base .. base + T - 1, from the last state of spare, which holds the
+    # previous pass until the next one overwrites it, and scans them. The
+    # first pass starts from x(0) = 0, c_1, ..., c_(D-1) in place of its
+    # first product.
+    states = np.zeros((k, batch, n))
+    states[:, 1:lookahead] = offsets[:, :-1]
     spare = np.zeros_like(states)
-    # into_states fills states from spare[-1] and into_spare the reverse
+    # into_states fills states from spare's last states and into_spare the reverse
     into_states, into_spare = _products(spare, states, lookahead), _products(states, spare, lookahead)
     fill = into_states[1:]
-    target = x_star[None]  # the oracle of the columns still in the block
+    # The oracle of the columns still in the block, repeated for every state
+    # of a pass: a broadcast along the middle axis would cut the subtraction
+    # into k T runs of n elements, 2-4 times slower at k = 25.
+    target = np.repeat(x_star.T[:, None], batch, axis=1)
     base = 0
     cols = np.arange(k)  # original index of each column still in the block
     x_final = np.empty((n, k))
     column_steps = np.zeros(k, dtype=np.int64)
     converged = np.zeros(k, dtype=bool)
     diverged = np.zeros(k, dtype=bool)
-    jumps = np.zeros((batch, n, 1))  # a single right-hand side's largest |dx_i| per row
+    jumps = np.zeros((1, batch, n))  # a single right-hand side's largest |dx_i| per step of a pass
     samples: list[tuple[int, np.ndarray, float]] = []  # trace (step, state, squared error)
     stride = 1
 
     while True:
         for source, out, rows in fill:
-            np.matmul(powers, source, out=out)
+            np.matmul(source, powers_t, out=out)
             rows += offsets
         d = states - target
-        sq = np.vecdot(d, d, axis=1)
-        q = sq if energy is None else np.vecdot(d, energy @ d, axis=1)
+        sq = np.vecdot(d, d)
+        q = sq if energy is None else np.vecdot(d, (d.reshape(-1, n) @ energy.T).reshape(d.shape))
         conv = q <= limit
-        near = sq > screen_sq
-        if single:  # spare[-1] is still the state before this pass
-            jump = np.abs(states - np.concatenate([spare[-1:], states[:-1]]))
-        if record:  # the rows of this pass whose step is a multiple of the stride
+        near = sq > screen_sq[:, None]
+        if single:  # spare's last state is still the one before this pass
+            jump = np.abs(states - np.concatenate([spare[:, -1:], states[:, :-1]], axis=1))
+        if record:  # the states of this pass whose step is a multiple of the stride
             samples, stride = _thin(samples, stride, cfg.trace_limit)
             first = -base % stride
             kept = slice(first, batch, stride)
-            samples += zip(range(base + first, base + batch, stride), states[kept, :, 0].copy(), q[kept, 0])
-        cut = max_steps - base  # the row of step max_steps; later rows are never taken
+            samples += zip(range(base + first, base + batch, stride), states[0, kept].copy(), q[0, kept])
+        cut = max_steps - base  # the state of step max_steps; later ones are never taken
         if np.count_nonzero(conv) or np.count_nonzero(near) or cut < batch:
             div = near & ~conv
             if np.count_nonzero(div):
-                div &= np.sqrt(np.vecdot(states, states, axis=1)) > blow_up
+                div &= np.sqrt(np.vecdot(states, states)) > blow_up[:, None]
             stop = conv | div
             if cut < batch:
-                stop[cut] = True
-            # each column's first stopping row, or T for a column that runs on
-            row = np.where(stop.any(axis=0), stop.argmax(axis=0), batch)
+                stop[:, cut] = True
+            # each column's first stopping step in the pass, or T for a column that runs on
+            stop_at = np.where(stop.any(axis=1), stop.argmax(axis=1), batch)
             if single:
-                np.maximum(jumps, np.where(np.arange(batch)[:, None, None] > row, 0.0, jump), out=jumps)
-            done = np.flatnonzero(row < batch)
+                np.maximum(jumps, np.where(np.arange(batch)[:, None] > stop_at, 0.0, jump), out=jumps)
+            done = np.flatnonzero(stop_at < batch)
             if done.size:
-                at = row[done]
-                if energy is not None and np.count_nonzero(q[at, done] < 0):
-                    worst = q[at, done].min()
+                at = stop_at[done]
+                if energy is not None and np.count_nonzero(q[done, at] < 0):
+                    worst = q[done, at].min()
                     raise DomainError(f"x^T A x = {worst:.3e} is negative; not a norm for this matrix")
                 idx = cols[done]
-                x_final[:, idx] = states[at, :, done].T
+                x_final[:, idx] = states[done, at].T
                 column_steps[idx] = base + at
-                converged[idx] = conv[at, done]
-                diverged[idx] = div[at, done]
-                live = row == batch
+                converged[idx] = conv[done, at]
+                diverged[idx] = div[done, at]
+                live = stop_at == batch
                 if not np.count_nonzero(live):
                     break
-                states, spare, offsets = states[:, :, live], spare[:, :, live], offsets[:, :, live]
+                states, spare, offsets = states[live], spare[live], offsets[live]
                 into_states, into_spare = _products(spare, states, lookahead), _products(states, spare, lookahead)
-                target = target[:, :, live]
+                target = target[live]
                 blow_up, screen_sq, cols = blow_up[live], screen_sq[live], cols[live]
         elif single:
             np.maximum(jumps, jump, out=jumps)
@@ -592,7 +615,7 @@ def simulate(
         last = int(column_steps[0])
         samples = _thin([sample for sample in samples if sample[0] <= last], stride, cfg.trace_limit)[0]
         if samples[-1][0] != last:
-            samples.append((last, x_final[:, 0].copy(), q[last - base, 0]))
+            samples.append((last, x_final[:, 0].copy(), q[0, last - base]))
         sample_steps, sample_states, sample_sq = zip(*samples)
         trace = Trace(
             times=np.asarray(sample_steps, dtype=float) * dt,

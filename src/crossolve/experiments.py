@@ -9,15 +9,19 @@ regardless of thread count or execution order.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import hashlib
 import operator
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, ClassVar
 
 import numpy as np
+import scipy
 
 from .baselines import conjugate_gradient
 from .devices import DevicePolicy, program, read_effective
@@ -154,6 +158,64 @@ def _map_tasks(tasks: list[Callable[[], object]], threads: int) -> list:
         return [task() for task in tasks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda task: task(), tasks))
+
+
+# Entry points that set and read an OpenBLAS runtime's thread count:
+# numpy's 64-bit-integer build, scipy's build, and a plain OpenBLAS.
+_OPENBLAS_THREADS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_runtimes() -> tuple[tuple[Callable[[int], None], Callable[[], int]], ...]:
+    """(set, get) thread-count functions of each OpenBLAS that numpy and scipy loaded.
+
+    The libraries are looked for where the Linux numpy and scipy wheels keep
+    them, numpy.libs and scipy.libs, and opened with RTLD_NOLOAD, which
+    finds a library only if the process already holds it and never loads
+    one. Empty where none is found.
+    """
+    if not hasattr(os, "RTLD_NOLOAD"):
+        return ()
+    runtimes = []
+    for module in (np, scipy):
+        package = Path(module.__file__).parent
+        for path in sorted(package.with_name(package.name + ".libs").glob("*openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+            except OSError:
+                continue
+            for set_name, get_name in _OPENBLAS_THREADS:
+                if hasattr(lib, set_name) and hasattr(lib, get_name):
+                    set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+                    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                    runtimes.append((set_threads, get_threads))
+                    break
+    return tuple(runtimes)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with every loaded OpenBLAS on one thread, then restore each one's count.
+
+    The last bits of an OpenBLAS eigensolve depend on its thread count, so
+    a run's records would depend on the host; a scenario's products are
+    also too small for BLAS threads to pay, and numpy's and scipy's pools
+    compete for the same cores.
+    """
+    runtimes = _openblas_runtimes()
+    counts = [get_threads() for _, get_threads in runtimes]
+    for set_threads, _ in runtimes:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (set_threads, _), count in zip(runtimes, counts):
+            set_threads(count)
 
 
 # ----------------------------------------------------------------------
@@ -730,7 +792,9 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[RunRecord], str]:
     """Run a scenario end to end and write its outputs.
 
     Parameters are validated before any system is solved; unknown keys are
-    configuration errors. Returns (records, summary text) after writing
+    configuration errors. The scenario runs with every OpenBLAS that numpy
+    and scipy loaded set to one thread, so its records do not depend on the
+    host's BLAS thread count. Returns (records, summary text) after writing
     records.csv, summary.txt, and any scenario-specific files.
     """
     if spec.scenario not in SCENARIOS:
@@ -740,7 +804,8 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[RunRecord], str]:
     if not _is_integer(spec.threads) or spec.threads < 1:
         raise ConfigError(f"threads must be an integer >= 1, got {spec.threads!r}")
     params = _merge_params(spec.scenario, dict(spec.parameters))
-    records, extra_lines, aux = SCENARIOS[spec.scenario](spec, params)
+    with _one_blas_thread():
+        records, extra_lines, aux = SCENARIOS[spec.scenario](spec, params)
     records = sorted(records, key=lambda r: r.system_index)
     summary = _summary_text(spec, params, records, extra_lines)
     emit_outputs(records, summary, spec.output_dir)

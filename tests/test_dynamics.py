@@ -859,3 +859,66 @@ class TestLookahead:
         scale = max(1.0, float(np.abs(one.trace.states).max()))
         assert np.abs(res.trace.states - one.trace.states).max() <= 1e-12 * scale
         assert np.abs(res.trace.errors - one.trace.errors).max() <= 1e-12 * scale
+
+
+def _reference_transient(system, block, oa, cfg):
+    """x <- P x + c one step at a time on (n, k) arrays: each column's steps and final state.
+
+    A column stops at the first step whose error against the direct solve,
+    in cfg's norm, is at most epsilon; the run must converge.
+    """
+    n, k = block.shape
+    alpha, _ = resolve_step(system, oa, cfg)
+    p = np.eye(n) - alpha * system.m
+    c = alpha * system.u[:, None] * block
+    x_star = direct_solve(system.a, block)
+    x = np.zeros((n, k))
+    steps = np.full(k, -1)
+    x_final = np.empty((n, k))
+    for step in range(cfg.max_steps + 1):
+        e = x - x_star
+        err = np.sqrt(np.sum(e * e, axis=0) if cfg.norm_kind == "l2" else np.sum(e * (system.a @ e), axis=0))
+        for j in np.flatnonzero((steps < 0) & (err <= cfg.epsilon)):
+            steps[j], x_final[:, j] = step, x[:, j]
+        if (steps >= 0).all():
+            return steps, x_final
+        x = p @ x + c
+    raise AssertionError("the reference run did not converge")
+
+
+class TestLayout:
+    """The (k, T, n) pass buffers: views that write in place, and the recurrence they compute."""
+
+    @pytest.mark.parametrize("k", [1, 3, 25])
+    @pytest.mark.parametrize("lookahead", [1, 5, 64])
+    @pytest.mark.parametrize("single", [False, True])
+    def test_products_are_views_of_the_buffers(self, k, lookahead, single):
+        # T = D for a block and D ceil(16 / D) for a single right-hand side.
+        # A view that silently became a copy would drop its product's states.
+        n = 4
+        batch = dynamics._batch(lookahead, 1 if single else 2)
+        prev, cur = np.zeros((k, batch, n)), np.zeros((k, batch, n))
+        products = dynamics._products(prev, cur, lookahead)
+        assert len(products) == batch // lookahead
+        for i, (source, out, rows) in enumerate(products):
+            assert source.shape == (k, n) and np.shares_memory(source, prev if i == 0 else cur)
+            assert out.shape == (k, lookahead * n) and np.shares_memory(out, cur)
+            assert rows.shape == (k, lookahead, n) and np.shares_memory(rows, cur)
+            out[...] = i + 1
+        # the outs tile cur: each state is written by exactly the product that owns it
+        assert np.array_equal(cur, np.broadcast_to((np.arange(batch) // lookahead + 1)[None, :, None], cur.shape))
+
+    @pytest.mark.parametrize("n", [3, 30, 100, 300])
+    @pytest.mark.parametrize("k", [1, 25])
+    @pytest.mark.parametrize("norm_kind", ["l2", "a_norm"])
+    def test_matches_one_step_reference(self, n, k, norm_kind, oa):
+        # The default D rule: D > 1 at n = 3, 30 and 100, and D = 1 at n = 300.
+        system = build_feedback(covariance_matrix(n, 1.0))
+        block = np.random.default_rng(n + k).uniform(-1.0, 1.0, (n, k))
+        cfg = SolveConfig(norm_kind=norm_kind, record_trace=False)
+        steps, x_final = _reference_transient(system, block, oa, cfg)
+        res = simulate(system, block[:, 0] if k == 1 else block, oa, cfg)
+        assert np.array_equal(np.atleast_1d(res.steps if k == 1 else res.column_steps), steps)
+        assert np.all(res.converged) and not np.any(res.diverged)
+        scale = np.abs(x_final).max(axis=0)
+        assert np.all(np.abs(res.x_final.reshape(n, k) - x_final) <= 1e-12 * scale)

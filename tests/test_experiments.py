@@ -2,6 +2,10 @@
 
 import functools
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from crossolve import (
     ConfigError,
     ExperimentSpec,
     FeedbackSystem,
+    GenerationError,
     NumericalError,
     OpAmpModel,
     OutputError,
@@ -438,7 +443,7 @@ _PINNED_RECORDS = [
         "sparse_suite",
         {"systems": 24},
         {
-            "records.csv": "2d3ad62c64a6e9d3524a2b8c8376e6faebf4e71e3e9b3f37d5a52a3d005ff4f9",
+            "records.csv": "cc5e1a4fb7afd9b44913456701a63f71e5d10d2c3c6411cd4855b2f0b66e7762",
             "summary.txt": "7142b75ae46df96782ae84e7145f1bedd6cd59f1e09377bf218c3ef1098ea71b",
         },
     ),
@@ -468,8 +473,9 @@ def test_records_bytes_pinned(tmp_path, scenario, params, digests):
 
     Every file a run writes is hashed: records.csv, summary.txt, and
     trace.csv or inverse.csv where the scenario writes one. The digests
-    were recorded with Python 3.11, numpy 2.4.6 and scipy 1.17.1 on their
-    OpenBLAS 0.3.31 wheels (x86-64, Haswell kernels); another
+    are the bytes of one BLAS thread, which run_experiment sets for every
+    run, and were recorded with Python 3.11, numpy 2.4.6 and scipy 1.17.1
+    on their OpenBLAS 0.3.31 wheels (x86-64, Haswell kernels); another
     numpy/scipy/BLAS build or CPU kernel may round eigenvalues and solves
     differently in the last bit and move them. A change that moves them
     on purpose must re-pin them and say why in CHANGES.md.
@@ -477,3 +483,46 @@ def test_records_bytes_pinned(tmp_path, scenario, params, digests):
     run_experiment(ExperimentSpec(scenario, seed=11, output_dir=tmp_path, parameters=params, threads=1))
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
     assert written == digests
+
+
+# Runs sparse_suite on systems of n >= 151, where the last bits of sparse_pd's
+# eigvalsh depend on the OpenBLAS thread count, and prints records.csv.
+_BLAS_THREADS_RUN = """
+import sys, tempfile
+from pathlib import Path
+from crossolve import ExperimentSpec, run_experiment
+with tempfile.TemporaryDirectory() as out:
+    spec = ExperimentSpec("sparse_suite", seed=0, output_dir=out, parameters={"systems": 4, "n_range": [151, 200]})
+    run_experiment(spec)
+    sys.stdout.write((Path(out) / "records.csv").read_text())
+"""
+
+
+def test_records_do_not_depend_on_blas_threads():
+    path = os.pathsep.join(filter(None, [str(Path(crossolve.experiments.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    written = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS_RUN], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        written.append(proc.stdout)
+    assert written[0].count("\n") == 5
+    assert written[0] == written[1]
+
+
+def test_blas_threads_pinned_for_the_run_and_restored(tmp_path, monkeypatch):
+    runtimes = crossolve.experiments._openblas_runtimes()
+    if not runtimes:
+        pytest.skip("no OpenBLAS runtime found in this process")
+    before = [get_threads() for _, get_threads in runtimes]
+    during = []
+
+    def scenario(spec, params):
+        during.extend(get_threads() for _, get_threads in runtimes)
+        raise GenerationError("stop inside the run")
+
+    monkeypatch.setitem(crossolve.experiments.SCENARIOS, "transient", scenario)
+    with pytest.raises(GenerationError):
+        run_experiment(ExperimentSpec("transient", seed=0, output_dir=tmp_path))
+    assert during == [1] * len(runtimes)
+    assert [get_threads() for _, get_threads in runtimes] == before

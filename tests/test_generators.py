@@ -45,6 +45,18 @@ def _reference_sparse_pd(spec: SparsePdSpec) -> np.ndarray:
     return a
 
 
+def _reference_random_discrete_pd(dim, level_set, g0, seed, max_tries):
+    """random_discrete_pd drawing and screening one matrix at a time."""
+    values = level_set.levels / g0
+    rng = np.random.default_rng(seed)
+    for _ in range(max_tries):
+        a = values[rng.integers(0, values.size, size=(dim, dim))]
+        lam = sym_part_lambda_min(a)
+        if lam > 0:
+            return a, lam
+    raise GenerationError(f"no positive-definite draw within {max_tries} tries")
+
+
 class TestCovarianceMatrix:
     def test_three_by_three_beta_one(self):
         a = covariance_matrix(3, 1.0)
@@ -97,6 +109,36 @@ class TestRandomDiscretePd:
         a3, _ = random_discrete_pd(dim=3, seed=12)
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, a3)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    @pytest.mark.parametrize("levels", ["measured", "three"])
+    def test_matches_one_draw_at_a_time(self, dim, levels):
+        # The three-level set fails the screen often: at dim 2 and 3 a seed
+        # may be accepted on its first draw, in a later batch of 16 (dim 3,
+        # seeds 5 and 11, only at max_tries = 64) or not at all, and at dim 5
+        # every draw fails.
+        if levels == "measured":
+            level_set, g0 = measured_level_set(), 100e-6
+        else:
+            level_set, g0 = LevelSet(np.array([1e-6, 5e-5, 1e-4])), 1e-4
+        outcomes = set()
+        for seed in range(12):
+            for max_tries in (1, 15, 16, 17, 64):
+                try:
+                    want = _reference_random_discrete_pd(dim, level_set, g0, seed, max_tries)
+                except GenerationError as exc:
+                    with pytest.raises(GenerationError, match=str(exc)):
+                        random_discrete_pd(dim, level_set, g0, seed, max_tries)
+                    outcomes.add("raised")
+                    continue
+                a, lam = random_discrete_pd(dim, level_set, g0, seed, max_tries)
+                assert a.tobytes() == want[0].tobytes() and a.shape == want[0].shape
+                assert type(lam) is float and np.float64(lam).tobytes() == np.float64(want[1]).tobytes()
+                outcomes.add("returned")
+        if levels == "three":
+            assert outcomes == {1: {"returned"}, 5: {"raised"}}.get(dim, {"raised", "returned"})
+        else:
+            assert "returned" in outcomes
 
     def test_exhaustion_raises(self):
         # off-diagonal-heavy two-level draws at dim 8 fail the PD screen
