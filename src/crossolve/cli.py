@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--levels", type=int, help="number of conductance levels")
         cmd.add_argument("--ratio", type=float, help="max/min conductance ratio")
         cmd.add_argument("--out", help="output directory (default runs/<scenario>)")
-        cmd.add_argument("--threads", type=int, help="worker threads (default 1)")
+        cmd.add_argument("--threads", type=int, help="worker processes for independent systems (default 1)")
     return parser
 
 

@@ -656,7 +656,11 @@ def analytic_trajectory(system: FeedbackSystem, b, x0, oa: OpAmpModel | None = N
 
 
 def time_bound(
-    system: FeedbackSystem, b, epsilon: float = 1e-3, oa: OpAmpModel | None = None
+    system: FeedbackSystem,
+    b,
+    epsilon: float = 1e-3,
+    oa: OpAmpModel | None = None,
+    norm_kind: str = "a_norm",
 ) -> float | np.ndarray:
     """Computing-time bound ln(sqrt(x*^T b) / epsilon) / (lambda_m_min * gbw).
 
@@ -664,6 +668,11 @@ def time_bound(
     energy norm: the initial error from x(0) = 0 is sqrt(x*^T b) and each
     step contracts it by at least alpha * lambda_m_min. A nonsymmetric A
     (system.symmetric unset) raises DomainError before anything is solved.
+
+    norm_kind "l2" bounds the time until ||e||_2 <= epsilon instead. Since
+    ||e||_2 <= ||e||_A / sqrt(lambda_min(A)) (Saad, Iterative Methods for
+    Sparse Linear Systems), that adds ln(1 / sqrt(lambda_min(A))) /
+    (lambda_m_min * gbw) where lambda_min(A) < 1, and nothing elsewhere.
 
     b is one right-hand side of shape (n,), which gives a float, or a block
     of shape (n, k), which gives one bound per column from one guarded
@@ -673,6 +682,8 @@ def time_bound(
         oa = OpAmpModel()
     if not epsilon > 0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
+    if norm_kind not in ("l2", "a_norm"):
+        raise ConfigError(f"norm_kind must be 'l2' or 'a_norm', got {norm_kind!r}")
     if not system.symmetric:
         raise DomainError("the computing-time bound is proven only for a symmetric A")
     b = np.asarray(b, dtype=float)
@@ -686,7 +697,12 @@ def time_bound(
     lam_min = system.lambda_m_min
     if lam_min <= 0:
         raise StabilityError(f"bound undefined: min Re eig(M) = {lam_min:.3e} is not positive")
-    bounds = [math.log(math.sqrt(e) / epsilon) / (lam_min * oa.gbw) for e in energy.tolist()]
+    shift = 0.0
+    if norm_kind == "l2":
+        if system.lambda_min <= 0:
+            raise StabilityError(f"l2 bound undefined: lambda_min(A) = {system.lambda_min:.3e} is not positive")
+        shift = max(0.0, -0.5 * math.log(system.lambda_min))
+    bounds = [(math.log(math.sqrt(e) / epsilon) + shift) / (lam_min * oa.gbw) for e in energy.tolist()]
     return np.array(bounds) if b.ndim == 2 else bounds[0]
 
 

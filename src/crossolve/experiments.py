@@ -4,7 +4,7 @@ Each scenario builds a family of linear systems, runs the feedback-circuit
 transient on every one, and emits a records.csv (fixed column schema) plus
 a human-readable summary.txt into the output directory. Per-system seeds
 are derived from (master seed, system index), so results are byte-identical
-regardless of thread count or execution order.
+regardless of worker count or execution order.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import functools
 import hashlib
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, ClassVar
@@ -122,7 +123,11 @@ class RunRecord:
 
 @dataclass
 class ExperimentSpec:
-    """A runnable experiment: scenario id, master seed, outputs, parameters."""
+    """A runnable experiment: scenario id, master seed, outputs, parameters.
+
+    threads is the number of worker processes that solve the scenario's
+    independent systems (see _map_tasks); 1 solves them in this process.
+    """
 
     scenario: str
     seed: int
@@ -151,13 +156,6 @@ def _hasher(*parts, prefix=None):
 
 def _digest(*parts, prefix=None) -> str:
     return _hasher(*parts, prefix=prefix).hexdigest()[:12]
-
-
-def _map_tasks(tasks: list[Callable[[], object]], threads: int) -> list:
-    if threads <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda task: task(), tasks))
 
 
 # Entry points that set and read an OpenBLAS runtime's thread count:
@@ -209,13 +207,58 @@ def _one_blas_thread():
     """
     runtimes = _openblas_runtimes()
     counts = [get_threads() for _, get_threads in runtimes]
-    for set_threads, _ in runtimes:
-        set_threads(1)
+    _pin_blas_threads()
     try:
         yield
     finally:
         for (set_threads, _), count in zip(runtimes, counts):
             set_threads(count)
+
+
+def _pin_blas_threads() -> None:
+    """Set every loaded OpenBLAS to one thread."""
+    for set_threads, _ in _openblas_runtimes():
+        set_threads(1)
+
+
+def _call_pickled(blob: bytes):
+    return pickle.loads(blob)()
+
+
+def _map_tasks(tasks: list[Callable[[], object]], workers: int) -> list:
+    """Each task's result, in task order, from up to `workers` worker processes.
+
+    One worker or one task runs the tasks in order in the calling process,
+    and so does a task list that does not pickle (a closure, a lambda, a
+    task wrapped by a tracer that counts in this process). Otherwise each
+    task is pickled once and the bytes go, in index order and in chunks
+    small enough to balance tasks of unequal size, to forked worker
+    processes, each with every OpenBLAS on one thread. Fork, not spawn,
+    because a spawned worker would import numpy, scipy and crossolve again
+    first, which costs about as much as a small scenario; and only from a
+    process with no other Python thread, because a lock such a thread holds
+    at the fork stays held in the child, so there the tasks run in order
+    too. A task's exception is raised here with its type and message, the
+    tasks not yet started are cancelled, and every worker has exited
+    before this returns or raises.
+    """
+    blobs = None
+    if workers > 1 and len(tasks) > 1 and threading.active_count() == 1:
+        import multiprocessing  # imported here, so that importing crossolve costs no more
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            with contextlib.suppress(pickle.PicklingError, AttributeError, TypeError):
+                blobs = [pickle.dumps(task) for task in tasks]
+    if blobs is None:
+        return [task() for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(workers, len(tasks))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"), initializer=_pin_blas_threads)
+    try:
+        return list(pool.map(_call_pickled, blobs, chunksize=max(1, len(blobs) // (4 * workers))))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 # ----------------------------------------------------------------------
@@ -333,8 +376,8 @@ def _programmed(ideal: np.ndarray, p: dict, ratio: float, seed: int) -> np.ndarr
     return read_effective(program(ideal, None, policy, seed=seed))
 
 
-def _bounds(system, block: np.ndarray, epsilon: float, oa: OpAmpModel) -> list[float | None]:
-    """Energy-norm time bound for each column of block, None where it does not apply.
+def _bounds(system, block: np.ndarray, cfg: SolveConfig, oa: OpAmpModel) -> list[float | None]:
+    """Time bound for each column of block in cfg's norm, None where it does not apply.
 
     When time_bound raises for the block, every column's bound is None. It
     raises DomainError for a nonsymmetric A. Callers first run the block
@@ -345,7 +388,7 @@ def _bounds(system, block: np.ndarray, epsilon: float, oa: OpAmpModel) -> list[f
     every nonzero b, and every scenario's b is nonzero.
     """
     try:
-        return time_bound(system, block, epsilon=epsilon, oa=oa).tolist()
+        return time_bound(system, block, epsilon=cfg.epsilon, oa=oa, norm_kind=cfg.norm_kind).tolist()
     except (DomainError, StabilityError, NumericalError):
         return [None] * block.shape[1]
 
@@ -378,7 +421,7 @@ def _system_records(
     report = stability_report(system, oa)
     result = simulate(system, block, oa, cfg)
     delta = result.x_final - result.x_star
-    bounds = _bounds(system, block, cfg.epsilon, oa)
+    bounds = _bounds(system, block, cfg, oa)
     a_hash = _hasher(system.a)
     return [
         RunRecord(
@@ -428,7 +471,7 @@ def _run_transient(spec: ExperimentSpec, p: dict):
         lambda_m_min=report.lambda_m_min,
         u_min=report.u_min,
         tau_measured_s=result.tau,
-        tau_bound_s=_bounds(system, b[:, None], cfg.epsilon, oa)[0],
+        tau_bound_s=_bounds(system, b[:, None], cfg, oa)[0],
         converged=result.converged,
         diverged=result.diverged,
         steps=result.steps,
@@ -467,19 +510,17 @@ def _sweep_matrix(master: int, mi: int, p: dict) -> np.ndarray:
     raise GenerationError(f"no draw with lambda_min >= {floor} for system {mi}")
 
 
+def _sweep_task(spec: ExperimentSpec, p: dict, oa: OpAmpModel, cfg: SolveConfig, mi: int) -> list[RunRecord]:
+    vectors = int(p["vectors_per_system"])
+    a = _sweep_matrix(spec.seed, mi, p)
+    bs = [_unit_vector(a.shape[0], child_seed(spec.seed, mi, 10_000 + k), p["normalize_b"]) for k in range(vectors)]
+    return _system_records(spec, build_feedback(a), bs, oa, cfg, mi * vectors, f";matrix={mi}")
+
+
 def _run_lambda_sweep(spec: ExperimentSpec, p: dict):
     oa = _op_amp(p)
     cfg = SolveConfig(epsilon=float(p["epsilon"]), norm_kind=p["norm"])
-    vectors = int(p["vectors_per_system"])
-
-    def task(mi: int) -> list[RunRecord]:
-        a = _sweep_matrix(spec.seed, mi, p)
-        bs = [
-            _unit_vector(a.shape[0], child_seed(spec.seed, mi, 10_000 + k), p["normalize_b"])
-            for k in range(vectors)
-        ]
-        return _system_records(spec, build_feedback(a), bs, oa, cfg, mi * vectors, f";matrix={mi}")
-
+    task = functools.partial(_sweep_task, spec, p, oa, cfg)
     by_matrix = _map_tasks([functools.partial(task, mi) for mi in range(int(p["systems"]))], spec.threads)
     records = [rec for recs in by_matrix for rec in recs]
 
@@ -498,12 +539,22 @@ def _run_lambda_sweep(spec: ExperimentSpec, p: dict):
     return records, lines, {}
 
 
+def _scaling_task(
+    spec: ExperimentSpec, p: dict, oa: OpAmpModel, cfg: SolveConfig, ratio: float, job: int, si: int, variant: str
+) -> list[RunRecord]:
+    n, beta, vectors = int(p["sizes"][si]), float(p["beta"]), int(p["vectors_per_size"])
+    a = covariance_matrix(n, beta)
+    if variant == "rram":
+        a = _programmed(a, p, ratio, child_seed(spec.seed, si))
+    bs = [_unit_vector(n, child_seed(spec.seed, si, k), p["normalize_b"]) for k in range(vectors)]
+    return _system_records(spec, build_feedback(a), bs, oa, cfg, job * vectors, f";variant={variant}", beta_or_s=beta)
+
+
 def _run_scaling(spec: ExperimentSpec, p: dict):
     oa = _op_amp(p)
     cfg = SolveConfig(epsilon=float(p["epsilon"]), norm_kind=p["norm"])
     beta = float(p["beta"])
     sizes = [int(n) for n in p["sizes"]]
-    vectors = int(p["vectors_per_size"])
     variants = [str(v) for v in p["variants"]]
     for variant in variants:
         if variant not in ("ideal", "rram"):
@@ -514,18 +565,8 @@ def _run_scaling(spec: ExperimentSpec, p: dict):
         raise ConfigError(f"scaling sizes must be distinct and positive, got {p['sizes']}")
     ratio = float(p["ratio"]) if p["ratio"] is not None else (1e4 if beta >= 2 else 1e3)
     jobs = [(si, variant) for si in range(len(sizes)) for variant in variants]
-
-    def task(job: int) -> list[RunRecord]:
-        si, variant = jobs[job]
-        a = covariance_matrix(sizes[si], beta)
-        if variant == "rram":
-            a = _programmed(a, p, ratio, child_seed(spec.seed, si))
-        bs = [_unit_vector(sizes[si], child_seed(spec.seed, si, k), p["normalize_b"]) for k in range(vectors)]
-        return _system_records(
-            spec, build_feedback(a), bs, oa, cfg, job * vectors, f";variant={variant}", beta_or_s=beta
-        )
-
-    groups = _map_tasks([functools.partial(task, job) for job in range(len(jobs))], spec.threads)
+    task = functools.partial(_scaling_task, spec, p, oa, cfg, ratio)
+    groups = _map_tasks([functools.partial(task, job, *jobs[job]) for job in range(len(jobs))], spec.threads)
     records = [rec for recs in groups for rec in recs]
 
     means: dict[str, dict[int, float]] = {variant: {} for variant in variants}
@@ -556,10 +597,31 @@ def _run_scaling(spec: ExperimentSpec, p: dict):
     return records, lines, {}
 
 
+def _sparse_task(
+    spec: ExperimentSpec,
+    p: dict,
+    oa: OpAmpModel,
+    cfg: SolveConfig,
+    n_range: tuple[int, int],
+    lambda_range: tuple[float, float],
+    cg_tol: float,
+    i: int,
+) -> RunRecord:
+    rng = np.random.default_rng(child_seed(spec.seed, i))
+    n = int(rng.integers(n_range[0], n_range[1] + 1))
+    lam_target = float(rng.uniform(*lambda_range))
+    a = sparse_pd(SparsePdSpec(n=n, s=min(int(p["s"]), n), lambda_target=lam_target, seed=child_seed(spec.seed, i, 1)))
+    b = _unit_vector(n, child_seed(spec.seed, i, 2), p["normalize_b"])
+    cg = conjugate_gradient(a, b, tol=cg_tol)
+    realized_s = np.count_nonzero(a) / n  # nonzeros per row actually placed, at most s
+    return _system_records(
+        spec, build_feedback(a), [b], oa, cfg, i, "", beta_or_s=realized_s, cg_iterations=cg.iterations
+    )[0]
+
+
 def _run_sparse_suite(spec: ExperimentSpec, p: dict):
     oa = _op_amp(p)
     cfg = SolveConfig(epsilon=float(p["epsilon"]), norm_kind=p["norm"])
-    s = int(p["s"])
     n_lo, n_hi = (int(v) for v in p["n_range"])
     lam_lo, lam_hi = (float(v) for v in p["lambda_range"])
     if n_lo < 1 or n_hi < n_lo:
@@ -567,19 +629,7 @@ def _run_sparse_suite(spec: ExperimentSpec, p: dict):
     if not 0 < lam_lo <= lam_hi:
         raise ConfigError(f"invalid lambda_range {p['lambda_range']}")
     cg_tol = float(p["cg_tol"]) if p["cg_tol"] is not None else float(p["epsilon"])
-
-    def task(i: int) -> RunRecord:
-        rng = np.random.default_rng(child_seed(spec.seed, i))
-        n = int(rng.integers(n_lo, n_hi + 1))
-        lam_target = float(rng.uniform(lam_lo, lam_hi))
-        a = sparse_pd(SparsePdSpec(n=n, s=min(s, n), lambda_target=lam_target, seed=child_seed(spec.seed, i, 1)))
-        b = _unit_vector(n, child_seed(spec.seed, i, 2), p["normalize_b"])
-        cg = conjugate_gradient(a, b, tol=cg_tol)
-        realized_s = np.count_nonzero(a) / n  # nonzeros per row actually placed, at most s
-        return _system_records(
-            spec, build_feedback(a), [b], oa, cfg, i, "", beta_or_s=realized_s, cg_iterations=cg.iterations
-        )[0]
-
+    task = functools.partial(_sparse_task, spec, p, oa, cfg, (n_lo, n_hi), (lam_lo, lam_hi), cg_tol)
     records = _map_tasks([functools.partial(task, i) for i in range(int(p["systems"]))], spec.threads)
 
     lams = np.array([r.lambda_min for r in records])
@@ -793,8 +843,8 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[RunRecord], str]:
 
     Parameters are validated before any system is solved; unknown keys are
     configuration errors. The scenario runs with every OpenBLAS that numpy
-    and scipy loaded set to one thread, so its records do not depend on the
-    host's BLAS thread count. Returns (records, summary text) after writing
+    and scipy loaded set to one thread, here and in every worker process,
+    so its records do not depend on the host's BLAS thread count. Returns (records, summary text) after writing
     records.csv, summary.txt, and any scenario-specific files.
     """
     if spec.scenario not in SCENARIOS:

@@ -1,9 +1,20 @@
 """Shared fixtures for the test suite."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from crossolve import OpAmpModel, build_feedback
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test that leaves a child process alive: every worker must have exited when a run ends."""
+    yield
+    left = multiprocessing.active_children()
+    if left:
+        pytest.fail(f"the test left {len(left)} child process(es) running: {left}")
 
 
 @pytest.fixture

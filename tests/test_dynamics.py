@@ -407,6 +407,22 @@ class TestTimeBound:
         system = build_feedback(np.eye(2))
         with pytest.raises(ConfigError):
             time_bound(system, np.array([1.0, 0.0]), 0.0, oa)
+        with pytest.raises(ConfigError, match="norm_kind"):
+            time_bound(system, np.array([1.0, 0.0]), 1e-3, oa, norm_kind="max")
+
+    def test_l2_bound_adds_the_norm_equivalence_below_unit_lambda_min(self, oa):
+        # ||e||_2 <= ||e||_A / sqrt(lambda_min(A)): at lambda_min(A) = 0.04 the
+        # l2 bound adds ln(5) / (lambda_m_min * gbw); at lambda_min(A) >= 1 nothing
+        b = np.array([1.0, 0.5])
+        wide = build_feedback(np.diag([0.04, 2.0]))
+        energy = time_bound(wide, b, 1e-3, oa)
+        assert time_bound(wide, b, 1e-3, oa, norm_kind="l2") == pytest.approx(
+            energy + math.log(5.0) / (wide.lambda_m_min * oa.gbw), rel=1e-12
+        )
+        unit = build_feedback(np.diag([1.0, 3.0]))
+        assert time_bound(unit, b, 1e-3, oa, norm_kind="l2") == time_bound(unit, b, 1e-3, oa)
+        res = simulate(wide, b, oa, SolveConfig(norm_kind="l2", record_trace=False))
+        assert res.converged and res.tau <= time_bound(wide, b, 1e-3, oa, norm_kind="l2")
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), k=st.integers(1, 5), zero=st.integers(0, 4))

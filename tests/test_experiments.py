@@ -2,9 +2,11 @@
 
 import functools
 import hashlib
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +37,7 @@ from crossolve import (
     run_experiment,
     scenario_defaults,
 )
-from crossolve.experiments import DEFAULT_TRANSIENT_A, _system_records
+from crossolve.experiments import DEFAULT_TRANSIENT_A, _map_tasks, _openblas_runtimes, _system_records
 
 
 class TestChildSeed:
@@ -51,6 +53,79 @@ class TestChildSeed:
 
     def test_fits_unsigned_64(self):
         assert 0 <= child_seed(123456789, 42) < 2**64
+
+
+# Module-level, so that they pickle and _map_tasks sends them to worker processes.
+def _index_and_pid(i: int) -> tuple[int, int]:
+    return i, os.getpid()
+
+
+def _blas_threads(_: int) -> list[int]:
+    return [get_threads() for _, get_threads in _openblas_runtimes()]
+
+
+def _fails_at_two(i: int) -> int:
+    if i == 2:
+        raise GenerationError(f"no draw for task {i}")
+    return i
+
+
+class TestMapTasks:
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_results_in_index_order_from_worker_processes(self, workers):
+        results = _map_tasks([functools.partial(_index_and_pid, i) for i in range(13)], workers)
+        assert [i for i, _ in results] == list(range(13))
+        pids = {pid for _, pid in results}
+        assert os.getpid() not in pids
+        assert len(pids) <= workers
+
+    def test_workers_run_one_blas_thread(self):
+        runtimes = _openblas_runtimes()
+        if not runtimes:
+            pytest.skip("no OpenBLAS runtime found in this process")
+        before = [get_threads() for _, get_threads in runtimes]
+        for set_threads, _ in runtimes:
+            set_threads(2)  # a worker must not inherit the caller's count
+        try:
+            results = _map_tasks([functools.partial(_blas_threads, i) for i in range(4)], 2)
+        finally:
+            for (set_threads, _), count in zip(runtimes, before):
+                set_threads(count)
+        assert results == [[1] * len(runtimes)] * 4
+
+    def test_worker_error_reaches_the_caller(self):
+        with pytest.raises(GenerationError, match="^no draw for task 2$"):
+            _map_tasks([functools.partial(_fails_at_two, i) for i in range(8)], 2)
+        assert multiprocessing.active_children() == []
+
+    def test_tasks_that_do_not_pickle_run_in_the_caller(self):
+        def local(i):
+            return i, os.getpid()
+
+        tasks = [functools.partial(local, i) for i in range(3)] + [lambda: (3, os.getpid())]
+        assert _map_tasks(tasks, 2) == [(i, os.getpid()) for i in range(4)]
+
+    def test_caller_with_another_thread_runs_the_tasks_itself(self):
+        """Fork copies a lock another thread holds, so a threaded caller forks no worker."""
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            results = _map_tasks([functools.partial(_index_and_pid, i) for i in range(4)], 2)
+        finally:
+            release.set()
+            other.join(30)
+        assert not other.is_alive()
+        assert results == [(i, os.getpid()) for i in range(4)]
+
+    def test_records_identical_at_any_worker_count(self, tmp_path):
+        blobs = []
+        for workers in (1, 2, 8):
+            out = tmp_path / f"w{workers}"
+            spec = ExperimentSpec("sparse_suite", seed=5, output_dir=out, parameters={"systems": 10}, threads=workers)
+            run_experiment(spec)
+            blobs.append((out / "records.csv").read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
 
 
 class TestEmitOutputs:
@@ -281,6 +356,14 @@ class TestSparseSuiteScenario:
             assert r.tau_measured_s <= r.tau_bound_s
         assert "loglog_slope_tau_vs_lambda_min:" in summary
 
+    def test_l2_bound_holds_below_unit_lambda_min(self, tmp_path):
+        """An l2 record's bound covers its tau where lambda_min(A) < 1, so ||e||_2 > ||e||_A."""
+        params = {"systems": 12, "lambda_range": [0.1, 0.3], "n_range": [20, 60]}
+        records, summary = run_experiment(ExperimentSpec("sparse_suite", seed=2, output_dir=tmp_path, parameters=params))
+        assert all(r.lambda_min < 0.3 for r in records)
+        assert all(r.converged and r.tau_measured_s <= r.tau_bound_s for r in records)
+        assert "bound_satisfied: 12/12" in summary.splitlines()
+
     def test_symmetric_eigensolver_only(self, tmp_path, monkeypatch):
         """Each system's symmetry is tested once, and eig(M) never runs the general solver."""
         tested, general = [], []
@@ -443,8 +526,8 @@ _PINNED_RECORDS = [
         "sparse_suite",
         {"systems": 24},
         {
-            "records.csv": "cc5e1a4fb7afd9b44913456701a63f71e5d10d2c3c6411cd4855b2f0b66e7762",
-            "summary.txt": "7142b75ae46df96782ae84e7145f1bedd6cd59f1e09377bf218c3ef1098ea71b",
+            "records.csv": "56b351195c57f896574776dc430e51d79382862134fb663d775be3e1a5a71658",
+            "summary.txt": "7df2fda671a0aff4e1eb9640d6457a7be606b2ed6e83cbdb9c0555d1c1a36bba",
         },
     ),
     (
