@@ -14,7 +14,7 @@ sigma = noise_fraction * (g_max / num_levels); with the default fraction
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class DevicePolicy:
     g_max: float = 1e-4
     ratio: float = 1e3
     noise_fraction: float = 1.0 / 6.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.num_levels < 2:
@@ -59,8 +58,6 @@ class DevicePolicy:
             raise ConfigError(f"ratio must exceed 1, got {self.ratio}")
         if self.noise_fraction < 0:
             raise ConfigError(f"noise_fraction must be >= 0, got {self.noise_fraction}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
     @property
     def g_min(self) -> float:
@@ -134,7 +131,6 @@ class ConductanceMatrix:
 
     g: np.ndarray
     g0: float
-    policy_used: DevicePolicy = field(default_factory=DevicePolicy)
 
     def __post_init__(self) -> None:
         self.g = _as_square(self.g)
@@ -148,7 +144,7 @@ def program(
     a: np.ndarray,
     g0: float | None = None,
     policy: DevicePolicy | None = None,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> ConductanceMatrix:
     """Map a nonnegative matrix onto the array's discrete conductance levels.
 
@@ -163,15 +159,17 @@ def program(
     policy : DevicePolicy, optional
         Level grid and noise rule; defaults to 64 levels, ratio 1e3.
     seed : int, optional
-        Noise seed; defaults to policy.seed. One normal draw is generated
-        per device site in row-major order, clamped to +-3 sigma, and
-        applied to every site holding a programmed level. Conductances
-        that would go negative are clamped to 0.
+        Noise seed, a 64-bit unsigned integer; defaults to 0. One normal
+        draw is generated per device site in row-major order, clamped to
+        +-3 sigma, and applied to every site holding a programmed level.
+        Conductances that would go negative are clamped to 0.
 
     Returns
     -------
     ConductanceMatrix
     """
+    if not 0 <= int(seed) < 2**64:
+        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed}")
     if policy is None:
         policy = DevicePolicy()
     a = _as_square(a)
@@ -186,12 +184,12 @@ def program(
 
     sigma = policy.sigma
     if sigma > 0:
-        rng = np.random.default_rng(policy.seed if seed is None else seed)
+        rng = np.random.default_rng(seed)
         z = np.clip(rng.standard_normal(a.shape), -3.0, 3.0)
         g = np.where(q > 0, np.maximum(q + sigma * z, 0.0), 0.0)
     else:
         g = q
-    return ConductanceMatrix(g=g, g0=gamma if g0 is None else float(g0), policy_used=policy)
+    return ConductanceMatrix(g=g, g0=gamma if g0 is None else float(g0))
 
 
 def read_effective(cm: ConductanceMatrix) -> np.ndarray:

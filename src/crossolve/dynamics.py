@@ -81,28 +81,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OpAmpModel:
-    """Single-pole op-amp model: open-loop gain l0, pole omega0 (rad/s).
+    """Single-pole op-amp model: gain-bandwidth product gbw (rad/s), open-loop gain l0.
 
-    The gain-bandwidth product gbw = l0 * omega0 sets the loop's time
-    scale. Default slew rate matches a general-purpose JFET amplifier
-    (22 V/us).
+    gbw sets the loop's time scale, and l0 enters only the finite-gain
+    correction I/l0. Default slew rate matches a general-purpose JFET
+    amplifier (22 V/us).
     """
 
+    gbw: float = 1e8
     l0: float = 1e5
-    omega0: float = 1e3
     slew_rate: float = 2.2e7
 
     def __post_init__(self) -> None:
+        if not self.gbw > 0:
+            raise ConfigError(f"gbw must be positive, got {self.gbw}")
         if not self.l0 > 1:
             raise ConfigError(f"open-loop gain must exceed 1, got {self.l0}")
-        if not self.omega0 > 0:
-            raise ConfigError(f"omega0 must be positive, got {self.omega0}")
         if not self.slew_rate > 0:
             raise ConfigError(f"slew_rate must be positive, got {self.slew_rate}")
-
-    @property
-    def gbw(self) -> float:
-        return self.l0 * self.omega0
 
 
 @dataclass
@@ -219,15 +215,14 @@ class SolveConfig:
     """Stopping rule and step-size policy for the transient simulation.
 
     epsilon is an absolute error threshold against the direct-solve
-    oracle, measured in norm_kind ("l2" or "a_norm"). alpha is the
-    dimensionless step gain; when None it resolves to
-    alpha_fraction / rho(M). include_gain_correction adds the finite-gain
-    term I/l0 to M, modeling the op amp's finite open-loop gain.
+    oracle, measured in norm_kind ("l2" or "a_norm"). The dimensionless
+    step gain is alpha = alpha_fraction / rho(M), or alpha_fraction itself
+    where rho(M) is 0. include_gain_correction adds the finite-gain term
+    I/l0 to M, modeling the op amp's finite open-loop gain.
     """
 
     epsilon: float = 1e-3
     norm_kind: str = "l2"
-    alpha: float | None = None
     alpha_fraction: float = 0.1
     max_steps: int = 1_000_000
     include_gain_correction: bool = False
@@ -241,8 +236,6 @@ class SolveConfig:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if self.norm_kind not in ("l2", "a_norm"):
             raise ConfigError(f"norm_kind must be 'l2' or 'a_norm', got {self.norm_kind!r}")
-        if self.alpha is not None and not self.alpha > 0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
         if not self.alpha_fraction > 0:
             raise ConfigError(f"alpha_fraction must be positive, got {self.alpha_fraction}")
         if self.max_steps < 1:
@@ -266,10 +259,7 @@ def resolve_step(system: FeedbackSystem, oa: OpAmpModel, cfg: SolveConfig) -> tu
             f"system is unstable (min Re eig(M) = {lam_min:.3e}); "
             "set allow_unstable to simulate it anyway"
         )
-    if cfg.alpha is not None:
-        alpha = float(cfg.alpha)
-    else:
-        alpha = cfg.alpha_fraction / rho if rho > 0 else cfg.alpha_fraction
+    alpha = cfg.alpha_fraction / rho if rho > 0 else cfg.alpha_fraction
     if alpha * rho >= 1.0:
         raise ConfigError(f"alpha * rho(M) = {alpha * rho:.3f} must stay below 1")
     return alpha, alpha / oa.gbw
@@ -658,18 +648,18 @@ def analytic_trajectory(system: FeedbackSystem, b, x0, oa: OpAmpModel | None = N
 def time_bound(
     system: FeedbackSystem,
     b,
-    epsilon: float = 1e-3,
     oa: OpAmpModel | None = None,
-    norm_kind: str = "a_norm",
+    cfg: SolveConfig | None = None,
 ) -> float | np.ndarray:
-    """Computing-time bound ln(sqrt(x*^T b) / epsilon) / (lambda_m_min * gbw).
+    """Bound on the time simulate(system, b, oa, cfg) takes to reach cfg.epsilon in cfg.norm_kind.
 
-    Valid for symmetric positive-definite A with the error measured in the
-    energy norm: the initial error from x(0) = 0 is sqrt(x*^T b) and each
-    step contracts it by at least alpha * lambda_m_min. A nonsymmetric A
+    With norm_kind "a_norm" the bound is ln(sqrt(x*^T b) / epsilon) /
+    (lambda_m_min * gbw), valid for symmetric positive-definite A: the
+    initial energy-norm error from x(0) = 0 is sqrt(x*^T b) and each step
+    contracts it by at least alpha * lambda_m_min. A nonsymmetric A
     (system.symmetric unset) raises DomainError before anything is solved.
 
-    norm_kind "l2" bounds the time until ||e||_2 <= epsilon instead. Since
+    With norm_kind "l2" it bounds the time until ||e||_2 <= epsilon. Since
     ||e||_2 <= ||e||_A / sqrt(lambda_min(A)) (Saad, Iterative Methods for
     Sparse Linear Systems), that adds ln(1 / sqrt(lambda_min(A))) /
     (lambda_m_min * gbw) where lambda_min(A) < 1, and nothing elsewhere.
@@ -680,10 +670,8 @@ def time_bound(
     """
     if oa is None:
         oa = OpAmpModel()
-    if not epsilon > 0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    if norm_kind not in ("l2", "a_norm"):
-        raise ConfigError(f"norm_kind must be 'l2' or 'a_norm', got {norm_kind!r}")
+    if cfg is None:
+        cfg = SolveConfig()
     if not system.symmetric:
         raise DomainError("the computing-time bound is proven only for a symmetric A")
     b = np.asarray(b, dtype=float)
@@ -698,11 +686,11 @@ def time_bound(
     if lam_min <= 0:
         raise StabilityError(f"bound undefined: min Re eig(M) = {lam_min:.3e} is not positive")
     shift = 0.0
-    if norm_kind == "l2":
+    if cfg.norm_kind == "l2":
         if system.lambda_min <= 0:
             raise StabilityError(f"l2 bound undefined: lambda_min(A) = {system.lambda_min:.3e} is not positive")
         shift = max(0.0, -0.5 * math.log(system.lambda_min))
-    bounds = [(math.log(math.sqrt(e) / epsilon) + shift) / (lam_min * oa.gbw) for e in energy.tolist()]
+    bounds = [(math.log(math.sqrt(e) / cfg.epsilon) + shift) / (lam_min * oa.gbw) for e in energy.tolist()]
     return np.array(bounds) if b.ndim == 2 else bounds[0]
 
 

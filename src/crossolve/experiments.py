@@ -329,6 +329,15 @@ _DEFAULTS: dict[str, dict] = {
 }
 
 
+# Parameters of each scenario that count systems, right-hand sides or
+# nonzeros per row, and so must be integers >= 1.
+_COUNTS = {
+    "lambda_sweep": ("systems", "vectors_per_system"),
+    "scaling": ("vectors_per_size",),
+    "sparse_suite": ("systems", "s"),
+}
+
+
 def scenario_defaults(scenario: str) -> dict:
     """Default parameter set for a scenario id."""
     if scenario not in _DEFAULTS:
@@ -346,12 +355,13 @@ def _merge_params(scenario: str, overrides: dict) -> dict:
     return params
 
 
-def _op_amp(params: dict) -> OpAmpModel:
-    gbw = float(params["gbw"])
-    l0 = float(params["l0"])
-    if not gbw > 0:
-        raise ConfigError(f"gbw must be positive, got {gbw}")
-    return OpAmpModel(l0=l0, omega0=gbw / l0, slew_rate=float(params["slew_rate"]))
+def _op_amp(p: dict) -> OpAmpModel:
+    return OpAmpModel(gbw=float(p["gbw"]), l0=float(p["l0"]), slew_rate=float(p["slew_rate"]))
+
+
+def _circuit(p: dict, **solve_fields) -> tuple[OpAmpModel, SolveConfig]:
+    """The run's op-amp model, and its SolveConfig with solve_fields beside p's epsilon and norm."""
+    return _op_amp(p), SolveConfig(epsilon=float(p["epsilon"]), norm_kind=p["norm"], **solve_fields)
 
 
 def _unit_vector(n: int, seed: int, normalize: bool) -> np.ndarray:
@@ -388,7 +398,7 @@ def _bounds(system, block: np.ndarray, cfg: SolveConfig, oa: OpAmpModel) -> list
     every nonzero b, and every scenario's b is nonzero.
     """
     try:
-        return time_bound(system, block, epsilon=cfg.epsilon, oa=oa, norm_kind=cfg.norm_kind).tolist()
+        return time_bound(system, block, oa, cfg).tolist()
     except (DomainError, StabilityError, NumericalError):
         return [None] * block.shape[1]
 
@@ -452,10 +462,8 @@ def _system_records(
 def _run_transient(spec: ExperimentSpec, p: dict):
     a = DEFAULT_TRANSIENT_A if p["a"] is None else np.asarray(p["a"], dtype=float)
     b = DEFAULT_TRANSIENT_B if p["b"] is None else np.asarray(p["b"], dtype=float)
-    oa = _op_amp(p)
-    cfg = SolveConfig(
-        epsilon=float(p["epsilon"]),
-        norm_kind=p["norm"],
+    oa, cfg = _circuit(
+        p,
         alpha_fraction=float(p["alpha_fraction"]),
         include_gain_correction=bool(p["include_gain_correction"]),
     )
@@ -518,8 +526,7 @@ def _sweep_task(spec: ExperimentSpec, p: dict, oa: OpAmpModel, cfg: SolveConfig,
 
 
 def _run_lambda_sweep(spec: ExperimentSpec, p: dict):
-    oa = _op_amp(p)
-    cfg = SolveConfig(epsilon=float(p["epsilon"]), norm_kind=p["norm"])
+    oa, cfg = _circuit(p)
     task = functools.partial(_sweep_task, spec, p, oa, cfg)
     by_matrix = _map_tasks([functools.partial(task, mi) for mi in range(int(p["systems"]))], spec.threads)
     records = [rec for recs in by_matrix for rec in recs]
@@ -551,8 +558,7 @@ def _scaling_task(
 
 
 def _run_scaling(spec: ExperimentSpec, p: dict):
-    oa = _op_amp(p)
-    cfg = SolveConfig(epsilon=float(p["epsilon"]), norm_kind=p["norm"])
+    oa, cfg = _circuit(p)
     beta = float(p["beta"])
     sizes = [int(n) for n in p["sizes"]]
     variants = [str(v) for v in p["variants"]]
@@ -620,8 +626,7 @@ def _sparse_task(
 
 
 def _run_sparse_suite(spec: ExperimentSpec, p: dict):
-    oa = _op_amp(p)
-    cfg = SolveConfig(epsilon=float(p["epsilon"]), norm_kind=p["norm"])
+    oa, cfg = _circuit(p)
     n_lo, n_hi = (int(v) for v in p["n_range"])
     lam_lo, lam_hi = (float(v) for v in p["lambda_range"])
     if n_lo < 1 or n_hi < n_lo:
@@ -648,8 +653,7 @@ def _run_sparse_suite(spec: ExperimentSpec, p: dict):
 
 
 def _run_inversion(spec: ExperimentSpec, p: dict):
-    oa = _op_amp(p)
-    cfg = SolveConfig(epsilon=float(p["epsilon"]), norm_kind=p["norm"])
+    oa, cfg = _circuit(p)
     n = int(p["n"])
     beta = float(p["beta"])
     ideal = covariance_matrix(n, beta)
@@ -854,6 +858,9 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[RunRecord], str]:
     if not _is_integer(spec.threads) or spec.threads < 1:
         raise ConfigError(f"threads must be an integer >= 1, got {spec.threads!r}")
     params = _merge_params(spec.scenario, dict(spec.parameters))
+    for key in _COUNTS.get(spec.scenario, ()):
+        if not _is_integer(params[key]) or params[key] < 1:
+            raise ConfigError(f"{key} must be an integer >= 1, got {params[key]!r}")
     with _one_blas_thread():
         records, extra_lines, aux = SCENARIOS[spec.scenario](spec, params)
     records = sorted(records, key=lambda r: r.system_index)

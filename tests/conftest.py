@@ -19,7 +19,7 @@ def no_process_left_running():
 
 @pytest.fixture
 def oa():
-    """Default op-amp model: l0 = 1e5, omega0 = 1e3, gbw = 1e8."""
+    """Default op-amp model: gbw = 1e8 rad/s, l0 = 1e5, slew rate 2.2e7 V/s."""
     return OpAmpModel()
 
 

@@ -139,9 +139,8 @@ def test_criterion_02_discrete_matches_continuous():
         system = build_feedback(a)
         x_hat = _unit(rng, n)
         b = a @ x_hat
-        rho = system.rho
-        for alpha, bucket in ((0.01 / rho, devs), (0.005 / rho, devs_half)):
-            res = simulate(system, b, cfg=SolveConfig(alpha=alpha, record_trace=False))
+        for fraction, bucket in ((0.01, devs), (0.005, devs_half)):
+            res = simulate(system, b, cfg=SolveConfig(alpha_fraction=fraction, record_trace=False))
             assert res.converged
             x_exact = analytic_trajectory(system, b, np.zeros(n), t=res.tau)
             bucket.append(float(np.linalg.norm(res.x_final - x_exact)))
@@ -171,10 +170,9 @@ def test_criterion_03_energy_bound(sweep_run):
             _PD_POOL.append(a)
         system = build_feedback(a)
         b = _unit(rng, n)
-        res = simulate(
-            system, b, cfg=SolveConfig(norm_kind="a_norm", record_trace=False)
-        )
-        bound = time_bound(system, b, 1e-3)
+        cfg = SolveConfig(norm_kind="a_norm", record_trace=False)
+        res = simulate(system, b, cfg=cfg)
+        bound = time_bound(system, b, cfg=cfg)
         if not (res.converged and res.tau <= bound):
             violations += 1
         else:

@@ -155,3 +155,22 @@ def test_non_integer_seed_or_threads_exits_two(tmp_path, capsys, config):
     assert main(["transient", "--config", str(cfg)]) == 2
     assert "integer" in capsys.readouterr().err
     assert not (tmp_path / "out" / "records.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command,parameter",
+    [
+        ("sparse-suite", "systems"),
+        ("sparse-suite", "s"),
+        ("lambda-sweep", "systems"),
+        ("lambda-sweep", "vectors_per_system"),
+        ("scaling", "vectors_per_size"),
+    ],
+)
+def test_zero_count_exits_two_before_solving(tmp_path, capsys, command, parameter):
+    # a zero once died inside a task (TypeError, ValueError) or exited 3 from sparse_pd
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"seed: 0\noutput_dir: {tmp_path / 'out'}\nparameters:\n  {parameter}: 0\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert f"{parameter} must be an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "records.csv").exists()

@@ -40,7 +40,7 @@ class TestDevicePolicy:
             {"ratio": 1.0},
             {"ratio": 0.5},
             {"noise_fraction": -0.1},
-            {"seed": -1},
+            {"g_max": float("nan")},
         ],
     )
     def test_invalid_policy_rejected(self, kwargs):
@@ -160,10 +160,15 @@ class TestProgram:
         assert np.array_equal(g1, g2)
         assert not np.array_equal(g1, g3)
 
-    def test_seed_defaults_to_policy_seed(self):
+    def test_seed_defaults_to_zero(self):
         a = np.array([[1.0, 0.4], [0.7, 0.2]])
-        policy = DevicePolicy(seed=5)
-        assert np.array_equal(program(a, policy=policy).g, program(a, seed=5).g)
+        assert np.array_equal(program(a).g, program(a, seed=0).g)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # a negative seed once escaped as numpy's ValueError
+        with pytest.raises(ConfigError, match="64-bit"):
+            program(np.array([[1.0, 0.4], [0.7, 0.2]]), seed=seed)
 
     def test_rejects_bad_matrices(self):
         with pytest.raises(DomainError):

@@ -38,13 +38,14 @@ from crossolve.dynamics import _square_limit
 from crossolve.experiments import DEFAULT_TRANSIENT_A, DEFAULT_TRANSIENT_B
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+A_NORM = SolveConfig(norm_kind="a_norm")
 
 
 class TestOpAmpModel:
     def test_default_gbw(self, oa):
         assert oa.gbw == pytest.approx(1e8)
 
-    @pytest.mark.parametrize("kwargs", [{"l0": 1.0}, {"omega0": 0.0}, {"slew_rate": 0.0}])
+    @pytest.mark.parametrize("kwargs", [{"l0": 1.0}, {"gbw": 0.0}, {"slew_rate": 0.0}])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             OpAmpModel(**kwargs)
@@ -121,7 +122,7 @@ class TestStabilityReport:
         system = build_feedback(a)
         first, second = stability_report(system, oa), stability_report(system, oa)
         simulate(system, b, oa, SolveConfig())
-        time_bound(system, b, 1e-3, oa)
+        time_bound(system, b, oa)
         assert computed == ["m_eigenvalues", "lambda_min"]
         ev = system.m_eigenvalues
         assert system.lambda_m_min == first.lambda_m_min == second.lambda_m_min == float(ev.real.min())
@@ -177,8 +178,9 @@ class TestResolveStep:
         assert dt == pytest.approx(2e-9)
 
     def test_explicit_alpha(self, oa):
-        alpha, dt = resolve_step(build_feedback(np.eye(2)), oa, SolveConfig(alpha=0.5))
-        assert alpha == 0.5
+        system = build_feedback(np.eye(2))
+        alpha, dt = resolve_step(system, oa, SolveConfig(alpha_fraction=0.25))
+        assert alpha == 0.25 / system.rho == pytest.approx(0.5)
         assert dt == pytest.approx(5e-9)
 
     def test_unstable_needs_opt_in(self, oa):
@@ -189,7 +191,7 @@ class TestResolveStep:
 
     def test_overlarge_alpha_rejected(self, oa):
         with pytest.raises(ConfigError):
-            resolve_step(build_feedback(np.eye(2)), oa, SolveConfig(alpha=2.5))
+            resolve_step(build_feedback(np.eye(2)), oa, SolveConfig(alpha_fraction=1.25))
 
     def test_zero_matrix_falls_back_to_fraction(self, oa):
         cfg = SolveConfig(allow_unstable=True, alpha_fraction=0.07)
@@ -203,7 +205,7 @@ class TestSolveConfig:
         [
             {"epsilon": 0.0},
             {"norm_kind": "energy"},
-            {"alpha": -0.1},
+            {"alpha_fraction": -0.1},
             {"alpha_fraction": 0.0},
             {"max_steps": 0},
             {"trace_limit": 1},
@@ -280,10 +282,9 @@ class TestSimulate:
         a = covariance_matrix(4, 1.0)
         system = build_feedback(a)
         b = a @ np.array([0.6, -0.4, 0.3, 0.5])
-        rho = stability_report(system, oa).spectral_radius
         devs = []
-        for alpha in (0.01 / rho, 0.005 / rho):
-            cfg = SolveConfig(alpha=alpha, trace_limit=512)
+        for fraction in (0.01, 0.005):
+            cfg = SolveConfig(alpha_fraction=fraction, trace_limit=512)
             res = simulate(system, b, oa, cfg)
             dev = 0.0
             for t, state in zip(res.trace.times, res.trace.states):
@@ -365,64 +366,68 @@ class TestTimeBound:
         # ln(sqrt(1)/1e-3) / (0.5 * 1e8) = 2e-8 ln(1000) = 1.381551e-7
         system = build_feedback(np.eye(3))
         b = np.array([1.0, 0.0, 0.0])
-        assert time_bound(system, b, 1e-3, oa) == pytest.approx(1.3815511e-7, rel=1e-6)
+        assert time_bound(system, b, oa, A_NORM) == pytest.approx(1.3815511e-7, rel=1e-6)
 
     def test_covers_measured_tau_on_spd(self, spd_pair, oa):
         a, b = spd_pair
         system = build_feedback(a)
-        res = simulate(system, b, oa, SolveConfig(norm_kind="a_norm"))
-        assert res.tau <= time_bound(system, b, 1e-3, oa)
+        res = simulate(system, b, oa, A_NORM)
+        assert res.tau <= time_bound(system, b, oa, A_NORM)
 
     def test_zero_energy_rejected(self, oa):
         system = build_feedback(np.eye(2))
         with pytest.raises(DomainError):
-            time_bound(system, np.zeros(2), 1e-3, oa)
+            time_bound(system, np.zeros(2), oa)
 
     def test_unstable_rejected(self, oa):
         with pytest.raises(StabilityError):
-            time_bound(build_feedback(SWAP), np.array([1.0, 2.0]), 1e-3, oa)
+            time_bound(build_feedback(SWAP), np.array([1.0, 2.0]), oa)
 
     def test_nonsymmetric_rejected_before_solving(self, oa, monkeypatch):
         # the bound is proven only for symmetric A; the transient demo's A is not
         monkeypatch.setattr(dynamics, "direct_solve", lambda *args: pytest.fail("solved a nonsymmetric system"))
         system = build_feedback(DEFAULT_TRANSIENT_A)
         with pytest.raises(DomainError, match="symmetric"):
-            time_bound(system, DEFAULT_TRANSIENT_B, 1e-3, oa)
+            time_bound(system, DEFAULT_TRANSIENT_B, oa)
 
     def test_reuses_the_transients_solve(self, spd_pair, oa, monkeypatch):
         a, b = spd_pair
         system = build_feedback(a)
         block = np.column_stack([b, 2.0 * b])
         res = simulate(system, block, oa, SolveConfig(record_trace=False))
-        expected = time_bound(build_feedback(a), block, 1e-3, oa)
+        expected = time_bound(build_feedback(a), block, oa)
         res.x_star[:] = 0.0  # the system keeps its own copy of the solution
         solves = []
         monkeypatch.setattr(dynamics, "direct_solve", lambda *args: solves.append(args[1].shape) or direct_solve(*args))
-        assert list(time_bound(system, block, 1e-3, oa)) == list(expected)
+        assert list(time_bound(system, block, oa)) == list(expected)
         assert solves == []
-        time_bound(system, b, 1e-3, oa)  # another right-hand side is solved
+        time_bound(system, b, oa)  # another right-hand side is solved
         assert solves == [b.shape]
 
-    def test_epsilon_validated(self, oa):
-        system = build_feedback(np.eye(2))
-        with pytest.raises(ConfigError):
-            time_bound(system, np.array([1.0, 0.0]), 0.0, oa)
-        with pytest.raises(ConfigError, match="norm_kind"):
-            time_bound(system, np.array([1.0, 0.0]), 1e-3, oa, norm_kind="max")
+    def test_reads_epsilon_and_norm_from_cfg(self, oa):
+        # the bound of a run is the one its own SolveConfig asks for: l2 by
+        # default, as for simulate, and at the config's epsilon
+        system = build_feedback(np.diag([0.25, 1.0]))
+        b = np.array([1.0, 0.0])  # x* = (4, 0), x*^T b = 4, lambda_m_min = 0.2
+        rate = system.lambda_m_min * oa.gbw
+        assert time_bound(system, b, oa) == pytest.approx((math.log(2.0 / 1e-3) + math.log(2.0)) / rate, rel=1e-12)
+        cfg = SolveConfig(epsilon=1e-6, norm_kind="a_norm")
+        assert time_bound(system, b, oa, cfg) == pytest.approx(math.log(2.0 / 1e-6) / rate, rel=1e-12)
 
     def test_l2_bound_adds_the_norm_equivalence_below_unit_lambda_min(self, oa):
         # ||e||_2 <= ||e||_A / sqrt(lambda_min(A)): at lambda_min(A) = 0.04 the
         # l2 bound adds ln(5) / (lambda_m_min * gbw); at lambda_min(A) >= 1 nothing
         b = np.array([1.0, 0.5])
         wide = build_feedback(np.diag([0.04, 2.0]))
-        energy = time_bound(wide, b, 1e-3, oa)
-        assert time_bound(wide, b, 1e-3, oa, norm_kind="l2") == pytest.approx(
+        energy = time_bound(wide, b, oa, A_NORM)
+        assert time_bound(wide, b, oa) == pytest.approx(
             energy + math.log(5.0) / (wide.lambda_m_min * oa.gbw), rel=1e-12
         )
         unit = build_feedback(np.diag([1.0, 3.0]))
-        assert time_bound(unit, b, 1e-3, oa, norm_kind="l2") == time_bound(unit, b, 1e-3, oa)
-        res = simulate(wide, b, oa, SolveConfig(norm_kind="l2", record_trace=False))
-        assert res.converged and res.tau <= time_bound(wide, b, 1e-3, oa, norm_kind="l2")
+        assert time_bound(unit, b, oa) == time_bound(unit, b, oa, A_NORM)
+        cfg = SolveConfig(norm_kind="l2", record_trace=False)
+        res = simulate(wide, b, oa, cfg)
+        assert res.converged and res.tau <= time_bound(wide, b, oa, cfg)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), k=st.integers(1, 5), zero=st.integers(0, 4))
@@ -432,16 +437,16 @@ class TestTimeBound:
         system = build_feedback(g + g.T + n * np.eye(n))  # symmetric, diagonally dominant: SPD
         block = rng.uniform(-1.0, 1.0, (n, k))
         oa = OpAmpModel()
-        bounds = time_bound(system, block, 1e-3, oa)
-        columns = [time_bound(system, block[:, j], 1e-3, oa) for j in range(k)]
+        bounds = time_bound(system, block, oa, A_NORM)
+        columns = [time_bound(system, block[:, j], oa, A_NORM) for j in range(k)]
         assert bounds.shape == (k,) and all(type(c) is float for c in columns)
         # one column solves along the same LAPACK path as a 1-D b; a wider
         # block solves all columns at once and may round x* in the last bit
-        assert time_bound(system, block[:, :1], 1e-3, oa)[0] == columns[0]
+        assert time_bound(system, block[:, :1], oa, A_NORM)[0] == columns[0]
         assert list(bounds) == pytest.approx(columns, rel=1e-12, abs=1e-20)
         block[:, zero % k] = 0.0
         with pytest.raises(DomainError, match=f"in column {zero % k} "):
-            time_bound(system, block, 1e-3, oa)
+            time_bound(system, block, oa, A_NORM)
 
 
 class TestInvertMatrix:

@@ -28,6 +28,7 @@ from crossolve import (
     OutputError,
     RunRecord,
     SolveConfig,
+    SparsePdSpec,
     UsageError,
     build_feedback,
     child_seed,
@@ -36,8 +37,18 @@ from crossolve import (
     random_vector,
     run_experiment,
     scenario_defaults,
+    simulate,
+    sparse_pd,
+    time_bound,
 )
-from crossolve.experiments import DEFAULT_TRANSIENT_A, _map_tasks, _openblas_runtimes, _system_records
+from crossolve.experiments import (
+    DEFAULT_TRANSIENT_A,
+    _map_tasks,
+    _op_amp,
+    _openblas_runtimes,
+    _system_records,
+    _unit_vector,
+)
 
 
 class TestChildSeed:
@@ -199,6 +210,11 @@ class TestSpecValidation:
     def test_bad_threads(self, tmp_path):
         with pytest.raises(ConfigError):
             run_experiment(ExperimentSpec("transient", seed=0, output_dir=tmp_path, threads=0))
+
+    def test_op_amp_keeps_the_configured_gbw(self):
+        # gbw once went through omega0 = gbw / l0 and back, which lost the last bit here
+        params = dict(scenario_defaults("transient"), gbw=939210013.6157321, l0=381210.4256458355)
+        assert _op_amp(params).gbw == 939210013.6157321
 
     def test_scenario_defaults_copies(self):
         d1 = scenario_defaults("transient")
@@ -363,6 +379,20 @@ class TestSparseSuiteScenario:
         assert all(r.lambda_min < 0.3 for r in records)
         assert all(r.converged and r.tau_measured_s <= r.tau_bound_s for r in records)
         assert "bound_satisfied: 12/12" in summary.splitlines()
+
+    def test_default_bound_covers_default_transient(self):
+        """simulate and time_bound with every default measure the same norm (l2) at the same epsilon.
+
+        System 76 of seed 0 (n = 44, lambda_min(A) = 0.264) once took 1.0022
+        times the energy-norm bound that time_bound gave by default.
+        """
+        rng = np.random.default_rng(child_seed(0, 76))
+        n = int(rng.integers(20, 201))
+        lam = float(rng.uniform(0.1, 1.1))
+        system = build_feedback(sparse_pd(SparsePdSpec(n=n, s=10, lambda_target=lam, seed=child_seed(0, 76, 1))))
+        b = _unit_vector(n, child_seed(0, 76, 2), True)
+        result = simulate(system, b)
+        assert result.converged and result.tau <= time_bound(system, b)
 
     def test_symmetric_eigensolver_only(self, tmp_path, monkeypatch):
         """Each system's symmetry is tested once, and eig(M) never runs the general solver."""
