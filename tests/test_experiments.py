@@ -389,6 +389,7 @@ class TestSparseSuiteScenario:
         rng = np.random.default_rng(child_seed(0, 76))
         n = int(rng.integers(20, 201))
         lam = float(rng.uniform(0.1, 1.1))
+        assert n == 44
         system = build_feedback(sparse_pd(SparsePdSpec(n=n, s=10, lambda_target=lam, seed=child_seed(0, 76, 1))))
         b = _unit_vector(n, child_seed(0, 76, 2), True)
         result = simulate(system, b)
