@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .spectral import _as_square
+from .spectral import _as_square, _is_integer
 
 __all__ = [
     "DevicePolicy",
@@ -50,13 +50,13 @@ class DevicePolicy:
     noise_fraction: float = 1.0 / 6.0
 
     def __post_init__(self) -> None:
-        if self.num_levels < 2:
-            raise ConfigError(f"num_levels must be >= 2, got {self.num_levels}")
+        if not _is_integer(self.num_levels) or self.num_levels < 2:
+            raise ConfigError(f"num_levels must be an integer >= 2, got {self.num_levels!r}")
         if not self.g_max > 0:
             raise ConfigError(f"g_max must be positive, got {self.g_max}")
         if not self.ratio > 1:
             raise ConfigError(f"ratio must exceed 1, got {self.ratio}")
-        if self.noise_fraction < 0:
+        if not self.noise_fraction >= 0:
             raise ConfigError(f"noise_fraction must be >= 0, got {self.noise_fraction}")
 
     @property

@@ -59,7 +59,7 @@ from .errors import (
     StabilityError,
     UsageError,
 )
-from .spectral import _as_square, _is_symmetric, attenuation, direct_solve, factorize, sym_part_lambda_min
+from .spectral import _as_square, _is_integer, _is_symmetric, attenuation, direct_solve, factorize, sym_part_lambda_min
 
 __all__ = [
     "OpAmpModel",
@@ -238,8 +238,8 @@ class SolveConfig:
             raise ConfigError(f"norm_kind must be 'l2' or 'a_norm', got {self.norm_kind!r}")
         if not self.alpha_fraction > 0:
             raise ConfigError(f"alpha_fraction must be positive, got {self.alpha_fraction}")
-        if self.max_steps < 1:
-            raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
+        if not _is_integer(self.max_steps) or self.max_steps < 1:
+            raise ConfigError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
         if self.trace_limit < 2:
             raise ConfigError(f"trace_limit must be >= 2, got {self.trace_limit}")
         if not self.divergence_factor > 0:

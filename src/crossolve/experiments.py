@@ -29,6 +29,7 @@ from .devices import DevicePolicy, program, read_effective
 from .dynamics import (
     OpAmpModel,
     SolveConfig,
+    SolveResult,
     build_feedback,
     invert_matrix,
     simulate,
@@ -47,6 +48,7 @@ from .errors import (
 )
 from .generators import SparsePdSpec, covariance_matrix, random_discrete_pd, random_vector, sparse_pd
 from .spectral import (
+    _is_integer,
     a_norm,
     complexity_cg_estimate,
     complexity_quantum_estimate,
@@ -265,11 +267,13 @@ def _map_tasks(tasks: list[Callable[[], object]], workers: int) -> list:
 # Parameter handling
 
 
-_COMMON = {"epsilon": 1e-3, "gbw": 1e8, "l0": 1e5, "slew_rate": 2.2e7, "norm": "l2"}
+_COMMON = {"epsilon": 1e-3, "gbw": 1e8, "norm": "l2"}
 
 _DEFAULTS: dict[str, dict] = {
     "transient": {
         **_COMMON,
+        "l0": 1e5,  # read only through include_gain_correction
+        "slew_rate": 2.2e7,  # read only by the slew_check verdict in summary.txt
         "a": None,  # defaults to DEFAULT_TRANSIENT_A
         "b": None,
         "alpha_fraction": 0.1,
@@ -284,7 +288,6 @@ _DEFAULTS: dict[str, dict] = {
         "lambda_floor": 0.005,
         "floor_tries": 200,
         "max_tries": 64,
-        "normalize_b": True,
     },
     "scaling": {
         **_COMMON,
@@ -296,7 +299,6 @@ _DEFAULTS: dict[str, dict] = {
         "ratio": None,  # defaults to 1e3 for beta < 2, else 1e4
         "g_max": 1e-4,
         "noise_fraction": 1.0 / 6.0,
-        "normalize_b": False,
     },
     "sparse_suite": {
         **_COMMON,
@@ -304,8 +306,6 @@ _DEFAULTS: dict[str, dict] = {
         "s": 10,
         "n_range": (20, 200),
         "lambda_range": (0.1, 1.1),
-        "normalize_b": True,
-        "cg_tol": None,  # defaults to epsilon
     },
     "inversion": {
         **_COMMON,
@@ -317,7 +317,6 @@ _DEFAULTS: dict[str, dict] = {
         "g_max": 1e-4,
         "noise_fraction": 1.0 / 6.0,
         "noisy": True,
-        "significant_fraction": 0.05,
     },
     "estimate": {
         "epsilon": 1e-3,
@@ -356,7 +355,8 @@ def _merge_params(scenario: str, overrides: dict) -> dict:
 
 
 def _op_amp(p: dict) -> OpAmpModel:
-    return OpAmpModel(gbw=float(p["gbw"]), l0=float(p["l0"]), slew_rate=float(p["slew_rate"]))
+    """The op-amp model from whichever of gbw, l0 and slew_rate p holds; OpAmpModel's defaults fill the rest."""
+    return OpAmpModel(**{key: float(p[key]) for key in ("gbw", "l0", "slew_rate") if key in p})
 
 
 def _circuit(p: dict, **solve_fields) -> tuple[OpAmpModel, SolveConfig]:
@@ -364,21 +364,20 @@ def _circuit(p: dict, **solve_fields) -> tuple[OpAmpModel, SolveConfig]:
     return _op_amp(p), SolveConfig(epsilon=float(p["epsilon"]), norm_kind=p["norm"], **solve_fields)
 
 
-def _unit_vector(n: int, seed: int, normalize: bool) -> np.ndarray:
+def _unit_vector(n: int, seed: int) -> np.ndarray:
+    """random_vector(n, seed) scaled to unit l2 norm."""
     b = random_vector(n, seed=seed)
-    if normalize:
-        norm = float(np.linalg.norm(b))
-        if norm == 0.0:  # pragma: no cover - probability zero
-            b[0] = 1.0
-            norm = 1.0
-        b = b / norm
-    return b
+    norm = float(np.linalg.norm(b))
+    if norm == 0.0:  # pragma: no cover - probability zero
+        b[0] = 1.0
+        norm = 1.0
+    return b / norm
 
 
 def _programmed(ideal: np.ndarray, p: dict, ratio: float, seed: int) -> np.ndarray:
     """The matrix the circuit reads back after ideal is programmed under p's device policy."""
     policy = DevicePolicy(
-        num_levels=int(p["num_levels"]),
+        num_levels=p["num_levels"],
         g_max=float(p["g_max"]),
         ratio=ratio,
         noise_fraction=float(p["noise_fraction"]),
@@ -410,6 +409,51 @@ def _final_error(system, delta: np.ndarray, norm_kind: str) -> float:
     return float(np.linalg.norm(delta))
 
 
+def _rows(
+    spec: ExperimentSpec,
+    system,
+    result: SolveResult,
+    oa: OpAmpModel,
+    cfg: SolveConfig,
+    bounds: list[float | None],
+    notes: list[str],
+    first: int = 0,
+    **shared,
+) -> list[RunRecord]:
+    """One RunRecord per right-hand side that result solved on system.
+
+    result is a transient over one right-hand side or a block. Record k
+    gets system_index first + k, tau_bound_s bounds[k] and notes notes[k];
+    shared holds RunRecord fields common to all. Each final_error is
+    measured against the oracle x* that the transient stopped on.
+    """
+    report = stability_report(system, oa)
+    n = system.a.shape[0]
+    tau, converged, diverged = (np.atleast_1d(v) for v in (result.tau, result.converged, result.diverged))
+    steps = np.atleast_1d(result.steps if result.column_steps is None else result.column_steps)
+    delta = (result.x_final - result.x_star).reshape(n, -1)
+    return [
+        RunRecord(
+            scenario=spec.scenario,
+            system_index=first + k,
+            n=n,
+            lambda_min=report.lambda_min,
+            lambda_m_min=report.lambda_m_min,
+            u_min=report.u_min,
+            tau_measured_s=float(tau[k]),
+            tau_bound_s=bound,
+            converged=bool(converged[k]),
+            diverged=bool(diverged[k]),
+            steps=int(steps[k]),
+            notes=note,
+            final_error=_final_error(system, delta[:, k], cfg.norm_kind),
+            epsilon=cfg.epsilon,
+            **shared,
+        )
+        for k, (bound, note) in enumerate(zip(bounds, notes, strict=True))
+    ]
+
+
 def _system_records(
     spec: ExperimentSpec,
     system,
@@ -424,35 +468,12 @@ def _system_records(
 
     Record k gets system_index first + k and notes "digest=<hash of A and
     b_k>" followed by notes; shared holds RunRecord fields common to all.
-    Each final_error is measured against the oracle x* that the transient
-    stopped on.
     """
     block = np.column_stack(bs)
-    report = stability_report(system, oa)
     result = simulate(system, block, oa, cfg)
-    delta = result.x_final - result.x_star
-    bounds = _bounds(system, block, cfg, oa)
     a_hash = _hasher(system.a)
-    return [
-        RunRecord(
-            scenario=spec.scenario,
-            system_index=first + k,
-            n=system.a.shape[0],
-            lambda_min=report.lambda_min,
-            lambda_m_min=report.lambda_m_min,
-            u_min=report.u_min,
-            tau_measured_s=float(result.tau[k]),
-            tau_bound_s=bounds[k],
-            converged=bool(result.converged[k]),
-            diverged=bool(result.diverged[k]),
-            steps=int(result.column_steps[k]),
-            notes=f"digest={_digest(b, prefix=a_hash)}{notes}",
-            final_error=_final_error(system, delta[:, k], cfg.norm_kind),
-            epsilon=cfg.epsilon,
-            **shared,
-        )
-        for k, b in enumerate(bs)
-    ]
+    digests = [f"digest={_digest(b, prefix=a_hash)}{notes}" for b in bs]
+    return _rows(spec, system, result, oa, cfg, _bounds(system, block, cfg, oa), digests, first, **shared)
 
 
 # ----------------------------------------------------------------------
@@ -468,37 +489,20 @@ def _run_transient(spec: ExperimentSpec, p: dict):
         include_gain_correction=bool(p["include_gain_correction"]),
     )
     system = build_feedback(a)
-    report = stability_report(system, oa)
     result = simulate(system, b, oa, cfg)
-    err = _final_error(system, result.x_final - result.x_star, cfg.norm_kind)
-    record = RunRecord(
-        scenario=spec.scenario,
-        system_index=0,
-        n=a.shape[0],
-        lambda_min=report.lambda_min,
-        lambda_m_min=report.lambda_m_min,
-        u_min=report.u_min,
-        tau_measured_s=result.tau,
-        tau_bound_s=_bounds(system, b[:, None], cfg, oa)[0],
-        converged=result.converged,
-        diverged=result.diverged,
-        steps=result.steps,
-        notes=f"digest={_digest(a, b)}",
-        final_error=err,
-        epsilon=cfg.epsilon,
-    )
-    trace_lines = ["t_s," + ",".join(f"x_{i + 1}" for i in range(a.shape[0])) + ",error"]
-    for t, state, e in zip(result.trace.times, result.trace.states, result.trace.errors):
-        cells = [format(t, ".12g")] + [format(v, ".12g") for v in state] + [format(e, ".12g")]
-        trace_lines.append(",".join(cells))
+    bounds = _bounds(system, b[:, None], cfg, oa)
+    (record,) = _rows(spec, system, result, oa, cfg, bounds, [f"digest={_digest(a, b)}"])
+    trace = result.trace
+    header = ("t_s", *(f"x_{i + 1}" for i in range(a.shape[0])), "error")
+    samples = [(t, *state, e) for t, state, e in zip(trace.times, trace.states, trace.errors)]
     slew_ok = slew_check(result, oa)
     lines = [
         f"tau_s: {result.tau:.12g}",
         f"tau_gbw: {result.tau * oa.gbw:.12g}",
-        f"final_error: {err:.6g}",
+        f"final_error: {record.final_error:.6g}",
         f"slew_ok: {'true' if slew_ok else 'false'}",
     ]
-    return [record], lines, {"trace.csv": "\n".join(trace_lines) + "\n"}
+    return [record], lines, {"trace.csv": _csv([header, *samples])}
 
 
 def _sweep_matrix(master: int, mi: int, p: dict) -> np.ndarray:
@@ -521,7 +525,7 @@ def _sweep_matrix(master: int, mi: int, p: dict) -> np.ndarray:
 def _sweep_task(spec: ExperimentSpec, p: dict, oa: OpAmpModel, cfg: SolveConfig, mi: int) -> list[RunRecord]:
     vectors = int(p["vectors_per_system"])
     a = _sweep_matrix(spec.seed, mi, p)
-    bs = [_unit_vector(a.shape[0], child_seed(spec.seed, mi, 10_000 + k), p["normalize_b"]) for k in range(vectors)]
+    bs = [_unit_vector(a.shape[0], child_seed(spec.seed, mi, 10_000 + k)) for k in range(vectors)]
     return _system_records(spec, build_feedback(a), bs, oa, cfg, mi * vectors, f";matrix={mi}")
 
 
@@ -553,7 +557,7 @@ def _scaling_task(
     a = covariance_matrix(n, beta)
     if variant == "rram":
         a = _programmed(a, p, ratio, child_seed(spec.seed, si))
-    bs = [_unit_vector(n, child_seed(spec.seed, si, k), p["normalize_b"]) for k in range(vectors)]
+    bs = [random_vector(n, seed=child_seed(spec.seed, si, k)) for k in range(vectors)]
     return _system_records(spec, build_feedback(a), bs, oa, cfg, job * vectors, f";variant={variant}", beta_or_s=beta)
 
 
@@ -610,15 +614,14 @@ def _sparse_task(
     cfg: SolveConfig,
     n_range: tuple[int, int],
     lambda_range: tuple[float, float],
-    cg_tol: float,
     i: int,
 ) -> RunRecord:
     rng = np.random.default_rng(child_seed(spec.seed, i))
     n = int(rng.integers(n_range[0], n_range[1] + 1))
     lam_target = float(rng.uniform(*lambda_range))
     a = sparse_pd(SparsePdSpec(n=n, s=min(int(p["s"]), n), lambda_target=lam_target, seed=child_seed(spec.seed, i, 1)))
-    b = _unit_vector(n, child_seed(spec.seed, i, 2), p["normalize_b"])
-    cg = conjugate_gradient(a, b, tol=cg_tol)
+    b = _unit_vector(n, child_seed(spec.seed, i, 2))
+    cg = conjugate_gradient(a, b, tol=cfg.epsilon)
     realized_s = np.count_nonzero(a) / n  # nonzeros per row actually placed, at most s
     return _system_records(
         spec, build_feedback(a), [b], oa, cfg, i, "", beta_or_s=realized_s, cg_iterations=cg.iterations
@@ -633,8 +636,7 @@ def _run_sparse_suite(spec: ExperimentSpec, p: dict):
         raise ConfigError(f"invalid n_range {p['n_range']}")
     if not 0 < lam_lo <= lam_hi:
         raise ConfigError(f"invalid lambda_range {p['lambda_range']}")
-    cg_tol = float(p["cg_tol"]) if p["cg_tol"] is not None else float(p["epsilon"])
-    task = functools.partial(_sparse_task, spec, p, oa, cfg, (n_lo, n_hi), (lam_lo, lam_hi), cg_tol)
+    task = functools.partial(_sparse_task, spec, p, oa, cfg, (n_lo, n_hi), (lam_lo, lam_hi))
     records = _map_tasks([functools.partial(task, i) for i in range(int(p["systems"]))], spec.threads)
 
     lams = np.array([r.lambda_min for r in records])
@@ -660,50 +662,27 @@ def _run_inversion(spec: ExperimentSpec, p: dict):
     a_eff = _programmed(ideal, p, float(p["ratio"]), child_seed(spec.seed, 0)) if p["noisy"] else ideal
 
     system = build_feedback(a_eff)
-    report = stability_report(system, oa)
     result = invert_matrix(system, oa, cfg)
+    notes = [f"digest={_digest(a_eff, j)};column={j}" for j in range(n)]
+    records = _rows(spec, system, result, oa, cfg, [None] * n, notes, beta_or_s=beta)
+
     computed = result.x_final
     reference = np.linalg.inv(ideal)
-    delta = computed - result.x_star
-
-    records = []
-    for j in range(n):
-        records.append(
-            RunRecord(
-                scenario=spec.scenario,
-                system_index=j,
-                n=n,
-                beta_or_s=beta,
-                lambda_min=report.lambda_min,
-                lambda_m_min=report.lambda_m_min,
-                u_min=report.u_min,
-                tau_measured_s=float(result.tau[j]),
-                converged=True,  # invert_matrix raises unless every column converged
-                diverged=False,
-                steps=int(result.column_steps[j]),
-                notes=f"digest={_digest(a_eff, j)};column={j}",
-                final_error=_final_error(system, delta[:, j], cfg.norm_kind),
-                epsilon=cfg.epsilon,
-            )
-        )
-
-    threshold = float(p["significant_fraction"]) * float(np.abs(reference).max())
-    significant = np.abs(reference) >= threshold
-    rel = np.abs(computed - reference)[significant] / np.abs(reference)[significant]
-    inv_lines = ["row,col,computed,reference,rel_error"]
-    for i in range(n):
-        for j in range(n):
-            ref = reference[i, j]
-            rel_cell = format(abs(computed[i, j] - ref) / abs(ref), ".12g") if ref != 0 else ""
-            inv_lines.append(
-                f"{i},{j},{format(computed[i, j], '.12g')},{format(ref, '.12g')},{rel_cell}"
-            )
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero reference entry gets no relative error
+        rel = np.abs(computed - reference) / np.abs(reference)
+    # An entry is significant from 5% of the largest entry of the reference inverse.
+    significant = np.abs(reference) >= 0.05 * float(np.abs(reference).max())
+    cells = [
+        (i, j, computed[i, j], reference[i, j], rel[i, j] if reference[i, j] != 0 else None)
+        for i in range(n)
+        for j in range(n)
+    ]
     lines = [
         f"significant_entries: {int(significant.sum())}",
-        f"max_rel_error_significant: {float(rel.max()):.6g}",
+        f"max_rel_error_significant: {float(rel[significant].max()):.6g}",
         f"mean_column_tau_s: {float(np.mean(result.tau)):.12g}",
     ]
-    return records, lines, {"inverse.csv": "\n".join(inv_lines) + "\n"}
+    return records, lines, {"inverse.csv": _csv([("row", "col", "computed", "reference", "rel_error"), *cells])}
 
 
 def _run_estimate(spec: ExperimentSpec, p: dict):
@@ -762,6 +741,11 @@ def _cell(value) -> str:
 
 
 _csv_values = operator.attrgetter(*CSV_COLUMNS)
+
+
+def _csv(rows) -> str:
+    """CSV text with one line per row, each cell formatted by _cell."""
+    return "".join(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
 def _summary_text(spec: ExperimentSpec, params: dict, records: list[RunRecord], extra: list[str]) -> str:
@@ -831,15 +815,9 @@ def emit_outputs(records: list[RunRecord], summary: str, output_dir: str | Path)
         if "," in rec.notes or "\n" in rec.notes:
             raise UsageError(f"record {rec.system_index} notes must not contain commas/newlines")
 
-    rows = [",".join(CSV_COLUMNS)]
-    rows += [",".join(map(_cell, _csv_values(rec))) for rec in records]
     out = Path(output_dir)
-    return _write(out / "records.csv", "\n".join(rows) + "\n"), _write(out / "summary.txt", summary)
-
-
-def _is_integer(value) -> bool:
-    """True for a Python or numpy integer; a bool, a float or a string is none."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    csv = _csv([CSV_COLUMNS, *map(_csv_values, records)])
+    return _write(out / "records.csv", csv), _write(out / "summary.txt", summary)
 
 
 def run_experiment(spec: ExperimentSpec) -> tuple[list[RunRecord], str]:

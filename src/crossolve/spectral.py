@@ -41,6 +41,11 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool, a float or a string is none."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def attenuation(a) -> np.ndarray:
     """Row attenuation u_i = 1/(1 + sum_j a_ij) for a nonnegative matrix."""
     a = _as_square(a)

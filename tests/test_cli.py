@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from crossolve.cli import main
+from crossolve import ConfigError, ExperimentSpec, run_experiment, scenario_defaults
+from crossolve.cli import _SUBCOMMANDS, main
 
 
 def test_transient_happy_path(tmp_path, capsys):
@@ -174,3 +175,28 @@ def test_zero_count_exits_two_before_solving(tmp_path, capsys, command, paramete
     assert main([command, "--config", str(cfg)]) == 2
     assert f"{parameter} must be an integer >= 1" in capsys.readouterr().err
     assert not (tmp_path / "out" / "records.csv").exists()
+
+
+# Parameters no run of these scenarios varied: only the transient reads l0 and
+# slew_rate, b is always normalized or always not, CG runs to epsilon, and
+# inversion's significance cut is fixed.
+_REMOVED_KNOBS = [
+    *((command, key) for command in ("lambda-sweep", "scaling", "sparse-suite", "invert") for key in ("l0", "slew_rate")),
+    ("lambda-sweep", "normalize_b"),
+    ("scaling", "normalize_b"),
+    ("sparse-suite", "normalize_b"),
+    ("sparse-suite", "cg_tol"),
+    ("invert", "significant_fraction"),
+]
+
+
+@pytest.mark.parametrize(("command", "key"), _REMOVED_KNOBS)
+def test_parameter_no_run_varies_is_unknown(tmp_path, capsys, command, key):
+    scenario = _SUBCOMMANDS[command][0]
+    assert key not in scenario_defaults(scenario)
+    with pytest.raises(ConfigError, match=key):
+        run_experiment(ExperimentSpec(scenario, seed=1, output_dir=tmp_path / "run", parameters={key: 1.0}))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"seed: 1\nparameters:\n  {key}: 1.0\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "cli")]) == 2
+    assert key in capsys.readouterr().err

@@ -40,6 +40,8 @@ class TestDevicePolicy:
             {"ratio": 1.0},
             {"ratio": 0.5},
             {"noise_fraction": -0.1},
+            {"noise_fraction": float("nan")},
+            {"num_levels": 2.5},
             {"g_max": float("nan")},
         ],
     )

@@ -208,6 +208,8 @@ class TestSolveConfig:
             {"alpha_fraction": -0.1},
             {"alpha_fraction": 0.0},
             {"max_steps": 0},
+            {"max_steps": 2.5},
+            {"max_steps": float("nan")},
             {"trace_limit": 1},
             {"divergence_factor": 0.0},
         ],

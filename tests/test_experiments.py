@@ -213,8 +213,10 @@ class TestSpecValidation:
 
     def test_op_amp_keeps_the_configured_gbw(self):
         # gbw once went through omega0 = gbw / l0 and back, which lost the last bit here
-        params = dict(scenario_defaults("transient"), gbw=939210013.6157321, l0=381210.4256458355)
-        assert _op_amp(params).gbw == 939210013.6157321
+        params = dict(scenario_defaults("transient"), gbw=939210013.6157321, l0=381210.4256458355, slew_rate=1e6)
+        assert _op_amp(params) == OpAmpModel(gbw=939210013.6157321, l0=381210.4256458355, slew_rate=1e6)
+        # a scenario without l0 and slew_rate keeps OpAmpModel's defaults for them
+        assert _op_amp(dict(scenario_defaults("scaling"), gbw=2e8)) == OpAmpModel(gbw=2e8)
 
     def test_scenario_defaults_copies(self):
         d1 = scenario_defaults("transient")
@@ -262,6 +264,24 @@ class TestSystemRecords:
         assert calls == [(3, 3)]
         assert solves == [(3, 3)]
         assert all(r.converged and r.tau_bound_s is None for r in records)
+
+
+@pytest.mark.parametrize(
+    ("scenario", "params"),
+    [
+        ("transient", {}),
+        ("lambda_sweep", {"systems": 2, "vectors_per_system": 2}),
+        ("scaling", {"sizes": (3, 10), "vectors_per_size": 2}),
+        ("sparse_suite", {"systems": 2}),
+        ("inversion", {"n": 4}),
+    ],
+)
+def test_false_convergence_claim_raises_at_emission(tmp_path, monkeypatch, scenario, params):
+    """Every solved row's final error comes from _final_error, and emission re-checks it against epsilon."""
+    monkeypatch.setattr(crossolve.experiments, "_final_error", lambda *args: 1.0)
+    with pytest.raises(NumericalError, match="claims convergence"):
+        run_experiment(ExperimentSpec(scenario, seed=0, output_dir=tmp_path, parameters=params))
+    assert not (tmp_path / "records.csv").exists()
 
 
 class TestTransientScenario:
@@ -391,7 +411,7 @@ class TestSparseSuiteScenario:
         lam = float(rng.uniform(0.1, 1.1))
         assert n == 44
         system = build_feedback(sparse_pd(SparsePdSpec(n=n, s=10, lambda_target=lam, seed=child_seed(0, 76, 1))))
-        b = _unit_vector(n, child_seed(0, 76, 2), True)
+        b = _unit_vector(n, child_seed(0, 76, 2))
         result = simulate(system, b)
         assert result.converged and result.tau <= time_bound(system, b)
 
@@ -463,6 +483,12 @@ class TestInversionScenario:
         assert inv[0] == "row,col,computed,reference,rel_error"
         assert len(inv) == 17
         assert "max_rel_error_significant:" in summary
+
+    def test_non_integer_level_count_rejected(self, tmp_path):
+        # int() once truncated it, so 2.5 levels ran as 2
+        spec = ExperimentSpec("inversion", seed=7, output_dir=tmp_path, parameters={"n": 4, "num_levels": 2.5})
+        with pytest.raises(ConfigError, match="num_levels"):
+            run_experiment(spec)
 
     def test_noiseless_matches_reference_tightly(self, tmp_path):
         spec = ExperimentSpec(
