@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConfigError,
@@ -240,8 +239,8 @@ class SolveConfig:
             raise ConfigError(f"alpha_fraction must be positive, got {self.alpha_fraction}")
         if not _is_integer(self.max_steps) or self.max_steps < 1:
             raise ConfigError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
-        if self.trace_limit < 2:
-            raise ConfigError(f"trace_limit must be >= 2, got {self.trace_limit}")
+        if not _is_integer(self.trace_limit) or self.trace_limit < 2:
+            raise ConfigError(f"trace_limit must be an integer >= 2, got {self.trace_limit!r}")
         if not self.divergence_factor > 0:
             raise ConfigError(f"divergence_factor must be positive, got {self.divergence_factor}")
 
@@ -641,6 +640,8 @@ def analytic_trajectory(system: FeedbackSystem, b, x0, oa: OpAmpModel | None = N
         raise DomainError(f"no fixed point: {exc}") from exc
     if x0.shape != x_star.shape:
         raise DomainError(f"x0 shape {x0.shape} does not match system size {x_star.shape}")
+    import scipy.linalg  # imported here, so that importing crossolve costs no more
+
     decay = scipy.linalg.expm(-oa.gbw * float(t) * system.m)
     return x_star + decay @ (x0 - x_star)
 

@@ -13,6 +13,7 @@ import contextlib
 import ctypes
 import functools
 import hashlib
+import importlib.util
 import operator
 import os
 import pickle
@@ -22,7 +23,6 @@ from pathlib import Path
 from typing import Callable, ClassVar
 
 import numpy as np
-import scipy
 
 from .baselines import conjugate_gradient
 from .devices import DevicePolicy, program, read_effective
@@ -176,13 +176,15 @@ def _openblas_runtimes() -> tuple[tuple[Callable[[int], None], Callable[[], int]
     The libraries are looked for where the Linux numpy and scipy wheels keep
     them, numpy.libs and scipy.libs, and opened with RTLD_NOLOAD, which
     finds a library only if the process already holds it and never loads
-    one. Empty where none is found.
+    one. Empty where none is found. Importing crossolve loads scipy's
+    LAPACK extension (crossolve.spectral), and with it scipy's OpenBLAS,
+    without importing scipy.linalg, so both are found from the first call.
     """
     if not hasattr(os, "RTLD_NOLOAD"):
         return ()
     runtimes = []
-    for module in (np, scipy):
-        package = Path(module.__file__).parent
+    for origin in (np.__file__, importlib.util.find_spec("scipy").origin):
+        package = Path(origin).parent
         for path in sorted(package.with_name(package.name + ".libs").glob("*openblas*")):
             try:
                 lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
@@ -205,7 +207,9 @@ def _one_blas_thread():
     The last bits of an OpenBLAS eigensolve depend on its thread count, so
     a run's records would depend on the host; a scenario's products are
     also too small for BLAS threads to pay, and numpy's and scipy's pools
-    compete for the same cores.
+    compete for the same cores. scipy's OpenBLAS, which the oracle's LU
+    runs on, is loaded when crossolve is imported, so it is pinned too,
+    although only analytic_trajectory imports scipy.linalg.
     """
     runtimes = _openblas_runtimes()
     counts = [get_threads() for _, get_threads in runtimes]

@@ -9,11 +9,13 @@ against, and fits measured computing times to candidate scaling laws.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, NumericalError, UsageError
 
@@ -32,6 +34,41 @@ __all__ = [
 _COND_LIMIT = 1e12
 _FIT_MARGIN = 0.02
 _FIT_ORDER = ("constant", "logarithmic", "linear")
+
+
+def _load_lapack():
+    """scipy's compiled LAPACK wrappers, loaded without importing scipy.linalg.
+
+    scipy.linalg.lapack re-exports the extension module
+    scipy/linalg/_flapack, so its dgetrf is the one scipy.linalg.lu_factor
+    calls, and a later import of scipy.linalg reuses the loaded module.
+    Importing scipy.linalg itself cost about 0.35 s a process on a 2-vCPU
+    x86-64 VM (scipy 1.17 imports numpy.f2py, numpy.testing and numpy.ma
+    with it), more than half of a fresh process's time to import crossolve
+    and run the demo transient. The extension is loaded from its file,
+    found beside the scipy package without importing scipy; where there is
+    no such file, scipy.linalg.lapack is imported and returned instead.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is not None and spec.origin is not None:
+        linalg = Path(spec.origin).parent / "linalg"
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = linalg / f"_flapack{suffix}"
+            if path.is_file():
+                file_spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+                module = importlib.util.module_from_spec(file_spec)
+                file_spec.loader.exec_module(module)
+                return module
+    import scipy.linalg.lapack
+
+    return scipy.linalg.lapack
+
+
+# Loaded at import, not on first use: experiments._openblas_runtimes finds
+# only the OpenBLAS libraries the process already holds, and pins those to
+# one thread, so scipy's must be loaded before a run starts.
+_LAPACK = _load_lapack()
+_dgetrf, _dgecon, _dgetrs = _LAPACK.dgetrf, _LAPACK.dgecon, _LAPACK.dgetrs
 
 
 def _as_square(a) -> np.ndarray:
@@ -78,10 +115,10 @@ def factorize(a) -> tuple[np.ndarray, np.ndarray]:
     a = _as_square(a)
     if a.size == 0:
         raise NumericalError("cannot factorize an empty matrix")
-    lu, piv, info = scipy.linalg.lapack.dgetrf(a)
+    lu, piv, info = _dgetrf(a)
     if info > 0:
         raise NumericalError(f"matrix is singular: pivot {info - 1} is exactly zero")
-    rcond, _ = scipy.linalg.lapack.dgecon(lu, float(np.abs(a).sum(axis=0).max()), norm="1")
+    rcond, _ = _dgecon(lu, float(np.abs(a).sum(axis=0).max()), norm="1")
     cond = 1.0 / rcond if rcond > 0 else math.inf
     if not cond <= _COND_LIMIT:
         raise NumericalError(f"matrix 1-norm condition estimate {cond:.3e} exceeds {_COND_LIMIT:.0e}")
@@ -106,7 +143,10 @@ def direct_solve(a, b, factors: tuple[np.ndarray, np.ndarray] | None = None) -> 
         raise DomainError(f"rhs shape {b.shape} does not match matrix {a.shape}")
     if factors is None:
         factors = factorize(a)
-    x = np.ascontiguousarray(scipy.linalg.lu_solve(factors, b, check_finite=False))
+    x, info = _dgetrs(*factors, b)
+    if info != 0:
+        raise NumericalError(f"dgetrs rejected argument {-info}")
+    x = np.ascontiguousarray(x)
     resid = np.atleast_1d(np.linalg.norm(a @ x - b, axis=0))
     limit = np.atleast_1d(1e-10 * (np.linalg.norm(a) * np.linalg.norm(x, axis=0) + np.linalg.norm(b, axis=0)))
     bad = np.flatnonzero(~(resid <= limit))

@@ -211,6 +211,8 @@ class TestSolveConfig:
             {"max_steps": 2.5},
             {"max_steps": float("nan")},
             {"trace_limit": 1},
+            {"trace_limit": 2.5},
+            {"trace_limit": float("nan")},
             {"divergence_factor": 0.0},
         ],
     )

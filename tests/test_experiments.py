@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import crossolve.dynamics
 import crossolve.experiments
@@ -232,19 +231,19 @@ class TestSystemRecords:
         calls = []
         solves = []
         factorize = crossolve.spectral.factorize
-        lu_solve = scipy.linalg.lu_solve
+        dgetrs = crossolve.spectral._dgetrs
 
         def counted(a):
             calls.append(a.shape)
             return factorize(a)
 
-        def counted_solve(factors, b, **kwargs):
+        def counted_solve(lu, piv, b):
             solves.append(b.shape)
-            return lu_solve(factors, b, **kwargs)
+            return dgetrs(lu, piv, b)
 
         monkeypatch.setattr(crossolve.spectral, "factorize", counted)
         monkeypatch.setattr(crossolve.dynamics, "factorize", counted)
-        monkeypatch.setattr(scipy.linalg, "lu_solve", counted_solve)
+        monkeypatch.setattr(crossolve.spectral, "_dgetrs", counted_solve)
         spec = ExperimentSpec("scaling", seed=0, output_dir="unused")
         cfg = SolveConfig(norm_kind=norm_kind, record_trace=False)
 
@@ -648,6 +647,44 @@ def test_records_do_not_depend_on_blas_threads():
         written.append(proc.stdout)
     assert written[0].count("\n") == 5
     assert written[0] == written[1]
+
+
+# Imports crossolve, runs the demo transient and prints whether scipy.linalg
+# was imported, whether scipy's LAPACK extension was loaded by the import
+# itself, and how many OpenBLAS runtimes the run would pin.
+_IMPORT_FOOTPRINT_RUN = """
+import sys
+import crossolve
+loaded_at_import = "scipy.linalg._flapack" in sys.modules
+from crossolve import DEFAULT_TRANSIENT_A, DEFAULT_TRANSIENT_B, build_feedback, simulate
+from crossolve.experiments import _openblas_runtimes
+assert simulate(build_feedback(DEFAULT_TRANSIENT_A), DEFAULT_TRANSIENT_B).converged
+print("scipy.linalg" in sys.modules, loaded_at_import, len(_openblas_runtimes()))
+import scipy.linalg
+print(scipy.linalg.lapack.dgetrs is crossolve.spectral._dgetrs)
+"""
+
+# The count of OpenBLAS runtimes in a process that imported scipy.linalg first.
+_SCIPY_LINALG_RUNTIMES = """
+import scipy.linalg
+from crossolve.experiments import _openblas_runtimes
+print(len(_openblas_runtimes()))
+"""
+
+
+def test_import_loads_lapack_without_scipy_linalg():
+    path = os.pathsep.join(filter(None, [str(Path(crossolve.experiments.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    printed = []
+    for script in (_IMPORT_FOOTPRINT_RUN, _SCIPY_LINALG_RUNTIMES):
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        printed.append(proc.stdout.split())
+    (imported, loaded_at_import, runtimes, same_routine), (expected_runtimes,) = printed
+    assert imported == "False"
+    assert loaded_at_import == "True"
+    assert runtimes == expected_runtimes
+    assert same_routine == "True"
 
 
 def test_blas_threads_pinned_for_the_run_and_restored(tmp_path, monkeypatch):

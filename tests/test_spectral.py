@@ -1,5 +1,7 @@
 """Spectral helper tests with independently derived oracle values."""
 
+import importlib.machinery
+import importlib.util
 import math
 
 import numpy as np
@@ -9,17 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import crossolve.spectral
 from crossolve import (
     DomainError,
     NumericalError,
+    SparsePdSpec,
     UsageError,
     a_norm,
     attenuation,
     build_feedback,
     complexity_cg_estimate,
     complexity_quantum_estimate,
+    covariance_matrix,
     direct_solve,
     fit_scaling,
+    sparse_pd,
     stability_report,
     sym_part_lambda_min,
 )
@@ -207,6 +213,59 @@ class TestDirectSolve:
         # factors of another matrix give a solution that fails the residual guard
         with pytest.raises(NumericalError):
             direct_solve(DEMO_A, DEMO_B, factorize(np.eye(3)))
+
+
+def _oracle_systems():
+    rng = np.random.default_rng(11)
+    for a in (covariance_matrix(30, 1.0), sparse_pd(SparsePdSpec(60, seed=3)), DEMO_A):
+        n = a.shape[0]
+        yield a, rng.uniform(-1.0, 1.0, n)
+        yield a, rng.uniform(-1.0, 1.0, (n, 4))
+
+
+class TestLapackLoad:
+    """The oracle calls scipy's LAPACK extension directly, with the bytes scipy.linalg gives."""
+
+    @staticmethod
+    def _matches_scipy_linalg(a, b):
+        lu, piv, info = scipy.linalg.lapack.dgetrf(a)
+        assert info == 0
+        anorm = float(np.abs(a).sum(axis=0).max())
+        rcond, _ = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
+        got_lu, got_piv = factorize(a)
+        assert np.array_equal(got_lu, lu) and np.array_equal(got_piv, piv)
+        assert crossolve.spectral._dgecon(got_lu, anorm, norm="1")[0] == rcond
+        x = direct_solve(a, b)
+        assert np.array_equal(x, scipy.linalg.lu_solve((lu, piv), b, check_finite=False))
+        assert np.array_equal(direct_solve(a, b, (got_lu, got_piv)), x)
+
+    def test_routines_come_from_scipys_extension(self):
+        assert crossolve.spectral._LAPACK is scipy.linalg.lapack._flapack
+        assert crossolve.spectral._dgetrf is scipy.linalg.lapack.dgetrf
+        assert crossolve.spectral._dgecon is scipy.linalg.lapack.dgecon
+        assert crossolve.spectral._dgetrs is scipy.linalg.lapack.dgetrs
+
+    @pytest.mark.parametrize(("a", "b"), list(_oracle_systems()))
+    def test_bit_identical_to_scipy_linalg(self, a, b):
+        self._matches_scipy_linalg(a, b)
+
+    def test_falls_back_to_scipy_linalg_lapack(self, tmp_path, monkeypatch):
+        find_spec = importlib.util.find_spec
+        package = tmp_path / "scipy"
+        (package / "linalg").mkdir(parents=True)
+
+        def no_extension(name, *args):
+            if name == "scipy":
+                return importlib.machinery.ModuleSpec("scipy", None, origin=str(package / "__init__.py"))
+            return find_spec(name, *args)
+
+        monkeypatch.setattr(importlib.util, "find_spec", no_extension)
+        lapack = crossolve.spectral._load_lapack()
+        assert lapack is scipy.linalg.lapack
+        for name in ("dgetrf", "dgecon", "dgetrs"):
+            monkeypatch.setattr(crossolve.spectral, f"_{name}", getattr(lapack, name))
+        for a, b in _oracle_systems():
+            self._matches_scipy_linalg(a, b)
 
 
 class TestANorm:
