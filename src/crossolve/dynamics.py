@@ -121,13 +121,18 @@ class FeedbackSystem:
         return factorize(self.a)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Guarded direct solve of a x = b: a fresh array, shaped like b."""
+        """Guarded direct solve of a x = b: a fresh array, shaped like b.
+
+        A right-hand side of shape (n,) is kept as its (n, 1) column, so a
+        vector and its column share one solve.
+        """
+        b = np.asarray(b, dtype=float)
+        block = b[:, None] if b.ndim == 1 else b
         solved = self._solved
-        if solved is not None and np.array_equal(solved[0], b):
-            return solved[1].copy()
-        x = direct_solve(self.a, b, self.lu)
-        self._solved = (b.copy(), x.copy())
-        return x
+        if solved is None or not np.array_equal(solved[0], block):
+            x = direct_solve(self.a, b, self.lu)
+            solved = self._solved = (block.copy(), x.reshape(block.shape))
+        return solved[1].reshape(b.shape).copy()
 
     @cached_property
     def symmetric(self) -> bool:

@@ -10,12 +10,9 @@ regardless of worker count or execution order.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import functools
 import hashlib
-import importlib.util
 import operator
-import os
 import pickle
 import threading
 from dataclasses import dataclass, field
@@ -49,6 +46,8 @@ from .errors import (
 from .generators import SparsePdSpec, covariance_matrix, random_discrete_pd, random_vector, sparse_pd
 from .spectral import (
     _is_integer,
+    _one_blas_thread,
+    _pin_blas_threads,
     a_norm,
     complexity_cg_estimate,
     complexity_quantum_estimate,
@@ -160,73 +159,6 @@ def _digest(*parts, prefix=None) -> str:
     return _hasher(*parts, prefix=prefix).hexdigest()[:12]
 
 
-# Entry points that set and read an OpenBLAS runtime's thread count:
-# numpy's 64-bit-integer build, scipy's build, and a plain OpenBLAS.
-_OPENBLAS_THREADS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
-
-
-@functools.cache
-def _openblas_runtimes() -> tuple[tuple[Callable[[int], None], Callable[[], int]], ...]:
-    """(set, get) thread-count functions of each OpenBLAS that numpy and scipy loaded.
-
-    The libraries are looked for where the Linux numpy and scipy wheels keep
-    them, numpy.libs and scipy.libs, and opened with RTLD_NOLOAD, which
-    finds a library only if the process already holds it and never loads
-    one. Empty where none is found. Importing crossolve loads scipy's
-    LAPACK extension (crossolve.spectral), and with it scipy's OpenBLAS,
-    without importing scipy.linalg, so both are found from the first call.
-    """
-    if not hasattr(os, "RTLD_NOLOAD"):
-        return ()
-    runtimes = []
-    for origin in (np.__file__, importlib.util.find_spec("scipy").origin):
-        package = Path(origin).parent
-        for path in sorted(package.with_name(package.name + ".libs").glob("*openblas*")):
-            try:
-                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-            except OSError:
-                continue
-            for set_name, get_name in _OPENBLAS_THREADS:
-                if hasattr(lib, set_name) and hasattr(lib, get_name):
-                    set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
-                    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                    runtimes.append((set_threads, get_threads))
-                    break
-    return tuple(runtimes)
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body with every loaded OpenBLAS on one thread, then restore each one's count.
-
-    The last bits of an OpenBLAS eigensolve depend on its thread count, so
-    a run's records would depend on the host; a scenario's products are
-    also too small for BLAS threads to pay, and numpy's and scipy's pools
-    compete for the same cores. scipy's OpenBLAS, which the oracle's LU
-    runs on, is loaded when crossolve is imported, so it is pinned too,
-    although only analytic_trajectory imports scipy.linalg.
-    """
-    runtimes = _openblas_runtimes()
-    counts = [get_threads() for _, get_threads in runtimes]
-    _pin_blas_threads()
-    try:
-        yield
-    finally:
-        for (set_threads, _), count in zip(runtimes, counts):
-            set_threads(count)
-
-
-def _pin_blas_threads() -> None:
-    """Set every loaded OpenBLAS to one thread."""
-    for set_threads, _ in _openblas_runtimes():
-        set_threads(1)
-
-
 def _call_pickled(blob: bytes):
     return pickle.loads(blob)()
 
@@ -301,7 +233,6 @@ _DEFAULTS: dict[str, dict] = {
         "variants": ("ideal", "rram"),
         "num_levels": 64,
         "ratio": None,  # defaults to 1e3 for beta < 2, else 1e4
-        "g_max": 1e-4,
         "noise_fraction": 1.0 / 6.0,
     },
     "sparse_suite": {
@@ -318,7 +249,6 @@ _DEFAULTS: dict[str, dict] = {
         "beta": 1.0,
         "num_levels": 64,
         "ratio": 1e3,
-        "g_max": 1e-4,
         "noise_fraction": 1.0 / 6.0,
         "noisy": True,
     },
@@ -380,12 +310,7 @@ def _unit_vector(n: int, seed: int) -> np.ndarray:
 
 def _programmed(ideal: np.ndarray, p: dict, ratio: float, seed: int) -> np.ndarray:
     """The matrix the circuit reads back after ideal is programmed under p's device policy."""
-    policy = DevicePolicy(
-        num_levels=p["num_levels"],
-        g_max=float(p["g_max"]),
-        ratio=ratio,
-        noise_fraction=float(p["noise_fraction"]),
-    )
+    policy = DevicePolicy(num_levels=p["num_levels"], ratio=ratio, noise_fraction=float(p["noise_fraction"]))
     return read_effective(program(ideal, None, policy, seed=seed))
 
 
@@ -829,7 +754,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[RunRecord], str]:
 
     Parameters are validated before any system is solved; unknown keys are
     configuration errors. The scenario runs with every OpenBLAS that numpy
-    and scipy loaded set to one thread, here and in every worker process,
+    and the oracle call set to one thread, here and in every worker process,
     so its records do not depend on the host's BLAS thread count. Returns (records, summary text) after writing
     records.csv, summary.txt, and any scenario-specific files.
     """

@@ -9,11 +9,16 @@ against, and fits measured computing times to candidate scaling laws.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import importlib.machinery
 import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -47,7 +52,7 @@ def _load_lapack():
     with it), more than half of a fresh process's time to import crossolve
     and run the demo transient. The extension is loaded from its file,
     found beside the scipy package without importing scipy; where there is
-    no such file, scipy.linalg.lapack is imported and returned instead.
+    no such file, the extension is imported with scipy.linalg instead.
     """
     spec = importlib.util.find_spec("scipy")
     if spec is not None and spec.origin is not None:
@@ -59,16 +64,76 @@ def _load_lapack():
                 module = importlib.util.module_from_spec(file_spec)
                 file_spec.loader.exec_module(module)
                 return module
-    import scipy.linalg.lapack
+    from scipy.linalg import _flapack
 
-    return scipy.linalg.lapack
+    return _flapack
 
 
-# Loaded at import, not on first use: experiments._openblas_runtimes finds
-# only the OpenBLAS libraries the process already holds, and pins those to
-# one thread, so scipy's must be loaded before a run starts.
 _LAPACK = _load_lapack()
 _dgetrf, _dgecon, _dgetrs = _LAPACK.dgetrf, _LAPACK.dgecon, _LAPACK.dgetrs
+
+# Entry points that set and read an OpenBLAS runtime's thread count:
+# numpy's 64-bit-integer build, scipy's build, and a plain OpenBLAS.
+_OPENBLAS_THREADS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_runtimes() -> tuple[tuple[Callable[[int], None], Callable[[], int]], ...]:
+    """(set, get) thread-count functions of the OpenBLAS numpy calls and of the one the oracle calls.
+
+    Each is looked up through the compiled extension that links it, numpy's
+    _multiarray_umath and scipy's _flapack (_LAPACK), which are opened with
+    RTLD_NOLOAD: that returns the already loaded extension and never loads
+    a library, and a symbol lookup on it also searches the libraries it
+    depends on, wherever the package keeps them. An extension with none of
+    the entry points adds nothing, so the result is empty where neither
+    links OpenBLAS, and also where the platform has no RTLD_NOLOAD.
+    """
+    if not hasattr(os, "RTLD_NOLOAD"):
+        return ()
+    runtimes = []
+    for path in (np._core._multiarray_umath.__file__, _LAPACK.__file__):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREADS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                runtimes.append((set_threads, get_threads))
+                break
+    return tuple(runtimes)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with every OpenBLAS runtime on one thread, then restore each one's count.
+
+    The last bits of an OpenBLAS eigensolve depend on its thread count, so
+    a run's records would depend on the host; a scenario's products are
+    also too small for BLAS threads to pay, and numpy's and scipy's pools
+    compete for the same cores.
+    """
+    runtimes = _openblas_runtimes()
+    counts = [get_threads() for _, get_threads in runtimes]
+    _pin_blas_threads()
+    try:
+        yield
+    finally:
+        for (set_threads, _), count in zip(runtimes, counts):
+            set_threads(count)
+
+
+def _pin_blas_threads() -> None:
+    """Set every OpenBLAS runtime to one thread."""
+    for set_threads, _ in _openblas_runtimes():
+        set_threads(1)
 
 
 def _as_square(a) -> np.ndarray:

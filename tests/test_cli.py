@@ -178,8 +178,9 @@ def test_zero_count_exits_two_before_solving(tmp_path, capsys, command, paramete
 
 
 # Parameters no run of these scenarios varied: only the transient reads l0 and
-# slew_rate, b is always normalized or always not, CG runs to epsilon, and
-# inversion's significance cut is fixed.
+# slew_rate, b is always normalized or always not, CG runs to epsilon,
+# inversion's significance cut is fixed, and g_max, which only rescales the
+# conductances a matrix is programmed to, is DevicePolicy's default.
 _REMOVED_KNOBS = [
     *((command, key) for command in ("lambda-sweep", "scaling", "sparse-suite", "invert") for key in ("l0", "slew_rate")),
     ("lambda-sweep", "normalize_b"),
@@ -187,6 +188,8 @@ _REMOVED_KNOBS = [
     ("sparse-suite", "normalize_b"),
     ("sparse-suite", "cg_tol"),
     ("invert", "significant_fraction"),
+    ("scaling", "g_max"),
+    ("invert", "g_max"),
 ]
 
 

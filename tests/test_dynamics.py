@@ -33,6 +33,7 @@ from crossolve import (
     stability_report,
     time_bound,
 )
+import crossolve.spectral
 from crossolve import dynamics
 from crossolve.dynamics import _square_limit
 from crossolve.experiments import DEFAULT_TRANSIENT_A, DEFAULT_TRANSIENT_B
@@ -407,6 +408,22 @@ class TestTimeBound:
         assert solves == []
         time_bound(system, b, oa)  # another right-hand side is solved
         assert solves == [b.shape]
+
+    def test_vector_and_its_column_share_one_solve(self, oa, monkeypatch):
+        # simulate keeps a 1-D b as its (n, 1) column; time_bound and
+        # analytic_trajectory on the same b once missed that and solved again
+        system = build_feedback(covariance_matrix(12, 1.0))
+        b = np.linspace(-1.0, 1.0, 12)
+        expected = direct_solve(system.a, b)
+        calls = []
+        dgetrs = crossolve.spectral._dgetrs
+        monkeypatch.setattr(crossolve.spectral, "_dgetrs", lambda lu, piv, rhs: calls.append(rhs.shape) or dgetrs(lu, piv, rhs))
+        res = simulate(system, b, oa, SolveConfig(record_trace=False))
+        assert time_bound(system, b, oa) > 0
+        x = analytic_trajectory(system, b, expected, oa, t=1e-6)  # starts at x*, so stays there
+        assert calls == [(12, 1)]
+        assert res.x_star.shape == x.shape == (12,)
+        assert np.array_equal(res.x_star, expected) and np.array_equal(x, expected)
 
     def test_reads_epsilon_and_norm_from_cfg(self, oa):
         # the bound of a run is the one its own SolveConfig asks for: l2 by

@@ -44,10 +44,10 @@ from crossolve.experiments import (
     DEFAULT_TRANSIENT_A,
     _map_tasks,
     _op_amp,
-    _openblas_runtimes,
     _system_records,
     _unit_vector,
 )
+from crossolve.spectral import _openblas_runtimes
 
 
 class TestChildSeed:
@@ -657,7 +657,7 @@ import sys
 import crossolve
 loaded_at_import = "scipy.linalg._flapack" in sys.modules
 from crossolve import DEFAULT_TRANSIENT_A, DEFAULT_TRANSIENT_B, build_feedback, simulate
-from crossolve.experiments import _openblas_runtimes
+from crossolve.spectral import _openblas_runtimes
 assert simulate(build_feedback(DEFAULT_TRANSIENT_A), DEFAULT_TRANSIENT_B).converged
 print("scipy.linalg" in sys.modules, loaded_at_import, len(_openblas_runtimes()))
 import scipy.linalg
@@ -667,7 +667,7 @@ print(scipy.linalg.lapack.dgetrs is crossolve.spectral._dgetrs)
 # The count of OpenBLAS runtimes in a process that imported scipy.linalg first.
 _SCIPY_LINALG_RUNTIMES = """
 import scipy.linalg
-from crossolve.experiments import _openblas_runtimes
+from crossolve.spectral import _openblas_runtimes
 print(len(_openblas_runtimes()))
 """
 
@@ -688,7 +688,7 @@ def test_import_loads_lapack_without_scipy_linalg():
 
 
 def test_blas_threads_pinned_for_the_run_and_restored(tmp_path, monkeypatch):
-    runtimes = crossolve.experiments._openblas_runtimes()
+    runtimes = crossolve.spectral._openblas_runtimes()
     if not runtimes:
         pytest.skip("no OpenBLAS runtime found in this process")
     before = [get_threads() for _, get_threads in runtimes]

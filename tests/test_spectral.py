@@ -1,8 +1,11 @@
 """Spectral helper tests with independently derived oracle values."""
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,11 +264,44 @@ class TestLapackLoad:
 
         monkeypatch.setattr(importlib.util, "find_spec", no_extension)
         lapack = crossolve.spectral._load_lapack()
-        assert lapack is scipy.linalg.lapack
+        assert lapack is scipy.linalg.lapack._flapack
         for name in ("dgetrf", "dgecon", "dgetrs"):
             monkeypatch.setattr(crossolve.spectral, f"_{name}", getattr(lapack, name))
         for a, b in _oracle_systems():
             self._matches_scipy_linalg(a, b)
+
+
+def _address(function) -> int:
+    return ctypes.cast(function, ctypes.c_void_p).value
+
+
+class TestOpenBlasRuntimes:
+    """The lookup returns the thread-count functions of the OpenBLAS numpy and the oracle call."""
+
+    @pytest.mark.parametrize(("index", "package"), [(0, "numpy"), (1, "scipy")])
+    def test_is_the_wheels_bundled_openblas(self, index, package):
+        root = Path(importlib.util.find_spec(package).origin).parent
+        bundled = sorted(root.with_name(f"{package}.libs").glob("*openblas*"))
+        if not bundled or not hasattr(os, "RTLD_NOLOAD"):
+            pytest.skip(f"no OpenBLAS bundled in {package}.libs")
+        lib = ctypes.CDLL(str(bundled[0]), mode=os.RTLD_NOLOAD)
+        runtimes = crossolve.spectral._openblas_runtimes()
+        assert len(runtimes) == 2
+        for function in runtimes[index]:
+            assert _address(function) == _address(getattr(lib, function.__name__))
+
+    def test_sets_and_reads_the_thread_count(self):
+        runtimes = crossolve.spectral._openblas_runtimes()
+        if not runtimes:
+            pytest.skip("no OpenBLAS runtime found in this process")
+        for set_threads, get_threads in runtimes:
+            before = get_threads()
+            try:
+                set_threads(3)
+                assert get_threads() == 3
+            finally:
+                set_threads(before)
+            assert get_threads() == before
 
 
 class TestANorm:
