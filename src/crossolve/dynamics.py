@@ -392,23 +392,23 @@ def _batch(lookahead: int, columns: int) -> int:
     return lookahead * -(-_BATCH_STEPS // lookahead)
 
 
-def _products(prev: np.ndarray, cur: np.ndarray, lookahead: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The (source, out, rows) views of each product that fills cur, the pass after prev.
+def _products(states: np.ndarray, lookahead: int) -> list[tuple[np.ndarray | None, np.ndarray, np.ndarray]]:
+    """The (source, out, rows) views of each product that fills states in one pass.
 
-    prev and cur have shape (k, T, n), one row of T states per right-hand
-    side. Product i advances the state before step i D of cur (the last
-    state of prev for i = 0) by 1 .. D steps into states i D .. i D + D - 1:
-    source is that state for every column, (k, n), out is the D states
+    states has shape (k, T, n), one row of T states per right-hand side.
+    Product i advances the state before step i D by 1 .. D steps into
+    states i D .. i D + D - 1: source is that state for every column, (k, n)
+    (None for i = 0, whose source is the loop's carry), out is the D states
     flattened to the (k, D n) shape of X [P^T ... (P^D)^T], and rows the
     same states, (k, D, n), for adding the offsets. Every view shares
-    memory with its buffer, so the products write the states in place. The
+    memory with states, so the products write the states in place. The
     out views put the long side D n of each product along their rows, the
     orientation BLAS runs fastest (see the module docstring).
     """
-    k, n = cur.shape[0], cur.shape[2]
+    k, n = states.shape[0], states.shape[2]
     return [
-        (cur[:, i - 1] if i else prev[:, -1], cur[:, i : i + lookahead].reshape(k, lookahead * n), cur[:, i : i + lookahead])
-        for i in range(0, cur.shape[1], lookahead)
+        (states[:, i - 1] if i else None, states[:, i : i + lookahead].reshape(k, lookahead * n), states[:, i : i + lookahead])
+        for i in range(0, states.shape[1], lookahead)
     ]
 
 
@@ -513,17 +513,14 @@ def simulate(
     powers_t = np.ascontiguousarray(powers.T)  # [P^T ... (P^D)^T], (n, D n)
     offsets = np.ascontiguousarray(offsets.transpose(2, 0, 1))  # (k, D, n)
 
-    # Each pass fills states, row j holding column j's states after steps
-    # base .. base + T - 1, from the last state of spare, which holds the
-    # previous pass until the next one overwrites it, and scans them. The
-    # first pass starts from x(0) = 0, c_1, ..., c_(D-1) in place of its
-    # first product.
+    # One buffer holds each pass: row j holds column j's states after steps
+    # base .. base + T - 1, and last the state before them, copied from the
+    # buffer's final states at the end of every pass. Product 0 advances
+    # last; the first pass holds x(0) = 0, c_1, ..., c_(D-1) in its place.
     states = np.zeros((k, batch, n))
     states[:, 1:lookahead] = offsets[:, :-1]
-    spare = np.zeros_like(states)
-    # into_states fills states from spare's last states and into_spare the reverse
-    into_states, into_spare = _products(spare, states, lookahead), _products(states, spare, lookahead)
-    fill = into_states[1:]
+    last = np.zeros((k, n))
+    products = _products(states, lookahead)
     # The oracle of the columns still in the block, repeated for every state
     # of a pass: a broadcast along the middle axis would cut the subtraction
     # into k T runs of n elements, 2-4 times slower at k = 25.
@@ -534,21 +531,21 @@ def simulate(
     column_steps = np.zeros(k, dtype=np.int64)
     converged = np.zeros(k, dtype=bool)
     diverged = np.zeros(k, dtype=bool)
-    jumps = np.zeros((1, batch, n))  # a single right-hand side's largest |dx_i| per step of a pass
+    max_jump = 0.0  # a single right-hand side's largest |dx_i| over the steps taken
     samples: list[tuple[int, np.ndarray, float]] = []  # trace (step, state, squared error)
     stride = 1
 
     while True:
-        for source, out, rows in fill:
-            np.matmul(source, powers_t, out=out)
+        for source, out, rows in products if base else products[1:]:
+            np.matmul(last if source is None else source, powers_t, out=out)
             rows += offsets
         d = states - target
         sq = np.vecdot(d, d)
         q = sq if energy is None else np.vecdot(d, (d.reshape(-1, n) @ energy.T).reshape(d.shape))
         conv = q <= limit
         near = sq > screen_sq[:, None]
-        if single:  # spare's last state is still the one before this pass
-            jump = np.abs(states - np.concatenate([spare[:, -1:], states[:, :-1]], axis=1))
+        if single:  # |dx_i| of each step of this pass, from the state before it
+            jump = np.abs(np.diff(states[0], axis=0, prepend=last))
         if record:  # the states of this pass whose step is a multiple of the stride
             samples, stride = _thin(samples, stride, cfg.trace_limit)
             first = -base % stride
@@ -565,7 +562,7 @@ def simulate(
             # each column's first stopping step in the pass, or T for a column that runs on
             stop_at = np.where(stop.any(axis=1), stop.argmax(axis=1), batch)
             if single:
-                np.maximum(jumps, np.where(np.arange(batch)[:, None] > stop_at, 0.0, jump), out=jumps)
+                max_jump = max(max_jump, float(jump[: stop_at[0] + 1].max()))
             done = np.flatnonzero(stop_at < batch)
             if done.size:
                 at = stop_at[done]
@@ -580,15 +577,13 @@ def simulate(
                 live = stop_at == batch
                 if not np.count_nonzero(live):
                     break
-                states, spare, offsets = states[live], spare[live], offsets[live]
-                into_states, into_spare = _products(spare, states, lookahead), _products(states, spare, lookahead)
+                states, last, offsets = states[live], last[live], offsets[live]
+                products = _products(states, lookahead)
                 target = target[live]
                 blow_up, screen_sq, cols = blow_up[live], screen_sq[live], cols[live]
         elif single:
-            np.maximum(jumps, jump, out=jumps)
-        states, spare = spare, states
-        into_states, into_spare = into_spare, into_states
-        fill = into_states
+            max_jump = max(max_jump, float(jump.max()))
+        last[...] = states[:, -1]
         base += batch
 
     tau = column_steps * alpha / oa.gbw
@@ -606,10 +601,10 @@ def simulate(
         )
     trace = None
     if record:
-        last = int(column_steps[0])
-        samples = _thin([sample for sample in samples if sample[0] <= last], stride, cfg.trace_limit)[0]
-        if samples[-1][0] != last:
-            samples.append((last, x_final[:, 0].copy(), q[0, last - base]))
+        end = int(column_steps[0])
+        samples = _thin([sample for sample in samples if sample[0] <= end], stride, cfg.trace_limit)[0]
+        if samples[-1][0] != end:
+            samples.append((end, x_final[:, 0].copy(), q[0, end - base]))
         sample_steps, sample_states, sample_sq = zip(*samples)
         trace = Trace(
             times=np.asarray(sample_steps, dtype=float) * dt,
@@ -624,7 +619,7 @@ def simulate(
         diverged=bool(diverged[0]),
         trace=trace,
         steps=int(column_steps[0]),
-        max_slew=float(jumps.max()) / dt,
+        max_slew=max_jump / dt,
     )
 
 

@@ -219,11 +219,8 @@ _DEFAULTS: dict[str, dict] = {
         **_COMMON,
         "systems": 60,
         "vectors_per_system": 15,
-        "dim": 3,
-        "g0": 100e-6,
         "lambda_floor": 0.005,
         "floor_tries": 200,
-        "max_tries": 64,
     },
     "scaling": {
         **_COMMON,
@@ -434,15 +431,16 @@ def _run_transient(spec: ExperimentSpec, p: dict):
     return [record], lines, {"trace.csv": _csv([header, *samples])}
 
 
+# lambda_sweep's matrices: 3 x 3, levels in units of g0 = 100 uS, at most 64 draws an attempt
+_SWEEP_DIM, _SWEEP_G0, _SWEEP_TRIES = 3, 100e-6, 64
+
+
 def _sweep_matrix(master: int, mi: int, p: dict) -> np.ndarray:
     floor = float(p["lambda_floor"])
     for attempt in range(int(p["floor_tries"])):
         try:
             a, lam = random_discrete_pd(
-                dim=int(p["dim"]),
-                g0=float(p["g0"]),
-                seed=child_seed(master, mi, attempt),
-                max_tries=int(p["max_tries"]),
+                dim=_SWEEP_DIM, g0=_SWEEP_G0, seed=child_seed(master, mi, attempt), max_tries=_SWEEP_TRIES
             )
         except GenerationError:
             continue  # a draw with no PD candidate is one more failed attempt

@@ -125,11 +125,12 @@ def sparse_pd(spec: SparsePdSpec) -> np.ndarray:
 
     The pattern comes from 20 n (s-1) random (row, column) draws taken in
     order: a draw is placed unless it is diagonal, joins a pair already
-    placed, or touches a row that already holds s-1 entries. A full row
-    never reopens, so each chunk of draws is first screened in numpy
-    against the rows open when the chunk begins, and only the survivors
-    go through the exact test. Placement ends once fewer than two rows are
-    open, since no later draw could be placed.
+    placed (a nonzero entry, since every value lies in (0, 1]), or touches
+    a row that already holds s-1 entries. A full row never reopens, so each
+    chunk of draws is first screened in numpy against the rows open when
+    the chunk begins, and only the survivors go through the exact test and
+    are written straight into the matrix. Placement ends once fewer than
+    two rows are open, since no later draw could be placed.
     """
     n, want = spec.n, spec.s - 1
     rng = np.random.default_rng(spec.seed)
@@ -140,17 +141,16 @@ def sparse_pd(spec: SparsePdSpec) -> np.ndarray:
         rows = rng.integers(0, n, size=budget)
         cols = rng.integers(0, n, size=budget)
         vals = 1.0 - rng.random(budget)  # uniform on (0, 1]
-        placed: dict[tuple[int, int], int] = {}  # draw index, under both orientations of each pair
         is_open = np.ones(n, dtype=bool)
         still_open = n
         chunk = 4 * n
         for start in range(0, budget, chunk):
             r, c = rows[start : start + chunk], cols[start : start + chunk]
             live = np.flatnonzero((r != c) & is_open[r] & is_open[c])
-            for t, i, j in zip((live + start).tolist(), r[live].tolist(), c[live].tolist()):
-                if degree[i] >= want or degree[j] >= want or (i, j) in placed:
+            for i, j, v in zip(r[live].tolist(), c[live].tolist(), vals[live + start].tolist()):
+                if degree[i] >= want or degree[j] >= want or a[i, j]:
                     continue
-                placed[i, j] = placed[j, i] = t
+                a[i, j] = a[j, i] = v
                 for row in (i, j):
                     degree[row] += 1
                     if degree[row] == want:
@@ -158,9 +158,6 @@ def sparse_pd(spec: SparsePdSpec) -> np.ndarray:
                         still_open -= 1
             if still_open < 2:
                 break
-        if placed:
-            pi, pj = zip(*placed)
-            a[pi, pj] = vals[list(placed.values())]
     np.fill_diagonal(a, a.sum(axis=1))
     lam0 = float(np.linalg.eigvalsh(a)[0])
     a[np.diag_indices(n)] += spec.lambda_target - lam0

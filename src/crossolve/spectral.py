@@ -16,6 +16,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -46,7 +47,9 @@ def _load_lapack():
 
     scipy.linalg.lapack re-exports the extension module
     scipy/linalg/_flapack, so its dgetrf is the one scipy.linalg.lu_factor
-    calls, and a later import of scipy.linalg reuses the loaded module.
+    calls. No sys.modules entry is left behind, so a later import of
+    scipy.linalg sets its _flapack attribute, to a module with the same
+    routines.
     Importing scipy.linalg itself cost about 0.35 s a process on a 2-vCPU
     x86-64 VM (scipy 1.17 imports numpy.f2py, numpy.testing and numpy.ma
     with it), more than half of a fresh process's time to import crossolve
@@ -63,6 +66,7 @@ def _load_lapack():
                 file_spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
                 module = importlib.util.module_from_spec(file_spec)
                 file_spec.loader.exec_module(module)
+                sys.modules.pop(file_spec.name, None)
                 return module
     from scipy.linalg import _flapack
 

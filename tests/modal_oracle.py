@@ -1,0 +1,45 @@
+"""Modal oracle for symmetric transients: step counts from eigh, without stepping.
+
+For symmetric positive-definite A, the loop's step matrix is
+P = I - alpha U A = U^1/2 (I - alpha S) U^-1/2 with S = U^1/2 A U^1/2 =
+V diag(mu) V^T. From x(0) = 0 the error after k steps is e_k = P^k (-x*), so
+
+    ||e_k||_A^2 = sum_i mu_i w_i^2 (1 - alpha mu_i)^(2k),   w = V^T U^-1/2 x*.
+
+Each factor lies in (0, 1) when alpha rho(M) < 1, so the form falls
+monotonically in k and bisection finds its first crossing of epsilon^2 in
+O(n) per probe. Nothing here calls the transient engine.
+"""
+
+from collections.abc import Callable
+
+import numpy as np
+
+from crossolve import direct_solve
+
+
+def energy_crossing(system, b, alpha: float, epsilon: float) -> tuple[int, Callable[[int], float]]:
+    """First step at which the closed-form ||e_k||_A^2 drops to epsilon^2, and that form.
+
+    b is one right-hand side of shape (n,); system is a FeedbackSystem over
+    a symmetric positive-definite matrix, stepped with gain alpha.
+    """
+    root_u = np.sqrt(system.u)
+    mu, v = np.linalg.eigh(root_u[:, None] * system.a * root_u[None, :])
+    w = v.T @ (direct_solve(system.a, b) / root_u)
+    weight, decay = mu * w * w, np.log1p(-alpha * mu)
+
+    def energy(k: int) -> float:
+        return float(np.sum(weight * np.exp(2 * k * decay)))
+
+    target = epsilon * epsilon
+    lo, hi = -1, 1  # energy(hi) <= target, and energy(lo) > target unless lo = -1
+    while energy(hi) > target:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if energy(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return hi, energy

@@ -179,8 +179,9 @@ def test_zero_count_exits_two_before_solving(tmp_path, capsys, command, paramete
 
 # Parameters no run of these scenarios varied: only the transient reads l0 and
 # slew_rate, b is always normalized or always not, CG runs to epsilon,
-# inversion's significance cut is fixed, and g_max, which only rescales the
-# conductances a matrix is programmed to, is DevicePolicy's default.
+# inversion's significance cut is fixed, g_max, which only rescales the
+# conductances a matrix is programmed to, is DevicePolicy's default, and
+# lambda_sweep always draws 3 x 3 matrices at g0 = 100 uS, 64 draws an attempt.
 _REMOVED_KNOBS = [
     *((command, key) for command in ("lambda-sweep", "scaling", "sparse-suite", "invert") for key in ("l0", "slew_rate")),
     ("lambda-sweep", "normalize_b"),
@@ -190,6 +191,9 @@ _REMOVED_KNOBS = [
     ("invert", "significant_fraction"),
     ("scaling", "g_max"),
     ("invert", "g_max"),
+    ("lambda-sweep", "dim"),
+    ("lambda-sweep", "g0"),
+    ("lambda-sweep", "max_tries"),
 ]
 
 

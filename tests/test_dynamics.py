@@ -2,7 +2,6 @@
 
 import functools
 import math
-from collections.abc import Callable
 
 import numpy as np
 import pytest
@@ -37,6 +36,7 @@ import crossolve.spectral
 from crossolve import dynamics
 from crossolve.dynamics import _square_limit
 from crossolve.experiments import DEFAULT_TRANSIENT_A, DEFAULT_TRANSIENT_B
+from modal_oracle import energy_crossing
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 A_NORM = SolveConfig(norm_kind="a_norm")
@@ -671,36 +671,6 @@ def _assert_same_bits(one, other):
     assert one.max_slew == other.max_slew
 
 
-def _energy_crossing(system, b, alpha: float, epsilon: float) -> tuple[int, Callable[[int], float]]:
-    """First step at which the closed-form ||e_k||_A^2 drops to epsilon^2, and that form.
-
-    For symmetric A, P = I - alpha U A = U^1/2 (I - alpha S) U^-1/2 with
-    S = U^1/2 A U^1/2 = V diag(mu) V^T, so from x(0) = 0 the error
-    e_k = P^k (-x*) has ||e_k||_A^2 = sum_i mu_i w_i^2 (1 - alpha mu_i)^(2k),
-    w = V^T U^-1/2 x*. Each factor lies in (0, 1), so the form falls
-    monotonically and bisection finds its first crossing without stepping.
-    """
-    root_u = np.sqrt(system.u)
-    mu, v = np.linalg.eigh(root_u[:, None] * system.a * root_u[None, :])
-    w = v.T @ (direct_solve(system.a, b) / root_u)
-    weight, decay = mu * w * w, np.log1p(-alpha * mu)
-
-    def energy(k: int) -> float:
-        return float(np.sum(weight * np.exp(2 * k * decay)))
-
-    target = epsilon * epsilon
-    lo, hi = -1, 1  # energy(hi) <= target, and energy(lo) > target unless lo = -1
-    while energy(hi) > target:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if energy(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return hi, energy
-
-
 class TestLookahead:
     """D-step products of simulate against one-step passes and a closed form.
 
@@ -738,12 +708,49 @@ class TestLookahead:
         res = _simulate_at(lookahead, system, block, oa, cfg)
         assert res.converged.all()
         for j in range(k):
-            crossing, energy = _energy_crossing(system, block[:, j], alpha, epsilon)
+            crossing, energy = energy_crossing(system, block[:, j], alpha, epsilon)
             steps = int(res.column_steps[j])
             if steps != crossing:
                 disputed = min(steps, crossing)
                 assert abs(steps - crossing) == 1
                 assert energy(disputed) == pytest.approx(epsilon * epsilon, rel=1e-6)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 200),
+        family=st.sampled_from(["sparse_pd", "covariance"]),
+        columns=st.sampled_from([None, 3]),
+        one_step=st.booleans(),
+    )
+    def test_suite_matrices_match_the_modal_oracle(self, seed, n, family, columns, one_step):
+        """The scenarios' symmetric families at n <= 200 stop where the modal oracle says.
+
+        columns None is a 1-D b, else a block; one_step forces D = 1, and the
+        engine's own rule gives D > 1 at most sizes below 182. At epsilon =
+        1e-3 the engine's ||e||_A^2 near the stop matched the closed form to
+        3e-11 relative over 80 such systems, so a count one away from the
+        oracle's is accepted only where the form at the disputed step lies
+        within 1e-9 of epsilon^2.
+        """
+        rng = np.random.default_rng(seed)
+        if family == "sparse_pd":
+            spec = SparsePdSpec(n=n, s=min(10, n), lambda_target=float(rng.uniform(0.2, 1.1)), seed=seed)
+            a = sparse_pd(spec)
+        else:
+            a = covariance_matrix(n, float(rng.choice([1.0, 2.0])))
+        system = build_feedback(a)
+        block = rng.uniform(-1.0, 1.0, (n, columns or 1))
+        oa = OpAmpModel()
+        cfg = SolveConfig(norm_kind="a_norm", record_trace=False)
+        alpha, _ = resolve_step(system, oa, cfg)
+        res = _simulate_at(1 if one_step else None, system, block if columns else block[:, 0], oa, cfg)
+        assert np.all(res.converged)
+        for j, steps in enumerate(np.atleast_1d(res.column_steps if columns else res.steps).tolist()):
+            crossing, energy = energy_crossing(system, block[:, j], alpha, cfg.epsilon)
+            if steps != crossing:
+                assert abs(steps - crossing) == 1
+                assert energy(min(steps, crossing)) == pytest.approx(cfg.epsilon**2, rel=1e-9)
 
     @pytest.mark.parametrize("norm_kind", ["l2", "a_norm"])
     def test_batch_edges(self, norm_kind, oa):
@@ -929,7 +936,7 @@ def _reference_transient(system, block, oa, cfg):
 
 
 class TestLayout:
-    """The (k, T, n) pass buffers: views that write in place, and the recurrence they compute."""
+    """The (k, T, n) pass buffer: views that write in place, and the recurrence they compute."""
 
     @pytest.mark.parametrize("k", [1, 3, 25])
     @pytest.mark.parametrize("lookahead", [1, 5, 64])
@@ -939,16 +946,22 @@ class TestLayout:
         # A view that silently became a copy would drop its product's states.
         n = 4
         batch = dynamics._batch(lookahead, 1 if single else 2)
-        prev, cur = np.zeros((k, batch, n)), np.zeros((k, batch, n))
-        products = dynamics._products(prev, cur, lookahead)
+        states = np.zeros((k, batch, n))
+        products = dynamics._products(states, lookahead)
         assert len(products) == batch // lookahead
         for i, (source, out, rows) in enumerate(products):
-            assert source.shape == (k, n) and np.shares_memory(source, prev if i == 0 else cur)
-            assert out.shape == (k, lookahead * n) and np.shares_memory(out, cur)
-            assert rows.shape == (k, lookahead, n) and np.shares_memory(rows, cur)
+            # product 0 starts from the state before the pass, which the loop carries outside the buffer
+            if i == 0:
+                assert source is None
+            else:
+                assert source.shape == (k, n) and np.shares_memory(source, states)
+            assert out.shape == (k, lookahead * n) and np.shares_memory(out, states)
+            assert rows.shape == (k, lookahead, n) and np.shares_memory(rows, states)
             out[...] = i + 1
-        # the outs tile cur: each state is written by exactly the product that owns it
-        assert np.array_equal(cur, np.broadcast_to((np.arange(batch) // lookahead + 1)[None, :, None], cur.shape))
+            if i:  # a later product reads the state just before its own, which the product before it wrote
+                assert np.array_equal(source, np.full((k, n), i))
+        # the outs tile the buffer: each state is written by exactly the product that owns it
+        assert np.array_equal(states, np.broadcast_to((np.arange(batch) // lookahead + 1)[None, :, None], states.shape))
 
     @pytest.mark.parametrize("n", [3, 30, 100, 300])
     @pytest.mark.parametrize("k", [1, 25])

@@ -614,9 +614,10 @@ def test_records_bytes_pinned(tmp_path, scenario, params, digests):
     trace.csv or inverse.csv where the scenario writes one. The digests
     are the bytes of one BLAS thread, which run_experiment sets for every
     run, and were recorded with Python 3.11, numpy 2.4.6 and scipy 1.17.1
-    on their OpenBLAS 0.3.31 wheels (x86-64, Haswell kernels); another
-    numpy/scipy/BLAS build or CPU kernel may round eigenvalues and solves
-    differently in the last bit and move them. A change that moves them
+    on the OpenBLAS each wheel bundles, which openblas_get_config reports
+    as 0.3.31 for numpy and 0.3.30 for scipy, both running SkylakeX kernels
+    on x86-64; another numpy/scipy/BLAS build or CPU kernel may round
+    eigenvalues and solves differently in the last bit and move them. A change that moves them
     on purpose must re-pin them and say why in CHANGES.md.
     """
     run_experiment(ExperimentSpec(scenario, seed=11, output_dir=tmp_path, parameters=params, threads=1))
@@ -654,8 +655,9 @@ def test_records_do_not_depend_on_blas_threads():
 # itself, and how many OpenBLAS runtimes the run would pin.
 _IMPORT_FOOTPRINT_RUN = """
 import sys
+from pathlib import Path
 import crossolve
-loaded_at_import = "scipy.linalg._flapack" in sys.modules
+loaded_at_import = Path(crossolve.spectral._LAPACK.__file__).name.startswith("_flapack.")
 from crossolve import DEFAULT_TRANSIENT_A, DEFAULT_TRANSIENT_B, build_feedback, simulate
 from crossolve.spectral import _openblas_runtimes
 assert simulate(build_feedback(DEFAULT_TRANSIENT_A), DEFAULT_TRANSIENT_B).converged
@@ -685,6 +687,23 @@ def test_import_loads_lapack_without_scipy_linalg():
     assert loaded_at_import == "True"
     assert runtimes == expected_runtimes
     assert same_routine == "True"
+
+
+# Imports scipy.linalg after crossolve and reads its LAPACK extension as an
+# attribute, as scipy.linalg.lapack's own users may.
+_SCIPY_LINALG_AFTER_CROSSOLVE = """
+import crossolve
+import scipy.linalg
+print(scipy.linalg._flapack.dgetrs is crossolve.spectral._dgetrs)
+"""
+
+
+def test_scipy_linalg_imported_after_crossolve_has_its_extension():
+    path = os.pathsep.join(filter(None, [str(Path(crossolve.experiments.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_LINALG_AFTER_CROSSOLVE], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]
 
 
 def test_blas_threads_pinned_for_the_run_and_restored(tmp_path, monkeypatch):

@@ -243,7 +243,7 @@ class TestLapackLoad:
         assert np.array_equal(direct_solve(a, b, (got_lu, got_piv)), x)
 
     def test_routines_come_from_scipys_extension(self):
-        assert crossolve.spectral._LAPACK is scipy.linalg.lapack._flapack
+        assert crossolve.spectral._LAPACK.__file__ == scipy.linalg.lapack._flapack.__file__
         assert crossolve.spectral._dgetrf is scipy.linalg.lapack.dgetrf
         assert crossolve.spectral._dgecon is scipy.linalg.lapack.dgecon
         assert crossolve.spectral._dgetrs is scipy.linalg.lapack.dgetrs
