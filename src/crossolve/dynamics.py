@@ -654,16 +654,26 @@ def time_bound(
 ) -> float | np.ndarray:
     """Bound on the time simulate(system, b, oa, cfg) takes to reach cfg.epsilon in cfg.norm_kind.
 
-    With norm_kind "a_norm" the bound is ln(sqrt(x*^T b) / epsilon) /
-    (lambda_m_min * gbw), valid for symmetric positive-definite A: the
-    initial energy-norm error from x(0) = 0 is sqrt(x*^T b) and each step
-    contracts it by at least alpha * lambda_m_min. A nonsymmetric A
+    The bound is proven for symmetric positive-definite A; a nonsymmetric A
     (system.symmetric unset) raises DomainError before anything is solved.
+    From x(0) = 0 the initial energy-norm error is sqrt(x*^T b), and each
+    step contracts it by at least x = alpha * lambda_m_min, with alpha and
+    dt = alpha / gbw from resolve_step. With norm_kind "a_norm" let
+    L = ln(sqrt(x*^T b) / epsilon). With norm_kind "l2", since ||e||_2 <=
+    ||e||_A / sqrt(lambda_min(A)) (Saad, Iterative Methods for Sparse Linear
+    Systems), L adds ln(1 / sqrt(lambda_min(A))) where lambda_min(A) < 1, and
+    nothing elsewhere. The bound is L / (lambda_m_min * gbw), plus dt where
+    L < 2(2 + x); a negative L, whose run stops at step 0, counts as 0.
 
-    With norm_kind "l2" it bounds the time until ||e||_2 <= epsilon. Since
-    ||e||_2 <= ||e||_A / sqrt(lambda_min(A)) (Saad, Iterative Methods for
-    Sparse Linear Systems), that adds ln(1 / sqrt(lambda_min(A))) /
-    (lambda_m_min * gbw) where lambda_min(A) < 1, and nothing elsewhere.
+    Proof: the energy-norm error contracts each step by the eigenvalues of
+    I - alpha U^1/2 A U^1/2, which lie in (0, 1 - x] because alpha rho(M) < 1.
+    So the run stops within ceil(L / -ln(1 - x)) steps, and since
+    -ln(1 - x) >= x + x^2 / 2 that is fewer than L/x - L/(2 + x) + 1. Hence L/x
+    steps, the time L / (lambda_m_min * gbw), suffice whenever L >= 2 + x,
+    with one step to spare for a stop that rounding delays whenever
+    L >= 2(2 + x); below that, L/x + 1 steps suffice. The proof covers the
+    loop without include_gain_correction, which settles at (M + I/l0)^-1 U b
+    rather than at x*.
 
     b is one right-hand side of shape (n,), which gives a float, or a block
     of shape (n, k), which gives one bound per column from one guarded
@@ -691,7 +701,13 @@ def time_bound(
         if system.lambda_min <= 0:
             raise StabilityError(f"l2 bound undefined: lambda_min(A) = {system.lambda_min:.3e} is not positive")
         shift = max(0.0, -0.5 * math.log(system.lambda_min))
-    bounds = [(math.log(math.sqrt(e) / cfg.epsilon) + shift) / (lam_min * oa.gbw) for e in energy.tolist()]
+    alpha, dt = resolve_step(system, oa, cfg)
+    spare = 2 * (2 + alpha * lam_min)
+    bounds = []
+    for e in energy.tolist():
+        ln_ratio = max(0.0, math.log(math.sqrt(e) / cfg.epsilon) + shift)
+        bound = ln_ratio / (lam_min * oa.gbw)
+        bounds.append(bound + dt if ln_ratio < spare else bound)
     return np.array(bounds) if b.ndim == 2 else bounds[0]
 
 

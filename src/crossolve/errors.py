@@ -5,6 +5,18 @@ problems exit with 2, numerical/stability/generation failures with 3,
 and output I/O failures with 4.
 """
 
+__all__ = [
+    "CrossolveError",
+    "ConfigError",
+    "UsageError",
+    "DomainError",
+    "NumericalError",
+    "StabilityError",
+    "GenerationError",
+    "InversionError",
+    "OutputError",
+]
+
 
 class CrossolveError(Exception):
     """Base class for all library-specific failures."""

@@ -259,12 +259,15 @@ _DEFAULTS: dict[str, dict] = {
 }
 
 
-# Parameters of each scenario that count systems, right-hand sides or
-# nonzeros per row, and so must be integers >= 1.
+# Parameters of each scenario that count systems, right-hand sides, draw
+# attempts, sizes or nonzeros per row, and so must be integers >= 1; each
+# entry of a list parameter is checked on its own.
 _COUNTS = {
-    "lambda_sweep": ("systems", "vectors_per_system"),
-    "scaling": ("vectors_per_size",),
-    "sparse_suite": ("systems", "s"),
+    "lambda_sweep": ("systems", "vectors_per_system", "floor_tries"),
+    "scaling": ("sizes", "vectors_per_size"),
+    "sparse_suite": ("systems", "s", "n_range"),
+    "inversion": ("n",),
+    "estimate": ("sizes", "s"),
 }
 
 
@@ -437,7 +440,7 @@ _SWEEP_DIM, _SWEEP_G0, _SWEEP_TRIES = 3, 100e-6, 64
 
 def _sweep_matrix(master: int, mi: int, p: dict) -> np.ndarray:
     floor = float(p["lambda_floor"])
-    for attempt in range(int(p["floor_tries"])):
+    for attempt in range(p["floor_tries"]):
         try:
             a, lam = random_discrete_pd(
                 dim=_SWEEP_DIM, g0=_SWEEP_G0, seed=child_seed(master, mi, attempt), max_tries=_SWEEP_TRIES
@@ -450,7 +453,7 @@ def _sweep_matrix(master: int, mi: int, p: dict) -> np.ndarray:
 
 
 def _sweep_task(spec: ExperimentSpec, p: dict, oa: OpAmpModel, cfg: SolveConfig, mi: int) -> list[RunRecord]:
-    vectors = int(p["vectors_per_system"])
+    vectors = p["vectors_per_system"]
     a = _sweep_matrix(spec.seed, mi, p)
     bs = [_unit_vector(a.shape[0], child_seed(spec.seed, mi, 10_000 + k)) for k in range(vectors)]
     return _system_records(spec, build_feedback(a), bs, oa, cfg, mi * vectors, f";matrix={mi}")
@@ -459,7 +462,7 @@ def _sweep_task(spec: ExperimentSpec, p: dict, oa: OpAmpModel, cfg: SolveConfig,
 def _run_lambda_sweep(spec: ExperimentSpec, p: dict):
     oa, cfg = _circuit(p)
     task = functools.partial(_sweep_task, spec, p, oa, cfg)
-    by_matrix = _map_tasks([functools.partial(task, mi) for mi in range(int(p["systems"]))], spec.threads)
+    by_matrix = _map_tasks([functools.partial(task, mi) for mi in range(p["systems"])], spec.threads)
     records = [rec for recs in by_matrix for rec in recs]
 
     inv_lam = np.array([1.0 / max(recs[0].lambda_m_min, 1e-30) for recs in by_matrix])
@@ -480,7 +483,7 @@ def _run_lambda_sweep(spec: ExperimentSpec, p: dict):
 def _scaling_task(
     spec: ExperimentSpec, p: dict, oa: OpAmpModel, cfg: SolveConfig, ratio: float, job: int, si: int, variant: str
 ) -> list[RunRecord]:
-    n, beta, vectors = int(p["sizes"][si]), float(p["beta"]), int(p["vectors_per_size"])
+    n, beta, vectors = p["sizes"][si], float(p["beta"]), p["vectors_per_size"]
     a = covariance_matrix(n, beta)
     if variant == "rram":
         a = _programmed(a, p, ratio, child_seed(spec.seed, si))
@@ -491,15 +494,15 @@ def _scaling_task(
 def _run_scaling(spec: ExperimentSpec, p: dict):
     oa, cfg = _circuit(p)
     beta = float(p["beta"])
-    sizes = [int(n) for n in p["sizes"]]
+    sizes = p["sizes"]
     variants = [str(v) for v in p["variants"]]
     for variant in variants:
         if variant not in ("ideal", "rram"):
             raise ConfigError(f"unknown scaling variant {variant!r}")
     if len(set(variants)) != len(variants):
         raise ConfigError(f"scaling variants must be distinct, got {p['variants']}")
-    if len(set(sizes)) != len(sizes) or any(n < 1 for n in sizes):
-        raise ConfigError(f"scaling sizes must be distinct and positive, got {p['sizes']}")
+    if len(set(sizes)) != len(sizes):
+        raise ConfigError(f"scaling sizes must be distinct, got {p['sizes']}")
     ratio = float(p["ratio"]) if p["ratio"] is not None else (1e4 if beta >= 2 else 1e3)
     jobs = [(si, variant) for si in range(len(sizes)) for variant in variants]
     task = functools.partial(_scaling_task, spec, p, oa, cfg, ratio)
@@ -546,7 +549,7 @@ def _sparse_task(
     rng = np.random.default_rng(child_seed(spec.seed, i))
     n = int(rng.integers(n_range[0], n_range[1] + 1))
     lam_target = float(rng.uniform(*lambda_range))
-    a = sparse_pd(SparsePdSpec(n=n, s=min(int(p["s"]), n), lambda_target=lam_target, seed=child_seed(spec.seed, i, 1)))
+    a = sparse_pd(SparsePdSpec(n=n, s=min(p["s"], n), lambda_target=lam_target, seed=child_seed(spec.seed, i, 1)))
     b = _unit_vector(n, child_seed(spec.seed, i, 2))
     cg = conjugate_gradient(a, b, tol=cfg.epsilon)
     realized_s = np.count_nonzero(a) / n  # nonzeros per row actually placed, at most s
@@ -557,14 +560,14 @@ def _sparse_task(
 
 def _run_sparse_suite(spec: ExperimentSpec, p: dict):
     oa, cfg = _circuit(p)
-    n_lo, n_hi = (int(v) for v in p["n_range"])
+    n_lo, n_hi = p["n_range"]
     lam_lo, lam_hi = (float(v) for v in p["lambda_range"])
-    if n_lo < 1 or n_hi < n_lo:
+    if n_hi < n_lo:
         raise ConfigError(f"invalid n_range {p['n_range']}")
     if not 0 < lam_lo <= lam_hi:
         raise ConfigError(f"invalid lambda_range {p['lambda_range']}")
     task = functools.partial(_sparse_task, spec, p, oa, cfg, (n_lo, n_hi), (lam_lo, lam_hi))
-    records = _map_tasks([functools.partial(task, i) for i in range(int(p["systems"]))], spec.threads)
+    records = _map_tasks([functools.partial(task, i) for i in range(p["systems"])], spec.threads)
 
     lams = np.array([r.lambda_min for r in records])
     taus = np.array([r.tau_measured_s for r in records])
@@ -583,7 +586,7 @@ def _run_sparse_suite(spec: ExperimentSpec, p: dict):
 
 def _run_inversion(spec: ExperimentSpec, p: dict):
     oa, cfg = _circuit(p)
-    n = int(p["n"])
+    n = p["n"]
     beta = float(p["beta"])
     ideal = covariance_matrix(n, beta)
     a_eff = _programmed(ideal, p, float(p["ratio"]), child_seed(spec.seed, 0)) if p["noisy"] else ideal
@@ -613,13 +616,13 @@ def _run_inversion(spec: ExperimentSpec, p: dict):
 
 
 def _run_estimate(spec: ExperimentSpec, p: dict):
-    s = int(p["s"])
+    s = p["s"]
     lam_max = float(p["lambda_max"])
     lam_min = float(p["lambda_min"])
     epsilon = float(p["epsilon"])
     records = []
     lines = []
-    for i, n in enumerate(int(v) for v in p["sizes"]):
+    for i, n in enumerate(p["sizes"]):
         cg_rel = complexity_cg_estimate(n, s, lam_max, lam_min, epsilon)
         quantum_rel = complexity_quantum_estimate(n, s, lam_max, lam_min, epsilon)
         records.append(
@@ -680,7 +683,6 @@ def _summary_text(spec: ExperimentSpec, params: dict, records: list[RunRecord], 
     converged = sum(1 for r in solved if r.converged)
     diverged = sum(1 for r in solved if r.diverged)
     timeouts = sum(1 for r in solved if not r.converged and not r.diverged)
-    gbw = float(params.get("gbw", 1e8))
     taus = [r.tau_measured_s for r in records if r.converged and r.tau_measured_s is not None]
     bounded = [r for r in records if r.tau_measured_s is not None and r.tau_bound_s is not None]
     bound_ok = sum(1 for r in bounded if r.tau_measured_s <= r.tau_bound_s)
@@ -701,10 +703,12 @@ def _summary_text(spec: ExperimentSpec, params: dict, records: list[RunRecord], 
         f"diverged: {diverged}/{len(solved)}",
         f"timeouts: {timeouts}/{len(solved)}",
         f"epsilon: {_cell(float(params['epsilon']))}",
-        f"gbw: {_cell(gbw)}",
     ]
-    if taus:
-        lines.append(f"mean_tau_gbw: {float(np.mean(taus)) * gbw:.12g}")
+    if "gbw" in params:  # estimate runs no circuit
+        gbw = float(params["gbw"])
+        lines.append(f"gbw: {_cell(gbw)}")
+        if taus:
+            lines.append(f"mean_tau_gbw: {float(np.mean(taus)) * gbw:.12g}")
     if bounded:
         lines.append(f"bound_satisfied: {bound_ok}/{len(bounded)}")
     if ineq:
@@ -764,8 +768,10 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[RunRecord], str]:
         raise ConfigError(f"threads must be an integer >= 1, got {spec.threads!r}")
     params = _merge_params(spec.scenario, dict(spec.parameters))
     for key in _COUNTS.get(spec.scenario, ()):
-        if not _is_integer(params[key]) or params[key] < 1:
-            raise ConfigError(f"{key} must be an integer >= 1, got {params[key]!r}")
+        value = params[key]
+        for count in value if isinstance(value, (list, tuple, np.ndarray)) else [value]:
+            if not _is_integer(count) or count < 1:
+                raise ConfigError(f"{key} must be an integer >= 1, got {count!r}")
     with _one_blas_thread():
         records, extra_lines, aux = SCENARIOS[spec.scenario](spec, params)
     records = sorted(records, key=lambda r: r.system_index)

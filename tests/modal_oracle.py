@@ -8,7 +8,9 @@ V diag(mu) V^T. From x(0) = 0 the error after k steps is e_k = P^k (-x*), so
 
 Each factor lies in (0, 1) when alpha rho(M) < 1, so the form falls
 monotonically in k and bisection finds its first crossing of epsilon^2 in
-O(n) per probe. Nothing here calls the transient engine.
+O(n) per probe. The continuous loop dx/dt = -gbw (M x - U b) has the same
+form with exp(-2 mu_i s) for the factor, at s = gbw t. Nothing here calls
+the transient engine.
 """
 
 from collections.abc import Callable
@@ -18,16 +20,22 @@ import numpy as np
 from crossolve import direct_solve
 
 
+def _modes(system, b) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues mu of U^1/2 A U^1/2 and the weights mu_i w_i^2 of the form."""
+    root_u = np.sqrt(system.u)
+    mu, v = np.linalg.eigh(root_u[:, None] * system.a * root_u[None, :])
+    w = v.T @ (direct_solve(system.a, b) / root_u)
+    return mu, mu * w * w
+
+
 def energy_crossing(system, b, alpha: float, epsilon: float) -> tuple[int, Callable[[int], float]]:
     """First step at which the closed-form ||e_k||_A^2 drops to epsilon^2, and that form.
 
     b is one right-hand side of shape (n,); system is a FeedbackSystem over
     a symmetric positive-definite matrix, stepped with gain alpha.
     """
-    root_u = np.sqrt(system.u)
-    mu, v = np.linalg.eigh(root_u[:, None] * system.a * root_u[None, :])
-    w = v.T @ (direct_solve(system.a, b) / root_u)
-    weight, decay = mu * w * w, np.log1p(-alpha * mu)
+    mu, weight = _modes(system, b)
+    decay = np.log1p(-alpha * mu)
 
     def energy(k: int) -> float:
         return float(np.sum(weight * np.exp(2 * k * decay)))
@@ -43,3 +51,29 @@ def energy_crossing(system, b, alpha: float, epsilon: float) -> tuple[int, Calla
         else:
             hi = mid
     return hi, energy
+
+
+def continuous_crossings(system, b, levels) -> list[float]:
+    """gbw * tau_c: where the continuous loop's ||e||_A^2 drops to each of levels.
+
+    b is one right-hand side of shape (n,). Each crossing comes from 60
+    halvings of a bracket [s/2, s] on s = gbw t, or [0, 1] below s = 1.
+    """
+    mu, weight = _modes(system, b)
+
+    def energy(s: float) -> float:
+        return float(np.sum(weight * np.exp(-2.0 * s * mu)))
+
+    crossings = []
+    for target in levels:
+        lo, hi = 0.0, 1.0
+        while energy(hi) > target:
+            lo, hi = hi, 2.0 * hi
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if energy(mid) > target:
+                lo = mid
+            else:
+                hi = mid
+        crossings.append(hi)
+    return crossings

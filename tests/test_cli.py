@@ -159,19 +159,31 @@ def test_non_integer_seed_or_threads_exits_two(tmp_path, capsys, config):
 
 
 @pytest.mark.parametrize(
-    "command,parameter",
+    "command,parameter,value",
     [
-        ("sparse-suite", "systems"),
-        ("sparse-suite", "s"),
-        ("lambda-sweep", "systems"),
-        ("lambda-sweep", "vectors_per_system"),
-        ("scaling", "vectors_per_size"),
+        pytest.param("sparse-suite", "systems", "0", id="sparse-suite-systems"),
+        pytest.param("sparse-suite", "s", "0", id="sparse-suite-s"),
+        pytest.param("sparse-suite", "n_range", "[0, 30]", id="sparse-suite-n_range"),
+        pytest.param("sparse-suite", "n_range", "[20.9, 30.2]", id="sparse-suite-n_range-fraction"),
+        pytest.param("lambda-sweep", "systems", "0", id="lambda-sweep-systems"),
+        pytest.param("lambda-sweep", "vectors_per_system", "0", id="lambda-sweep-vectors_per_system"),
+        pytest.param("lambda-sweep", "floor_tries", "0", id="lambda-sweep-floor_tries"),
+        pytest.param("lambda-sweep", "floor_tries", "2.7", id="lambda-sweep-floor_tries-fraction"),
+        pytest.param("scaling", "vectors_per_size", "0", id="scaling-vectors_per_size"),
+        pytest.param("scaling", "sizes", "[0, 10, 30, 100]", id="scaling-sizes"),
+        pytest.param("scaling", "sizes", "[3.5, 10, 30, 100]", id="scaling-sizes-fraction"),
+        pytest.param("invert", "n", "0", id="invert-n"),
+        pytest.param("invert", "n", "4.5", id="invert-n-fraction"),
+        pytest.param("estimate", "s", "0", id="estimate-s"),
+        pytest.param("estimate", "s", "2.5", id="estimate-s-fraction"),
+        pytest.param("estimate", "sizes", "[10.5, 100]", id="estimate-sizes-fraction"),
     ],
 )
-def test_zero_count_exits_two_before_solving(tmp_path, capsys, command, parameter):
-    # a zero once died inside a task (TypeError, ValueError) or exited 3 from sparse_pd
+def test_zero_count_exits_two_before_solving(tmp_path, capsys, command, parameter, value):
+    # a zero once died inside a task (TypeError, ValueError) or exited 3 from
+    # sparse_pd or the inversion's solve, and a fraction was truncated
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(f"seed: 0\noutput_dir: {tmp_path / 'out'}\nparameters:\n  {parameter}: 0\n")
+    cfg.write_text(f"seed: 0\noutput_dir: {tmp_path / 'out'}\nparameters:\n  {parameter}: {value}\n")
     assert main([command, "--config", str(cfg)]) == 2
     assert f"{parameter} must be an integer >= 1" in capsys.readouterr().err
     assert not (tmp_path / "out" / "records.csv").exists()

@@ -36,7 +36,7 @@ import crossolve.spectral
 from crossolve import dynamics
 from crossolve.dynamics import _square_limit
 from crossolve.experiments import DEFAULT_TRANSIENT_A, DEFAULT_TRANSIENT_B
-from modal_oracle import energy_crossing
+from modal_oracle import continuous_crossings, energy_crossing
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 A_NORM = SolveConfig(norm_kind="a_norm")
@@ -378,6 +378,20 @@ class TestTimeBound:
         system = build_feedback(a)
         res = simulate(system, b, oa, A_NORM)
         assert res.tau <= time_bound(system, b, oa, A_NORM)
+
+    @pytest.mark.parametrize("norm_kind", ["l2", "a_norm"])
+    @pytest.mark.parametrize(("c", "steps"), [(1e-5, 0), (1.197e-3, 3), (3.781e-3, 20)])
+    def test_covers_the_discrete_stop_at_small_log_ratio(self, oa, norm_kind, c, steps):
+        # A = diag(1, 3) gives x = alpha * lambda_m_min = 1/15 and lambda_min(A) = 1,
+        # so both norms have L = ln(c / epsilon) for b = (c, 0) on the slowest
+        # mode: -4.6, 0.18 and 1.33. L/x is -69, 2.70 and 19.95 steps, and the
+        # run takes 0, 3 and 20; the quotient alone fell short of all three.
+        system = build_feedback(np.diag([1.0, 3.0]))
+        b = np.array([c, 0.0])
+        cfg = SolveConfig(norm_kind=norm_kind, record_trace=False)
+        res = simulate(system, b, oa, cfg)
+        assert res.converged and res.steps == steps
+        assert res.tau <= time_bound(system, b, oa, cfg)
 
     def test_zero_energy_rejected(self, oa):
         system = build_feedback(np.eye(2))
@@ -743,7 +757,7 @@ class TestLookahead:
         block = rng.uniform(-1.0, 1.0, (n, columns or 1))
         oa = OpAmpModel()
         cfg = SolveConfig(norm_kind="a_norm", record_trace=False)
-        alpha, _ = resolve_step(system, oa, cfg)
+        alpha, dt = resolve_step(system, oa, cfg)
         res = _simulate_at(1 if one_step else None, system, block if columns else block[:, 0], oa, cfg)
         assert np.all(res.converged)
         for j, steps in enumerate(np.atleast_1d(res.column_steps if columns else res.steps).tolist()):
@@ -751,6 +765,9 @@ class TestLookahead:
             if steps != crossing:
                 assert abs(steps - crossing) == 1
                 assert energy(min(steps, crossing)) == pytest.approx(cfg.epsilon**2, rel=1e-9)
+            levels = cfg.epsilon**2 * np.array([1 + 1e-9, 1 - 1e-9])
+            early, late = np.array(continuous_crossings(system, block[:, j], levels)) / oa.gbw
+            assert early / (1 + cfg.alpha_fraction) <= np.atleast_1d(res.tau)[j] <= late + dt
 
     @pytest.mark.parametrize("norm_kind", ["l2", "a_norm"])
     def test_batch_edges(self, norm_kind, oa):

@@ -2,8 +2,10 @@
 
 import functools
 import hashlib
+import importlib
 import multiprocessing
 import os
+import pkgutil
 import subprocess
 import sys
 import threading
@@ -600,7 +602,7 @@ _PINNED_RECORDS = [
         {"sizes": (10, 100, 1000)},
         {
             "records.csv": "44332697588cb9d73dbc2a00acc31ff84fa6030b01868cbfb92c8da81163fe7e",
-            "summary.txt": "53f9f45a153e0ead1ad4506628d425f3014b1ddeb1a7af458260d6f99ed4871c",
+            "summary.txt": "ce55d01ff31576fdb9d196f977014efda27348f406761b1b0984d57085969c2e",
         },
     ),
 ]
@@ -652,16 +654,18 @@ def test_records_do_not_depend_on_blas_threads():
 
 # Imports crossolve, runs the demo transient and prints whether scipy.linalg
 # was imported, whether scipy's LAPACK extension was loaded by the import
-# itself, and how many OpenBLAS runtimes the run would pin.
+# itself, how many OpenBLAS runtimes the run would pin, and whether the
+# import pulled in yaml, which only the command line needs.
 _IMPORT_FOOTPRINT_RUN = """
 import sys
 from pathlib import Path
 import crossolve
 loaded_at_import = Path(crossolve.spectral._LAPACK.__file__).name.startswith("_flapack.")
+yaml_at_import = "yaml" in sys.modules
 from crossolve import DEFAULT_TRANSIENT_A, DEFAULT_TRANSIENT_B, build_feedback, simulate
 from crossolve.spectral import _openblas_runtimes
 assert simulate(build_feedback(DEFAULT_TRANSIENT_A), DEFAULT_TRANSIENT_B).converged
-print("scipy.linalg" in sys.modules, loaded_at_import, len(_openblas_runtimes()))
+print("scipy.linalg" in sys.modules, loaded_at_import, len(_openblas_runtimes()), yaml_at_import)
 import scipy.linalg
 print(scipy.linalg.lapack.dgetrs is crossolve.spectral._dgetrs)
 """
@@ -682,11 +686,26 @@ def test_import_loads_lapack_without_scipy_linalg():
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         printed.append(proc.stdout.split())
-    (imported, loaded_at_import, runtimes, same_routine), (expected_runtimes,) = printed
+    (imported, loaded_at_import, runtimes, yaml_at_import, same_routine), (expected_runtimes,) = printed
     assert imported == "False"
     assert loaded_at_import == "True"
     assert runtimes == expected_runtimes
+    assert yaml_at_import == "False"
     assert same_routine == "True"
+
+
+def test_package_reexports_each_module_surface_once():
+    # the package star-imports each module, and a star import silently
+    # shadows a name that two modules export
+    modules = [
+        importlib.import_module(f"crossolve.{info.name}")
+        for info in pkgutil.iter_modules(crossolve.__path__)
+        if info.name != "cli"
+    ]
+    names = [name for module in modules for name in module.__all__]
+    assert len(names) == len(set(names))
+    assert sorted(crossolve.__all__) == sorted(["__version__", *names])
+    assert all(getattr(crossolve, name) is getattr(module, name) for module in modules for name in module.__all__)
 
 
 # Imports scipy.linalg after crossolve and reads its LAPACK extension as an
