@@ -20,15 +20,17 @@ At small n each step is a few flops, and one Python round trip per step
 would cost far more than the arithmetic. The simulator therefore evaluates
 the same recurrence D steps per product, x(t + j dt) = P^j x(t) + c_j with
 P = I - alpha M, from stacked powers of P of degree D (the matrix powers
-kernel of s-step Krylov methods). D is chosen from n and the step count
-that eig(M) predicts, and is 1 (one step per product) at large n. Each
-pass of the loop fills T states with T/D such products and runs the
-stopping tests once over all T, so every step is still tested. T is D for
-a block; a single right-hand side, whose stop ends the run, tests
-at least 16 steps per pass with the same products, so that at large n the
-tests no longer cost as much as the product on every step. A recorded
-trace reads its samples from the rows of each pass, so it changes neither
-D nor T.
+kernel of s-step Krylov methods; Demmel, Hoemmen, Mohiyuddin and Yelick,
+IPDPS 2008). D is chosen from n and the step count that eig(M) predicts:
+at most 256, reached at n <= 16, and 1 (one step per product) at large n.
+The loop settles in a time set by the smallest eigenvalue of M, not by n,
+so even a 3 x 3 system takes hundreds of steps. Each pass of the loop
+fills T states with T/D such products and runs the stopping tests once
+over all T, so every step is still tested. T is D for a block; a single
+right-hand side, whose stop ends the run, tests at least 16 steps per pass
+with the same products, so that at large n the tests no longer cost as
+much as the product on every step. A recorded trace reads its samples from
+the rows of each pass, so it changes neither D nor T.
 
 The states are stored one row per right-hand side, (k, T, n), so each
 product is X^T [P^T ... (P^D)^T] of shape (k x n)(n x D n) rather than
@@ -323,7 +325,7 @@ _SCREEN_SLACK = 1e-9
 # S _PASS_S / D + 2 D n^3 _FLOP_S is least at D = sqrt(S _PASS_S / (2 n^3 _FLOP_S)).
 _PASS_S = 15e-6
 _FLOP_S = 1e-10
-_MAX_LOOKAHEAD = 64
+_MAX_LOOKAHEAD = 256
 # Cap on the D n^2 doubles of the stacked powers (512 KiB).
 _STACK_DOUBLES = 1 << 16
 # Matrix size from which _stack_powers sums the powers with whole-matrix adds.
@@ -335,8 +337,16 @@ def _lookahead(n: int, steps: float) -> int:
 
     steps is the step count the run is predicted to take. D is the cost
     model's optimum, clamped to [1, _MAX_LOOKAHEAD] and to D n^2 <=
-    _STACK_DOUBLES: up to 64 at n <= 10, 1 at n > 181, and 1 wherever the
+    _STACK_DOUBLES: up to 256 at n <= 16, 1 at n > 181, and 1 wherever the
     run is too short for the powers to pay for themselves.
+
+    At n = 3 the optimum is about 1400 and the cap binds. A block stops its
+    columns only at the end of a pass, so past some D the steps computed
+    after a column's stop cost more than the passes saved. On 240 warm
+    lambda_sweep systems (3 x 3, 3 right-hand sides, one BLAS thread of a
+    2-vCPU x86-64 VM, 12 interleaved rounds) simulate took a median of
+    266, 217, 209, 209, 213 and 219 us per system at caps 64, 128, 192,
+    256, 384 and 512, with the same step counts.
     """
     if not steps > 0:
         return 1
@@ -348,26 +358,35 @@ def _stack_powers(propagate: np.ndarray, drive: np.ndarray, lookahead: int) -> t
     """Stacked powers [P; P^2; ...; P^D] of shape (D n, n) and offsets [c_1; ...; c_D] of shape (D, n, k).
 
     c_j = (I + P + ... + P^(j-1)) drive is the state j steps after x = 0, so
-    the state j steps after x is P^j x + c_j. The powers double, P^(m+i) =
-    P^i P^m; D = 1 gives P itself and c_1 = drive.
+    the state j steps after x is P^j x + c_j. The powers double in one
+    preallocated array [I; P; ...; P^D], P^(m+i) = P^i P^m for i = 1 ..
+    min(m, D - m), one stacked product per doubling, and the sums of powers
+    accumulate from the same array; D = 1 gives P itself and c_1 = drive.
     """
     n = propagate.shape[0]
-    powers = propagate[None]
-    while len(powers) < lookahead:
-        j = min(len(powers), lookahead - len(powers))
-        powers = np.concatenate([powers, powers[:j] @ powers[-1]])
+    stack = np.empty((lookahead + 1, n, n))  # [I, P, ..., P^D]
+    stack[0] = np.eye(n)
+    stack[1] = propagate
+    powers = stack[1:]
+    m = 1  # powers[:m] hold P .. P^m
+    while m < lookahead:
+        j = min(m, lookahead - m)
+        np.matmul(powers[:j], powers[m - 1], out=powers[m : m + j])
+        m += j
     # sums[j - 1] = I + P + ... + P^j. numpy accumulates axis 0 one entry at a
     # time, which beats D - 1 whole-matrix adds only for a small matrix
     # (12 against 99 us at n = 3, 800 against 137 us at n = 30, D = 64). Both
     # make the same additions in the same order.
     if n < _ACCUMULATE_BELOW:
-        sums = np.cumsum(np.concatenate([np.eye(n)[None], powers[:-1]]), axis=0)[1:]
+        sums = np.cumsum(stack[:-1], axis=0)[1:]
     else:
         sums = np.empty((lookahead - 1, n, n))
-        total = np.eye(n)
+        total = stack[0]
         for j in range(lookahead - 1):
             total = np.add(total, powers[j], out=sums[j])
-    offsets = np.concatenate([drive[None], (sums.reshape(-1, n) @ drive).reshape(-1, *drive.shape)])
+    offsets = np.empty((lookahead, *drive.shape))
+    offsets[0] = drive
+    np.matmul(sums.reshape(-1, n), drive, out=offsets[1:].reshape(-1, drive.shape[1]))
     return powers.reshape(-1, n), offsets
 
 
@@ -524,7 +543,8 @@ def simulate(
     # The oracle of the columns still in the block, repeated for every state
     # of a pass: a broadcast along the middle axis would cut the subtraction
     # into k T runs of n elements, 2-4 times slower at k = 25.
-    target = np.repeat(x_star.T[:, None], batch, axis=1)
+    target = np.empty((k, batch, n))
+    target[...] = x_star.T[:, None]
     base = 0
     cols = np.arange(k)  # original index of each column still in the block
     x_final = np.empty((n, k))
@@ -654,8 +674,10 @@ def time_bound(
 ) -> float | np.ndarray:
     """Bound on the time simulate(system, b, oa, cfg) takes to reach cfg.epsilon in cfg.norm_kind.
 
-    The bound is proven for symmetric positive-definite A; a nonsymmetric A
-    (system.symmetric unset) raises DomainError before anything is solved.
+    The bound is proven for symmetric positive-definite A and the loop
+    without include_gain_correction; a nonsymmetric A (system.symmetric
+    unset) or a cfg with include_gain_correction set raises DomainError
+    before anything is solved.
     From x(0) = 0 the initial energy-norm error is sqrt(x*^T b), and each
     step contracts it by at least x = alpha * lambda_m_min, with alpha and
     dt = alpha / gbw from resolve_step. With norm_kind "a_norm" let
@@ -671,9 +693,10 @@ def time_bound(
     -ln(1 - x) >= x + x^2 / 2 that is fewer than L/x - L/(2 + x) + 1. Hence L/x
     steps, the time L / (lambda_m_min * gbw), suffice whenever L >= 2 + x,
     with one step to spare for a stop that rounding delays whenever
-    L >= 2(2 + x); below that, L/x + 1 steps suffice. The proof covers the
-    loop without include_gain_correction, which settles at (M + I/l0)^-1 U b
-    rather than at x*.
+    L >= 2(2 + x); below that, L/x + 1 steps suffice. The proof does not
+    cover include_gain_correction: that loop settles at (M + I/l0)^-1 U b
+    rather than at x*, so its error has a floor of order
+    ||x*|| / (l0 lambda_m_min) and may never reach epsilon.
 
     b is one right-hand side of shape (n,), which gives a float, or a block
     of shape (n, k), which gives one bound per column from one guarded
@@ -685,6 +708,8 @@ def time_bound(
         cfg = SolveConfig()
     if not system.symmetric:
         raise DomainError("the computing-time bound is proven only for a symmetric A")
+    if cfg.include_gain_correction:
+        raise DomainError("the computing-time bound is proven only without include_gain_correction")
     b = np.asarray(b, dtype=float)
     x_star = system.solve(b)
     energy = np.atleast_1d(np.vecdot(x_star, b, axis=0))

@@ -279,12 +279,21 @@ def scenario_defaults(scenario: str) -> dict:
 
 
 def _merge_params(scenario: str, overrides: dict) -> dict:
+    """The scenario's defaults updated by overrides.
+
+    An unknown key is a ConfigError, and so is a value that is not a list
+    or tuple where the default is a tuple (sizes, variants, n_range and
+    lambda_range).
+    """
     defaults = _DEFAULTS[scenario]
     unknown = set(overrides) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown parameters for scenario {scenario!r}: {sorted(unknown)}")
     params = dict(defaults)
     params.update(overrides)
+    for key, default in defaults.items():
+        if isinstance(default, tuple) and not isinstance(params[key], (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {params[key]!r}")
     return params
 
 
@@ -769,7 +778,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[RunRecord], str]:
     params = _merge_params(spec.scenario, dict(spec.parameters))
     for key in _COUNTS.get(spec.scenario, ()):
         value = params[key]
-        for count in value if isinstance(value, (list, tuple, np.ndarray)) else [value]:
+        for count in value if isinstance(_DEFAULTS[spec.scenario][key], tuple) else [value]:
             if not _is_integer(count) or count < 1:
                 raise ConfigError(f"{key} must be an integer >= 1, got {count!r}")
     with _one_blas_thread():

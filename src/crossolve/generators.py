@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import LevelSet, measured_level_set
+from .devices import _MEASURED_LEVELS_S, LevelSet
 from .errors import ConfigError, DomainError, GenerationError
 
 __all__ = [
@@ -57,10 +57,11 @@ def random_discrete_pd(
 ) -> tuple[np.ndarray, float]:
     """Random matrix with entries drawn from a discrete level set, PD-screened.
 
-    Every entry is an independent uniform draw from level_set / g0, so the
-    result is generally not symmetric; draws are retried until the
-    symmetric part (A + A^T)/2 is positive definite, which also guarantees
-    every eigenvalue of the attenuated loop matrix has positive real part.
+    Every entry is an independent uniform draw from level_set / g0 (the
+    measured eight-level set by default), so the result is generally not
+    symmetric; draws are retried until the symmetric part (A + A^T)/2 is
+    positive definite, which also guarantees every eigenvalue of the
+    attenuated loop matrix has positive real part.
 
     Returns the accepted matrix together with its symmetric-part smallest
     eigenvalue. Raises GenerationError when max_tries draws all fail.
@@ -74,11 +75,9 @@ def random_discrete_pd(
         raise DomainError(f"dim must be >= 1, got {dim}")
     if max_tries < 1:
         raise ConfigError(f"max_tries must be >= 1, got {max_tries}")
-    if level_set is None:
-        level_set = measured_level_set()
     if not g0 > 0:
         raise DomainError(f"g0 must be positive, got {g0}")
-    values = level_set.levels / g0
+    values = (_MEASURED_LEVELS_S if level_set is None else level_set.levels) / g0
     rng = np.random.default_rng(seed)
     for start in range(0, max_tries, _SCREEN_DRAWS):
         draws = values[rng.integers(0, values.size, size=(min(_SCREEN_DRAWS, max_tries - start), dim, dim))]

@@ -189,6 +189,26 @@ def test_zero_count_exits_two_before_solving(tmp_path, capsys, command, paramete
     assert not (tmp_path / "out" / "records.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command,parameter,value",
+    [
+        pytest.param("scaling", "sizes", "100", id="scaling-sizes"),
+        pytest.param("estimate", "sizes", "100", id="estimate-sizes"),
+        pytest.param("sparse-suite", "n_range", "50", id="sparse-suite-n_range"),
+        pytest.param("sparse-suite", "lambda_range", "0.5", id="sparse-suite-lambda_range"),
+        pytest.param("scaling", "variants", "ideal", id="scaling-variants"),
+    ],
+)
+def test_scalar_for_a_list_parameter_exits_two(tmp_path, capsys, command, parameter, value):
+    # a number once escaped as a TypeError (exit 1) and a word ran as its
+    # letters ("unknown scaling variant 'i'")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"seed: 0\noutput_dir: {tmp_path / 'out'}\nparameters:\n  {parameter}: {value}\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert f"{parameter} must be a list" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "records.csv").exists()
+
+
 # Parameters no run of these scenarios varied: only the transient reads l0 and
 # slew_rate, b is always normalized or always not, CG runs to epsilon,
 # inversion's significance cut is fixed, g_max, which only rescales the

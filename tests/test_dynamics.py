@@ -36,7 +36,7 @@ import crossolve.spectral
 from crossolve import dynamics
 from crossolve.dynamics import _square_limit
 from crossolve.experiments import DEFAULT_TRANSIENT_A, DEFAULT_TRANSIENT_B
-from modal_oracle import continuous_crossings, energy_crossing
+from modal_oracle import continuous_crossings, energy_crossing, l2_crossing
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 A_NORM = SolveConfig(norm_kind="a_norm")
@@ -409,6 +409,20 @@ class TestTimeBound:
         with pytest.raises(DomainError, match="symmetric"):
             time_bound(system, DEFAULT_TRANSIENT_B, oa)
 
+    def test_gain_correction_rejected_before_solving(self, oa, monkeypatch):
+        # The corrected loop settles at (M + I/l0)^-1 U b, not at x*: on this
+        # system its error floor is 2.16e-5, so at epsilon 1e-5 the run times
+        # out, while the uncorrected proof gives a bound of 3.95e-7 s.
+        a, b = np.array([[2.0, 0.5], [0.5, 1.0]]), np.ones(2)
+        cfg = SolveConfig(epsilon=1e-5, include_gain_correction=True, max_steps=200_000, record_trace=False)
+        res = simulate(build_feedback(a), b, oa, cfg)
+        assert not res.converged and not res.diverged and res.steps == cfg.max_steps
+        plain = SolveConfig(epsilon=1e-5, record_trace=False)
+        assert time_bound(build_feedback(a), b, oa, plain) == pytest.approx(3.95e-7, rel=1e-3)
+        monkeypatch.setattr(dynamics, "direct_solve", lambda *args: pytest.fail("solved for a bound it cannot give"))
+        with pytest.raises(DomainError, match="include_gain_correction"):
+            time_bound(build_feedback(a), b, oa, cfg)
+
     def test_reuses_the_transients_solve(self, spd_pair, oa, monkeypatch):
         a, b = spd_pair
         system = build_feedback(a)
@@ -769,6 +783,37 @@ class TestLookahead:
             early, late = np.array(continuous_crossings(system, block[:, j], levels)) / oa.gbw
             assert early / (1 + cfg.alpha_fraction) <= np.atleast_1d(res.tau)[j] <= late + dt
 
+    @pytest.mark.parametrize("one_step", [False, True], ids=["engine_d", "d1"])
+    @pytest.mark.parametrize("columns", [None, 3], ids=["vector", "block"])
+    @pytest.mark.parametrize("family", ["sparse_pd", "covariance"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 16, 30])
+    def test_l2_stops_where_the_modal_oracle_says(self, n, family, columns, one_step, oa):
+        """The l2 stop of the symmetric families at n <= 30, where D reaches its cap.
+
+        On these systems the engine's D is 256 at n <= 5 and above 64 up to
+        n = 16. The l2 form need not fall monotonically in k, so the oracle
+        checks every step up to its crossing. As in the a_norm test, a count one away from the
+        oracle's is accepted only where the form at the disputed step lies
+        within 1e-9 of epsilon^2.
+        """
+        rng = np.random.default_rng(n)
+        if family == "sparse_pd":
+            spec = SparsePdSpec(n=n, s=min(10, n), lambda_target=float(rng.uniform(0.2, 1.1)), seed=n)
+            a = sparse_pd(spec)
+        else:
+            a = covariance_matrix(n, float(rng.choice([1.0, 2.0])))
+        system = build_feedback(a)
+        block = rng.uniform(-1.0, 1.0, (n, columns or 1))
+        cfg = SolveConfig(record_trace=False)
+        alpha, _ = resolve_step(system, oa, cfg)
+        res = _simulate_at(1 if one_step else None, system, block if columns else block[:, 0], oa, cfg)
+        assert np.all(res.converged)
+        for j, steps in enumerate(np.atleast_1d(res.column_steps if columns else res.steps).tolist()):
+            crossing, form = l2_crossing(system, block[:, j], alpha, cfg.epsilon)
+            if steps != crossing:
+                assert abs(steps - crossing) == 1
+                assert form(min(steps, crossing)) == pytest.approx(cfg.epsilon**2, rel=1e-9)
+
     @pytest.mark.parametrize("norm_kind", ["l2", "a_norm"])
     def test_batch_edges(self, norm_kind, oa):
         # K = 8 passes cover steps 0-7, 8-15, ...: the converging column stops
@@ -869,14 +914,46 @@ class TestLookahead:
         if not column:  # a recorded trace changes no bit either
             _assert_same_bits(res, simulate(system, rhs, oa, SolveConfig()))
 
+    @pytest.mark.parametrize("n", [2, 3, 10, 16, 30, 100])
+    def test_powers_double_in_place_bit_for_bit(self, n, oa):
+        # The reference re-concatenates the stack after every doubling and
+        # again to sum the powers; the engine fills one preallocated array
+        # with the same products and sums them in the same order.
+        def concatenated(p, drive, lookahead):
+            powers = p[None]
+            while len(powers) < lookahead:
+                j = min(len(powers), lookahead - len(powers))
+                powers = np.concatenate([powers, powers[:j] @ powers[-1]])
+            if n < dynamics._ACCUMULATE_BELOW:
+                sums = np.cumsum(np.concatenate([np.eye(n)[None], powers[:-1]]), axis=0)[1:]
+            else:
+                sums = np.empty((lookahead - 1, n, n))
+                total = np.eye(n)
+                for j in range(lookahead - 1):
+                    total = np.add(total, powers[j], out=sums[j])
+            offsets = np.concatenate([drive[None], (sums.reshape(-1, n) @ drive).reshape(-1, *drive.shape)])
+            return powers.reshape(-1, n), offsets
+
+        rng = np.random.default_rng(n)
+        a = rng.uniform(0.0, 1.0, (n, n)) + n * np.eye(n)  # dominant diagonal: stable
+        system = build_feedback(a)
+        alpha, _ = resolve_step(system, oa, SolveConfig())
+        p = np.eye(n) - alpha * system.m
+        drive = alpha * system.u[:, None] * rng.uniform(-1.0, 1.0, (n, 3))
+        cap = min(dynamics._MAX_LOOKAHEAD, dynamics._STACK_DOUBLES // (n * n))
+        for lookahead in sorted({d for d in (1, 2, 3, 5, 7, 64, 65, 100, 129, 255) if d < cap} | {cap}):
+            for got, want in zip(dynamics._stack_powers(p, drive, lookahead), concatenated(p, drive, lookahead)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), lookahead
+
     def test_rule(self):
-        assert dynamics._lookahead(3, 2000.0) == 64
+        assert dynamics._lookahead(3, 2000.0) == 256
         assert dynamics._lookahead(300, 2000.0) == 1
         assert dynamics._lookahead(30, 0.0) == 1
+        assert dynamics._lookahead(16, 1e9) == 256 > dynamics._lookahead(17, 1e9)  # D n^2 <= _STACK_DOUBLES
         for n in (3, 30, 100, 181):
             k = dynamics._lookahead(n, 1e9)
-            assert 1 <= k <= 64 and k * n * n <= dynamics._STACK_DOUBLES
-        for d in range(1, 65):
+            assert 1 <= k <= 256 and k * n * n <= dynamics._STACK_DOUBLES
+        for d in range(1, 257):
             t = dynamics._batch(d, 1)
             assert t % d == 0 and t >= 16 and t < max(d, 16) + d
             assert dynamics._batch(d, 2) == d  # a block

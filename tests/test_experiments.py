@@ -561,7 +561,7 @@ _PINNED_RECORDS = [
         {
             "records.csv": "e23f4e7ea6f99784b7c29caf995fbe510511fde35a2034b9a38483f50f88fddc",
             "summary.txt": "fdbbfd6b1315b4e50a76a70b081399926c8f358b8d2db484cd69489e7571f9d3",
-            "trace.csv": "24bc801568f4381094eae2f35182dee3189a38a1e99377c381cfc7dbfdaf4c9a",
+            "trace.csv": "79488d76e6ee1d355fba4ff92606bab9c454d4ebf395a7a024339d56d55a0758",
         },
     ),
     (

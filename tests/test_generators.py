@@ -111,16 +111,18 @@ class TestRandomDiscretePd:
         assert not np.array_equal(a1, a3)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5])
-    @pytest.mark.parametrize("levels", ["measured", "three"])
+    @pytest.mark.parametrize("levels", ["measured", "default", "three"])
     def test_matches_one_draw_at_a_time(self, dim, levels):
         # The three-level set fails the screen often: at dim 2 and 3 a seed
         # may be accepted on its first draw, in a later batch of 16 (dim 3,
         # seeds 5 and 11, only at max_tries = 64) or not at all, and at dim 5
-        # every draw fails.
-        if levels == "measured":
-            level_set, g0 = measured_level_set(), 100e-6
-        else:
+        # every draw fails. "default" passes no level set, which must draw
+        # from the measured one.
+        if levels == "three":
             level_set, g0 = LevelSet(np.array([1e-6, 5e-5, 1e-4])), 1e-4
+        else:
+            level_set, g0 = measured_level_set(), 100e-6
+        given = None if levels == "default" else level_set
         outcomes = set()
         for seed in range(12):
             for max_tries in (1, 15, 16, 17, 64):
@@ -128,10 +130,10 @@ class TestRandomDiscretePd:
                     want = _reference_random_discrete_pd(dim, level_set, g0, seed, max_tries)
                 except GenerationError as exc:
                     with pytest.raises(GenerationError, match=str(exc)):
-                        random_discrete_pd(dim, level_set, g0, seed, max_tries)
+                        random_discrete_pd(dim, given, g0, seed, max_tries)
                     outcomes.add("raised")
                     continue
-                a, lam = random_discrete_pd(dim, level_set, g0, seed, max_tries)
+                a, lam = random_discrete_pd(dim, given, g0, seed, max_tries)
                 assert a.tobytes() == want[0].tobytes() and a.shape == want[0].shape
                 assert type(lam) is float and np.float64(lam).tobytes() == np.float64(want[1]).tobytes()
                 outcomes.add("returned")
