@@ -19,21 +19,19 @@ __all__ = ["CgResult", "conjugate_gradient"]
 
 @dataclass
 class CgResult:
-    """Conjugate-gradient outcome with the full residual-norm history."""
+    """Conjugate-gradient outcome: the iterate, its iteration count and whether it converged."""
 
     x: np.ndarray
     iterations: int
-    residual_history: np.ndarray
     converged: bool
 
 
 def conjugate_gradient(a, b, tol: float = 1e-8, max_iters: int | None = None) -> CgResult:
     """Solve A x = b for symmetric positive-definite A from x(0) = 0.
 
-    Stops when ||A x - b||_2 <= tol * ||b||_2. residual_history holds the
-    initial residual norm followed by one entry per iteration. Raises
-    DomainError for a non-symmetric matrix or when an indefinite direction
-    (p^T A p <= 0) is encountered.
+    Stops when ||A x - b||_2 <= tol * ||b||_2. Raises DomainError for a
+    non-symmetric matrix or when an indefinite direction (p^T A p <= 0) is
+    encountered.
     """
     a = _as_square(a)
     b = np.asarray(b, dtype=float)
@@ -51,9 +49,8 @@ def conjugate_gradient(a, b, tol: float = 1e-8, max_iters: int | None = None) ->
 
     x = np.zeros(n)
     r = b.copy()
-    history = [float(np.linalg.norm(r))]
-    if history[0] <= threshold:
-        return CgResult(x=x, iterations=0, residual_history=np.array(history), converged=True)
+    if float(np.linalg.norm(r)) <= threshold:
+        return CgResult(x=x, iterations=0, converged=True)
 
     p = r.copy()
     rs = float(r @ r)
@@ -67,12 +64,10 @@ def conjugate_gradient(a, b, tol: float = 1e-8, max_iters: int | None = None) ->
         gamma = rs / pap
         x += gamma * p
         r -= gamma * ap
-        rn = float(np.linalg.norm(r))
-        history.append(rn)
-        if rn <= threshold:
+        if float(np.linalg.norm(r)) <= threshold:
             converged = True
             break
         rs_next = float(r @ r)
         p = r + (rs_next / rs) * p
         rs = rs_next
-    return CgResult(x=x, iterations=iterations, residual_history=np.array(history), converged=converged)
+    return CgResult(x=x, iterations=iterations, converged=converged)

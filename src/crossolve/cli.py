@@ -9,6 +9,7 @@ generation failures, 4 output failures.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -43,6 +44,22 @@ _FLAG_PARAMS = {"epsilon": "epsilon", "gbw": "gbw", "levels": "num_levels", "rat
 _CONFIG_KEYS = {"scenario", "seed", "output_dir", "threads", "parameters"}
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """YAML's safe loader, also reading 1e-3 and 1.0e4 as numbers, as YAML 1.2 does.
+
+    YAML 1.1 reads a number with an exponent as text unless it has both a
+    dot and a signed exponent (1.0e-3), and a scenario's numeric parameters
+    take numbers only.
+    """
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crossolve",
@@ -68,7 +85,7 @@ def _load_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     if data is None:

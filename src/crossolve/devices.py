@@ -26,7 +26,6 @@ __all__ = [
     "LevelSet",
     "ConductanceMatrix",
     "build_level_set",
-    "measured_level_set",
     "quantize_levels",
     "program",
     "read_effective",
@@ -104,11 +103,6 @@ def build_level_set(policy: DevicePolicy) -> LevelSet:
     return LevelSet(np.linspace(policy.g_min, policy.g_max, policy.num_levels))
 
 
-def measured_level_set() -> LevelSet:
-    """The built-in eight-level characterized conductance set."""
-    return LevelSet(_MEASURED_LEVELS_S.copy())
-
-
 def quantize_levels(targets: np.ndarray, level_set: LevelSet) -> np.ndarray:
     """Snap conductance targets to the nearest level.
 
@@ -142,7 +136,6 @@ class ConductanceMatrix:
 
 def program(
     a: np.ndarray,
-    g0: float | None = None,
     policy: DevicePolicy | None = None,
     seed: int = 0,
 ) -> ConductanceMatrix:
@@ -152,10 +145,6 @@ def program(
     ----------
     a : (N, N) array_like
         Dimensionless nonnegative matrix to realize. Must not be all zero.
-    g0 : float, optional
-        Read unit in siemens. Defaults to the programming scale
-        gamma = g_max / max(a), so that reading the array back recovers
-        `a` up to quantization and noise.
     policy : DevicePolicy, optional
         Level grid and noise rule; defaults to 64 levels, ratio 1e3.
     seed : int, optional
@@ -167,6 +156,8 @@ def program(
     Returns
     -------
     ConductanceMatrix
+        Its read unit g0 is the programming scale gamma = g_max / max(a),
+        so reading the array back recovers `a` up to quantization and noise.
     """
     if not 0 <= int(seed) < 2**64:
         raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed}")
@@ -189,7 +180,7 @@ def program(
         g = np.where(q > 0, np.maximum(q + sigma * z, 0.0), 0.0)
     else:
         g = q
-    return ConductanceMatrix(g=g, g0=gamma if g0 is None else float(g0))
+    return ConductanceMatrix(g=g, g0=gamma)
 
 
 def read_effective(cm: ConductanceMatrix) -> np.ndarray:

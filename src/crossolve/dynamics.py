@@ -73,7 +73,6 @@ __all__ = [
     "stability_report",
     "resolve_step",
     "simulate",
-    "analytic_trajectory",
     "time_bound",
     "invert_matrix",
     "slew_check",
@@ -180,40 +179,24 @@ def build_feedback(a) -> FeedbackSystem:
 
 @dataclass
 class StabilityReport:
-    """Spectral summary of one feedback system for a given op-amp model.
+    """The three spectral numbers of one feedback system that every experiment record reports.
 
-    lambda_min is the smallest eigenvalue of (A + A^T)/2, u_min the
-    smallest row attenuation, and lambda_m_min the smallest real part of
-    an eigenvalue of M = diag(u) A: the three per-system numbers every
-    experiment record reports. eigenvalues are those of M, real and in
-    ascending order when A is symmetric, complex otherwise.
+    lambda_min is the smallest eigenvalue of (A + A^T)/2, lambda_m_min the
+    smallest real part of an eigenvalue of M = diag(u) A, and u_min the
+    smallest row attenuation. M's full spectrum is FeedbackSystem.m_eigenvalues.
     """
 
-    eigenvalues: np.ndarray
     lambda_min: float
     lambda_m_min: float
     u_min: float
-    spectral_radius: float
-    poles: np.ndarray
-    stable: bool
 
 
-def stability_report(system: FeedbackSystem, oa: OpAmpModel | None = None) -> StabilityReport:
-    """Spectral summary: eig(M), the poles -gbw * eig(M), stability, lambda_min, u_min."""
-    if oa is None:
-        oa = OpAmpModel()
+def stability_report(system: FeedbackSystem) -> StabilityReport:
+    """The system's lambda_min, lambda_m_min and u_min."""
     # M's spectrum comes first: its eigensolver rejects a non-finite A with
     # NumericalError before lambda_min(A) is tried.
-    ev = system.m_eigenvalues
-    return StabilityReport(
-        eigenvalues=ev,
-        lambda_min=system.lambda_min,
-        lambda_m_min=system.lambda_m_min,
-        u_min=float(system.u.min()),
-        spectral_radius=system.rho,
-        poles=-oa.gbw * ev,
-        stable=system.lambda_m_min > 0,
-    )
+    lambda_m_min = system.lambda_m_min
+    return StabilityReport(lambda_min=system.lambda_min, lambda_m_min=lambda_m_min, u_min=float(system.u.min()))
 
 
 @dataclass(frozen=True)
@@ -224,7 +207,8 @@ class SolveConfig:
     oracle, measured in norm_kind ("l2" or "a_norm"). The dimensionless
     step gain is alpha = alpha_fraction / rho(M), or alpha_fraction itself
     where rho(M) is 0. include_gain_correction adds the finite-gain term
-    I/l0 to M, modeling the op amp's finite open-loop gain.
+    I/l0 to M, modeling the op amp's finite open-loop gain; simulate then
+    raises DomainError unless epsilon exceeds the error floor this leaves.
     """
 
     epsilon: float = 1e-3
@@ -485,7 +469,10 @@ def simulate(
     because the products and their order do not depend on it.
 
     A column converges when its error against the direct-solve oracle first
-    drops to epsilon or below. Divergence is declared when ||x||_2 exceeds
+    drops to epsilon or below. Under include_gain_correction the loop settles
+    at x_inf = (M + I/l0)^-1 U b instead of x*, so DomainError is raised,
+    before any step, when some column's ||x_inf - x*|| in norm_kind is
+    epsilon or more. Divergence is declared when ||x||_2 exceeds
     divergence_factor * max(1, ||x*||_2). The recorded trace (single
     right-hand side only) holds the steps that are multiples of a stride,
     the least power of two that keeps at most trace_limit of them up to the
@@ -509,10 +496,19 @@ def simulate(
     alpha, dt = resolve_step(system, oa, cfg)
 
     m_eff = system.m
-    if cfg.include_gain_correction:
-        m_eff = system.m + np.eye(n) / oa.l0
     drive = alpha * (system.u[:, None] * block)
     energy = system.a if cfg.norm_kind == "a_norm" else None
+    if cfg.include_gain_correction:
+        m_eff = system.m + np.eye(n) / oa.l0
+        # The corrected loop settles at (M + I/l0)^-1 U b, not at x*, so a
+        # column whose floor ||x_inf - x*|| is epsilon or more would only time out.
+        offset = direct_solve(m_eff, system.u[:, None] * block) - x_star
+        floor = float(np.sqrt(np.vecdot(offset, offset if energy is None else energy @ offset, axis=0)).max())
+        if floor >= cfg.epsilon:
+            raise DomainError(
+                f"epsilon {cfg.epsilon:.3e} does not exceed the finite-gain error floor {floor:.3e}; "
+                "the loop with include_gain_correction settles at (M + I/l0)^-1 U b, not at x*"
+            )
     limit = _square_limit(cfg.epsilon)
 
     star_norm = np.sqrt(np.vecdot(x_star, x_star, axis=0))
@@ -641,29 +637,6 @@ def simulate(
         steps=int(column_steps[0]),
         max_slew=max_jump / dt,
     )
-
-
-def analytic_trajectory(system: FeedbackSystem, b, x0, oa: OpAmpModel | None = None, t: float = 0.0) -> np.ndarray:
-    """Continuous-time state x(t) = x* + expm(-gbw M t) (x0 - x*).
-
-    Evaluates the loop ODE's closed form through the matrix exponential,
-    independent of the forward-difference update. Singular systems have
-    no fixed point and raise DomainError.
-    """
-    if oa is None:
-        oa = OpAmpModel()
-    b = np.asarray(b, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    try:
-        x_star = system.solve(b)
-    except NumericalError as exc:
-        raise DomainError(f"no fixed point: {exc}") from exc
-    if x0.shape != x_star.shape:
-        raise DomainError(f"x0 shape {x0.shape} does not match system size {x_star.shape}")
-    import scipy.linalg  # imported here, so that importing crossolve costs no more
-
-    decay = scipy.linalg.expm(-oa.gbw * float(t) * system.m)
-    return x_star + decay @ (x0 - x_star)
 
 
 def time_bound(

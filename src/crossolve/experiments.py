@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import numbers
 import operator
 import pickle
 import threading
@@ -297,6 +298,49 @@ def _merge_params(scenario: str, overrides: dict) -> dict:
     return params
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
+def _check_kinds(scenario: str, params: dict) -> None:
+    """ConfigError for a parameter value that is not of its default's kind.
+
+    An int default takes an integer (the counts are checked before this).
+    A float default, or scaling's ratio (None: derived from beta), takes a
+    real number, and a tuple of floats (lambda_range) a real number in each
+    entry: a bool or a string, even a quoted "0.01", is none. A bool
+    default takes a bool, since the string "false" would read as true. The
+    transient's a, when given, is a square matrix of real numbers and its b
+    a vector of real numbers, as long as a's (or the default system's) side.
+    """
+    for key, default in _DEFAULTS[scenario].items():
+        value = params[key]
+        if isinstance(default, bool):
+            if not isinstance(value, (bool, np.bool_)):
+                raise ConfigError(f"{key} must be true or false, got {value!r}")
+        elif isinstance(default, int):
+            if not _is_integer(value):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        elif isinstance(default, float) or (key == "ratio" and value is not None):
+            if not _is_real(value):
+                raise ConfigError(f"{key} must be a number, got {value!r}")
+        elif isinstance(default, tuple) and isinstance(default[0], float):
+            if not all(map(_is_real, value)):
+                raise ConfigError(f"{key} entries must be numbers, got {value!r}")
+    if scenario != "transient":
+        return
+    n = DEFAULT_TRANSIENT_A.shape[0]
+    if params["a"] is not None:
+        a = np.asarray(params["a"], dtype=object)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size or not all(map(_is_real, a.flat)):
+            raise ConfigError(f"a must be a square matrix of numbers, got {params['a']!r}")
+        n = a.shape[0]
+    if params["b"] is not None:
+        b = np.asarray(params["b"], dtype=object)
+        if b.shape != (n,) or not all(map(_is_real, b.flat)):
+            raise ConfigError(f"b must be a list of {n} numbers, got {params['b']!r}")
+
+
 def _op_amp(p: dict) -> OpAmpModel:
     """The op-amp model from whichever of gbw, l0 and slew_rate p holds; OpAmpModel's defaults fill the rest."""
     return OpAmpModel(**{key: float(p[key]) for key in ("gbw", "l0", "slew_rate") if key in p})
@@ -320,7 +364,7 @@ def _unit_vector(n: int, seed: int) -> np.ndarray:
 def _programmed(ideal: np.ndarray, p: dict, ratio: float, seed: int) -> np.ndarray:
     """The matrix the circuit reads back after ideal is programmed under p's device policy."""
     policy = DevicePolicy(num_levels=p["num_levels"], ratio=ratio, noise_fraction=float(p["noise_fraction"]))
-    return read_effective(program(ideal, None, policy, seed=seed))
+    return read_effective(program(ideal, policy, seed=seed))
 
 
 def _bounds(system, block: np.ndarray, cfg: SolveConfig, oa: OpAmpModel) -> list[float | None]:
@@ -351,7 +395,6 @@ def _rows(
     spec: ExperimentSpec,
     system,
     result: SolveResult,
-    oa: OpAmpModel,
     cfg: SolveConfig,
     bounds: list[float | None],
     notes: list[str],
@@ -365,7 +408,7 @@ def _rows(
     shared holds RunRecord fields common to all. Each final_error is
     measured against the oracle x* that the transient stopped on.
     """
-    report = stability_report(system, oa)
+    report = stability_report(system)
     n = system.a.shape[0]
     tau, converged, diverged = (np.atleast_1d(v) for v in (result.tau, result.converged, result.diverged))
     steps = np.atleast_1d(result.steps if result.column_steps is None else result.column_steps)
@@ -411,7 +454,7 @@ def _system_records(
     result = simulate(system, block, oa, cfg)
     a_hash = _hasher(system.a)
     digests = [f"digest={_digest(b, prefix=a_hash)}{notes}" for b in bs]
-    return _rows(spec, system, result, oa, cfg, _bounds(system, block, cfg, oa), digests, first, **shared)
+    return _rows(spec, system, result, cfg, _bounds(system, block, cfg, oa), digests, first, **shared)
 
 
 # ----------------------------------------------------------------------
@@ -429,7 +472,7 @@ def _run_transient(spec: ExperimentSpec, p: dict):
     system = build_feedback(a)
     result = simulate(system, b, oa, cfg)
     bounds = _bounds(system, b[:, None], cfg, oa)
-    (record,) = _rows(spec, system, result, oa, cfg, bounds, [f"digest={_digest(a, b)}"])
+    (record,) = _rows(spec, system, result, cfg, bounds, [f"digest={_digest(a, b)}"])
     trace = result.trace
     header = ("t_s", *(f"x_{i + 1}" for i in range(a.shape[0])), "error")
     samples = [(t, *state, e) for t, state, e in zip(trace.times, trace.states, trace.errors)]
@@ -603,7 +646,7 @@ def _run_inversion(spec: ExperimentSpec, p: dict):
     system = build_feedback(a_eff)
     result = invert_matrix(system, oa, cfg)
     notes = [f"digest={_digest(a_eff, j)};column={j}" for j in range(n)]
-    records = _rows(spec, system, result, oa, cfg, [None] * n, notes, beta_or_s=beta)
+    records = _rows(spec, system, result, cfg, [None] * n, notes, beta_or_s=beta)
 
     computed = result.x_final
     reference = np.linalg.inv(ideal)
@@ -781,6 +824,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[RunRecord], str]:
         for count in value if isinstance(_DEFAULTS[spec.scenario][key], tuple) else [value]:
             if not _is_integer(count) or count < 1:
                 raise ConfigError(f"{key} must be an integer >= 1, got {count!r}")
+    _check_kinds(spec.scenario, params)
     with _one_blas_thread():
         records, extra_lines, aux = SCENARIOS[spec.scenario](spec, params)
     records = sorted(records, key=lambda r: r.system_index)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import _MEASURED_LEVELS_S, LevelSet
+from .devices import _MEASURED_LEVELS_S
 from .errors import ConfigError, DomainError, GenerationError
 
 __all__ = [
@@ -50,15 +50,14 @@ _SCREEN_DRAWS = 16
 
 def random_discrete_pd(
     dim: int = 3,
-    level_set: LevelSet | None = None,
     g0: float = 100e-6,
     seed: int = 0,
     max_tries: int = 64,
 ) -> tuple[np.ndarray, float]:
-    """Random matrix with entries drawn from a discrete level set, PD-screened.
+    """Random matrix with entries drawn from the measured level set, PD-screened.
 
-    Every entry is an independent uniform draw from level_set / g0 (the
-    measured eight-level set by default), so the result is generally not
+    Every entry is an independent uniform draw from the measured eight-level
+    conductance set divided by g0, so the result is generally not
     symmetric; draws are retried until the symmetric part (A + A^T)/2 is
     positive definite, which also guarantees every eigenvalue of the
     attenuated loop matrix has positive real part.
@@ -77,7 +76,7 @@ def random_discrete_pd(
         raise ConfigError(f"max_tries must be >= 1, got {max_tries}")
     if not g0 > 0:
         raise DomainError(f"g0 must be positive, got {g0}")
-    values = (_MEASURED_LEVELS_S if level_set is None else level_set.levels) / g0
+    values = _MEASURED_LEVELS_S / g0
     rng = np.random.default_rng(seed)
     for start in range(0, max_tries, _SCREEN_DRAWS):
         draws = values[rng.integers(0, values.size, size=(min(_SCREEN_DRAWS, max_tries - start), dim, dim))]

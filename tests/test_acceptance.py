@@ -18,7 +18,6 @@ from crossolve import (
     ExperimentSpec,
     SolveConfig,
     SparsePdSpec,
-    analytic_trajectory,
     attenuation,
     build_feedback,
     child_seed,
@@ -32,6 +31,7 @@ from crossolve import (
     stability_report,
     time_bound,
 )
+from trajectory_oracle import analytic_trajectory
 
 # Symmetric PD matrices produced while running criteria 2-4, re-checked
 # against the attenuation inequality in criterion 9.

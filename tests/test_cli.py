@@ -239,3 +239,66 @@ def test_parameter_no_run_varies_is_unknown(tmp_path, capsys, command, key):
     cfg.write_text(f"seed: 1\nparameters:\n  {key}: 1.0\n")
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "cli")]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,parameters,message",
+    [
+        *(
+            pytest.param(command, "epsilon: abc", "epsilon must be a number", id=f"{command}-epsilon-word")
+            for command in ("transient", "lambda-sweep", "scaling", "sparse-suite", "estimate")
+        ),
+        pytest.param("transient", 'epsilon: "0.01"', "epsilon must be a number", id="transient-epsilon-quoted"),
+        pytest.param("transient", "gbw: true", "gbw must be a number", id="transient-gbw-bool"),
+        pytest.param("scaling", "ratio: abc", "ratio must be a number", id="scaling-ratio-word"),
+        pytest.param("scaling", "num_levels: abc", "num_levels must be an integer", id="scaling-num_levels-word"),
+        pytest.param("sparse-suite", "lambda_range: [0.1, x]", "lambda_range entries", id="sparse-suite-lambda_range-word"),
+        pytest.param("transient", "a: [[1, x]]", "a must be a square matrix", id="transient-a-word-entry"),
+        pytest.param("transient", "a: 3", "a must be a square matrix", id="transient-a-scalar"),
+        pytest.param("transient", "a: [[1.0, 0.5]]", "a must be a square matrix", id="transient-a-not-square"),
+        pytest.param("transient", "a: [[1.0, 0.5], [0.5]]", "a must be a square matrix", id="transient-a-ragged"),
+        pytest.param("transient", "b: [1.0, 2.0]", "b must be a list of 3 numbers", id="transient-b-length"),
+        pytest.param("transient", "b: [1.0, x, 2.0]", "b must be a list of 3 numbers", id="transient-b-word-entry"),
+        pytest.param(
+            "transient",
+            'include_gain_correction: "false"',
+            "include_gain_correction must be true or false",
+            id="transient-include_gain_correction-quoted",
+        ),
+        pytest.param("invert", 'noisy: "false"', "noisy must be true or false", id="invert-noisy-quoted"),
+    ],
+)
+def test_malformed_parameter_exits_two_before_solving(tmp_path, capsys, command, parameters, message):
+    # a word once escaped as a ValueError traceback (exit 1), a malformed
+    # transient a or b was reported as a domain failure (exit 3), and a
+    # quoted "false" ran as true
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"seed: 0\noutput_dir: {tmp_path / 'out'}\nparameters:\n  {parameters}\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "records.csv").exists()
+
+
+def test_exponent_without_dot_or_sign_is_a_number(tmp_path):
+    # YAML 1.1 reads 1e-2 and 1.0e9 as text; parameters take numbers only
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"seed: 0\noutput_dir: {tmp_path / 'out'}\nparameters:\n  epsilon: 1e-2\n  gbw: 1.0e8\n")
+    assert main(["transient", "--config", str(cfg)]) == 0
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert "epsilon: 0.01\n" in summary and "gbw: 100000000\n" in summary
+
+
+@pytest.mark.parametrize(
+    "parameters",
+    [
+        "a: [[1.0, -0.5], [0.2, 1.0]]\n  b: [1.0, 2.0]",
+        "a: [[2.0, 0.5], [0.5, 1.0]]\n  b: [1.0, 1.0]\n  epsilon: 1.0e-5\n  include_gain_correction: true",
+    ],
+    ids=["negative-entry", "below-gain-floor"],
+)
+def test_well_formed_but_unsolvable_transient_exits_three(tmp_path, parameters):
+    # a negative conductance, and an epsilon under the finite-gain floor,
+    # which once ran to max_steps and exited 0 with a timeout
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"seed: 0\noutput_dir: {tmp_path / 'out'}\nparameters:\n  {parameters}\n")
+    assert main(["transient", "--config", str(cfg)]) == 3

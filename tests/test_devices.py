@@ -12,11 +12,13 @@ from crossolve import (
     DomainError,
     LevelSet,
     build_level_set,
-    measured_level_set,
     program,
     quantize_levels,
     read_effective,
 )
+from crossolve.devices import _MEASURED_LEVELS_S
+
+MEASURED = LevelSet(_MEASURED_LEVELS_S)
 
 
 class TestDevicePolicy:
@@ -60,7 +62,7 @@ class TestLevelSets:
         assert np.allclose(spacing, (1e-4 - 1e-7) / 63)
 
     def test_measured_levels(self):
-        ls = measured_level_set()
+        ls = MEASURED
         assert len(ls) == 8
         expected = np.array([10, 15, 20, 30, 50, 60, 80, 120]) * 1e-6
         assert np.allclose(ls.levels, expected)
@@ -78,13 +80,13 @@ class TestLevelSets:
 
 class TestQuantize:
     def test_snaps_to_nearest(self):
-        ls = measured_level_set()
+        ls = MEASURED
         t = np.array([11e-6, 14e-6, 55.1e-6, 130e-6])
         q = quantize_levels(t, ls)
         assert np.allclose(q, [10e-6, 15e-6, 60e-6, 120e-6])
 
     def test_below_half_minimum_is_open(self):
-        ls = measured_level_set()
+        ls = MEASURED
         q = quantize_levels(np.array([0.0, 4.9e-6, 5e-6, 9e-6]), ls)
         assert np.allclose(q, [0.0, 0.0, 10e-6, 10e-6])
 
@@ -106,7 +108,7 @@ class TestQuantize:
         st.floats(min_value=0.0, max_value=2e-4, allow_nan=False),
     )
     def test_monotone(self, t1, t2):
-        ls = measured_level_set()
+        ls = MEASURED
         lo, hi = min(t1, t2), max(t1, t2)
         q = quantize_levels(np.array([lo, hi]), ls)
         assert q[0] <= q[1]
@@ -119,7 +121,7 @@ class TestProgram:
         a = np.array([[0.1, 0.6], [1.2, 0.3]])
         policy = DevicePolicy(num_levels=8, g_max=120e-6, ratio=12.0, noise_fraction=0.0)
         ls = build_level_set(policy)
-        cm = program(a, g0=None, policy=policy)
+        cm = program(a, policy=policy)
         gamma = policy.g_max / a.max()
         assert cm.g0 == pytest.approx(gamma)
         back = read_effective(cm)
@@ -179,12 +181,6 @@ class TestProgram:
             program(np.zeros((2, 2)))
         with pytest.raises(DomainError):
             program(np.ones((2, 3)))
-
-    def test_explicit_g0(self):
-        a = np.array([[1.0, 0.5], [0.5, 1.0]])
-        cm = program(a, g0=100e-6, policy=DevicePolicy(noise_fraction=0.0))
-        assert cm.g0 == 100e-6
-        assert np.allclose(read_effective(cm), cm.g / 100e-6)
 
 
 class TestConductanceMatrix:

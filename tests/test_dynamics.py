@@ -1,5 +1,6 @@
 """Feedback-loop dynamics tests: stability, transient, bound, inversion."""
 
+import dataclasses
 import functools
 import math
 
@@ -19,7 +20,6 @@ from crossolve import (
     SparsePdSpec,
     StabilityError,
     UsageError,
-    analytic_trajectory,
     build_feedback,
     covariance_matrix,
     direct_solve,
@@ -37,6 +37,7 @@ from crossolve import dynamics
 from crossolve.dynamics import _square_limit
 from crossolve.experiments import DEFAULT_TRANSIENT_A, DEFAULT_TRANSIENT_B
 from modal_oracle import continuous_crossings, energy_crossing, l2_crossing
+from trajectory_oracle import analytic_trajectory
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 A_NORM = SolveConfig(norm_kind="a_norm")
@@ -68,21 +69,24 @@ class TestBuildFeedback:
 
 
 class TestStabilityReport:
-    def test_identity_poles(self, oa):
-        rep = stability_report(build_feedback(np.eye(3)), oa)
-        assert rep.stable
+    def test_identity_poles(self):
+        # M = I/2, so every pole -gbw eig(M) sits at -gbw/2
+        system = build_feedback(np.eye(3))
+        rep = stability_report(system)
         assert rep.lambda_m_min == pytest.approx(0.5)
-        assert np.allclose(rep.poles.real, -5e7)
+        assert rep.u_min == pytest.approx(0.5)
+        assert np.allclose(system.m_eigenvalues, 0.5)
 
     def test_swap_matrix_unstable(self, oa):
-        rep = stability_report(build_feedback(SWAP), oa)
-        assert not rep.stable
-        assert rep.lambda_m_min == pytest.approx(-0.5)
-        assert rep.spectral_radius == pytest.approx(0.5)
+        system = build_feedback(SWAP)
+        assert stability_report(system).lambda_m_min == pytest.approx(-0.5)
+        assert system.rho == pytest.approx(0.5)
+        with pytest.raises(StabilityError):
+            resolve_step(system, oa, SolveConfig())
 
     def test_attenuation_inequality_on_spd(self, spd_pair, oa):
         a, _ = spd_pair
-        rep = stability_report(build_feedback(a), oa)
+        rep = stability_report(build_feedback(a))
         assert rep.lambda_m_min >= rep.u_min * rep.lambda_min - 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -105,7 +109,8 @@ class TestStabilityReport:
 
     def test_demo_stable(self, demo_system, oa):
         system, _ = demo_system
-        assert stability_report(system, oa).stable
+        assert stability_report(system).lambda_m_min > 0
+        assert resolve_step(system, oa, SolveConfig())[0] > 0
 
     def test_spectral_numbers_computed_once(self, spd_pair, oa, monkeypatch):
         computed = []
@@ -121,13 +126,13 @@ class TestStabilityReport:
         monkeypatch.setattr(dynamics, "sym_part_lambda_min", lambda a: computed.append("lambda_min") or lambda_min(a))
         a, b = spd_pair
         system = build_feedback(a)
-        first, second = stability_report(system, oa), stability_report(system, oa)
+        first, second = stability_report(system), stability_report(system)
         simulate(system, b, oa, SolveConfig())
         time_bound(system, b, oa)
         assert computed == ["m_eigenvalues", "lambda_min"]
         ev = system.m_eigenvalues
         assert system.lambda_m_min == first.lambda_m_min == second.lambda_m_min == float(ev.real.min())
-        assert system.rho == first.spectral_radius == second.spectral_radius == float(np.abs(ev).max())
+        assert system.rho == float(np.abs(ev).max())
         assert system.lambda_min == first.lambda_min == second.lambda_min == lambda_min(a)
 
     def test_infinite_entries_rejected(self, oa):
@@ -136,7 +141,7 @@ class TestStabilityReport:
         with np.errstate(invalid="ignore"):
             system = build_feedback(np.array([[1.0, np.inf], [np.inf, 1.0]]))
             with pytest.raises(NumericalError):
-                stability_report(system, oa)
+                stability_report(system)
 
 
 class TestMEigenvalues:
@@ -227,7 +232,7 @@ class TestSimulate:
         system, b = demo_system
         res = simulate(system, b, oa, SolveConfig())
         assert res.converged and not res.diverged
-        assert res.tau == pytest.approx(res.steps * 0.1 / stability_report(system).spectral_radius / 1e8)
+        assert res.tau == pytest.approx(res.steps * 0.1 / system.rho / 1e8)
         assert res.tau < 1e-6
         x_star = direct_solve(system.a, b)
         assert np.linalg.norm(res.x_final - x_star) <= 1e-3
@@ -276,7 +281,7 @@ class TestSimulate:
         system = build_feedback(a)
         cfg = SolveConfig(norm_kind="a_norm", trace_limit=100_000)
         res = simulate(system, b, oa, cfg)
-        rep = stability_report(system, oa)
+        rep = stability_report(system)
         alpha, _ = resolve_step(system, oa, cfg)
         factor = 1.0 - alpha * rep.lambda_m_min
         errs = res.trace.errors
@@ -324,6 +329,20 @@ class TestSimulate:
         system, _ = demo_system
         with pytest.raises(DomainError):
             simulate(system, np.ones(4), oa, SolveConfig())
+
+    @pytest.mark.parametrize("norm_kind", ["l2", "a_norm"])
+    def test_gain_correction_floor_at_epsilon_rejected(self, oa, norm_kind):
+        # The corrected loop settles 2.16e-5 (l2) from x* here, so at epsilon
+        # 1e-5 the run once stepped to max_steps and reported a timeout. One
+        # column of a block at or above its floor is enough.
+        system = build_feedback(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        b = np.ones(2)
+        cfg = SolveConfig(epsilon=1e-5, norm_kind=norm_kind, include_gain_correction=True, max_steps=200_000)
+        for rhs in (b, np.column_stack([b / 1000, b])):
+            with pytest.raises(DomainError, match="finite-gain error floor"):
+                simulate(system, rhs, oa, cfg)
+        assert simulate(system, b / 1000, oa, cfg).converged
+        assert simulate(system, b, oa, dataclasses.replace(cfg, epsilon=1e-3)).converged
 
     def test_gain_correction_shifts_fixed_point(self, spd_pair, oa):
         a, b = spd_pair
@@ -411,12 +430,12 @@ class TestTimeBound:
 
     def test_gain_correction_rejected_before_solving(self, oa, monkeypatch):
         # The corrected loop settles at (M + I/l0)^-1 U b, not at x*: on this
-        # system its error floor is 2.16e-5, so at epsilon 1e-5 the run times
-        # out, while the uncorrected proof gives a bound of 3.95e-7 s.
+        # system its error floor is 2.16e-5, so at epsilon 1e-5 the run cannot
+        # converge, while the uncorrected proof gives a bound of 3.95e-7 s.
         a, b = np.array([[2.0, 0.5], [0.5, 1.0]]), np.ones(2)
         cfg = SolveConfig(epsilon=1e-5, include_gain_correction=True, max_steps=200_000, record_trace=False)
-        res = simulate(build_feedback(a), b, oa, cfg)
-        assert not res.converged and not res.diverged and res.steps == cfg.max_steps
+        with pytest.raises(DomainError, match="floor 2.164e-05"):
+            simulate(build_feedback(a), b, oa, cfg)
         plain = SolveConfig(epsilon=1e-5, record_trace=False)
         assert time_bound(build_feedback(a), b, oa, plain) == pytest.approx(3.95e-7, rel=1e-3)
         monkeypatch.setattr(dynamics, "direct_solve", lambda *args: pytest.fail("solved for a bound it cannot give"))

@@ -1,8 +1,10 @@
 """Experiment harness tests: seeding, scenarios, CSV emission, determinism."""
 
+import dataclasses
 import functools
 import hashlib
 import importlib
+import inspect
 import multiprocessing
 import os
 import pkgutil
@@ -131,13 +133,20 @@ class TestMapTasks:
         assert results == [(i, os.getpid()) for i in range(4)]
 
     def test_records_identical_at_any_worker_count(self, tmp_path):
-        blobs = []
-        for workers in (1, 2, 8):
-            out = tmp_path / f"w{workers}"
-            spec = ExperimentSpec("sparse_suite", seed=5, output_dir=out, parameters={"systems": 10}, threads=workers)
-            run_experiment(spec)
-            blobs.append((out / "records.csv").read_bytes())
-        assert blobs[0] == blobs[1] == blobs[2]
+        # every scenario that maps its systems over workers, at tiny sizes
+        mapped = {
+            "sparse_suite": {"systems": 10},
+            "lambda_sweep": {"systems": 8, "vectors_per_system": 2},
+            "scaling": {"sizes": (3, 10, 30), "vectors_per_size": 3},
+        }
+        for scenario, parameters in mapped.items():
+            blobs = []
+            for workers in (1, 2, 8):
+                out = tmp_path / f"{scenario}-w{workers}"
+                spec = ExperimentSpec(scenario, seed=5, output_dir=out, parameters=parameters, threads=workers)
+                run_experiment(spec)
+                blobs.append((out / "records.csv").read_bytes())
+            assert blobs[0] == blobs[1] == blobs[2], scenario
 
 
 class TestEmitOutputs:
@@ -706,6 +715,17 @@ def test_package_reexports_each_module_surface_once():
     assert len(names) == len(set(names))
     assert sorted(crossolve.__all__) == sorted(["__version__", *names])
     assert all(getattr(crossolve, name) is getattr(module, name) for module in modules for name in module.__all__)
+
+
+def test_package_keeps_no_surface_only_tests_read():
+    # the continuous trajectory is a test oracle (tests/trajectory_oracle.py),
+    # every scenario draws from the measured levels and programs at g_max / max(a),
+    # and records read three spectral numbers and CG's iteration count
+    assert not hasattr(crossolve, "analytic_trajectory") and not hasattr(crossolve, "measured_level_set")
+    for function, removed in ((crossolve.random_discrete_pd, "level_set"), (crossolve.program, "g0"), (crossolve.stability_report, "oa")):
+        assert removed not in inspect.signature(function).parameters
+    assert [f.name for f in dataclasses.fields(crossolve.CgResult)] == ["x", "iterations", "converged"]
+    assert [f.name for f in dataclasses.fields(crossolve.StabilityReport)] == ["lambda_min", "lambda_m_min", "u_min"]
 
 
 # Imports scipy.linalg after crossolve and reads its LAPACK extension as an

@@ -11,12 +11,13 @@ from crossolve import (
     LevelSet,
     SparsePdSpec,
     covariance_matrix,
-    measured_level_set,
     random_discrete_pd,
     random_vector,
     sparse_pd,
     sym_part_lambda_min,
 )
+from crossolve import generators
+from crossolve.devices import _MEASURED_LEVELS_S
 
 
 def _reference_sparse_pd(spec: SparsePdSpec) -> np.ndarray:
@@ -98,7 +99,7 @@ class TestCovarianceMatrix:
 class TestRandomDiscretePd:
     def test_entries_come_from_level_set(self):
         a, lam = random_discrete_pd(dim=3, seed=2)
-        values = measured_level_set().levels / 100e-6
+        values = _MEASURED_LEVELS_S / 100e-6
         assert np.isin(a, values).all()
         assert lam > 0
         assert lam == pytest.approx(sym_part_lambda_min(a))
@@ -112,17 +113,18 @@ class TestRandomDiscretePd:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5])
     @pytest.mark.parametrize("levels", ["measured", "default", "three"])
-    def test_matches_one_draw_at_a_time(self, dim, levels):
-        # The three-level set fails the screen often: at dim 2 and 3 a seed
-        # may be accepted on its first draw, in a later batch of 16 (dim 3,
-        # seeds 5 and 11, only at max_tries = 64) or not at all, and at dim 5
-        # every draw fails. "default" passes no level set, which must draw
-        # from the measured one.
+    def test_matches_one_draw_at_a_time(self, dim, levels, monkeypatch):
+        # The three-level set, swapped in for the measured one, fails the
+        # screen often: at dim 2 and 3 a seed may be accepted on its first
+        # draw, in a later batch of 16 (dim 3, seeds 5 and 11, only at
+        # max_tries = 64) or not at all, and at dim 5 every draw fails.
+        # "default" leaves g0 at its default of 100 uS; "measured" scales
+        # the measured set by another g0.
+        g0 = {"default": 100e-6, "measured": 60e-6, "three": 1e-4}[levels]
+        kwargs = {} if levels == "default" else {"g0": g0}
         if levels == "three":
-            level_set, g0 = LevelSet(np.array([1e-6, 5e-5, 1e-4])), 1e-4
-        else:
-            level_set, g0 = measured_level_set(), 100e-6
-        given = None if levels == "default" else level_set
+            monkeypatch.setattr(generators, "_MEASURED_LEVELS_S", np.array([1e-6, 5e-5, 1e-4]))
+        level_set = LevelSet(generators._MEASURED_LEVELS_S)
         outcomes = set()
         for seed in range(12):
             for max_tries in (1, 15, 16, 17, 64):
@@ -130,10 +132,10 @@ class TestRandomDiscretePd:
                     want = _reference_random_discrete_pd(dim, level_set, g0, seed, max_tries)
                 except GenerationError as exc:
                     with pytest.raises(GenerationError, match=str(exc)):
-                        random_discrete_pd(dim, given, g0, seed, max_tries)
+                        random_discrete_pd(dim, seed=seed, max_tries=max_tries, **kwargs)
                     outcomes.add("raised")
                     continue
-                a, lam = random_discrete_pd(dim, given, g0, seed, max_tries)
+                a, lam = random_discrete_pd(dim, seed=seed, max_tries=max_tries, **kwargs)
                 assert a.tobytes() == want[0].tobytes() and a.shape == want[0].shape
                 assert type(lam) is float and np.float64(lam).tobytes() == np.float64(want[1]).tobytes()
                 outcomes.add("returned")
@@ -143,10 +145,9 @@ class TestRandomDiscretePd:
             assert "returned" in outcomes
 
     def test_exhaustion_raises(self):
-        # off-diagonal-heavy two-level draws at dim 8 fail the PD screen
-        ls = LevelSet(np.array([1e-6, 1e-4]))
+        # off-diagonal-heavy draws at dim 8 fail the PD screen
         with pytest.raises(GenerationError):
-            random_discrete_pd(dim=8, level_set=ls, g0=1e-4, seed=0, max_tries=2)
+            random_discrete_pd(dim=8, seed=0, max_tries=2)
 
     def test_validation(self):
         with pytest.raises(DomainError):
