@@ -32,6 +32,17 @@ with the same products, so that at large n the tests no longer cost as
 much as the product on every step. A recorded trace reads its samples from
 the rows of each pass, so it changes neither D nor T.
 
+Most of a run is the long approach to epsilon while the error is still far
+above it, and none of those steps can stop the run. A block on an exactly
+symmetric A with lambda_M,min > 0 therefore first skips them: it advances
+all its columns together J steps per product, x <- P^J x + c_J, with P^J
+from repeated squaring, and keeps each jump only when a bound on the norms
+of the powers of P proves that no column could have stopped at any step
+the jump skipped (the certificate and its proof are in simulate). The
+passes then resume from the last certified state and test every later step
+as before. Skipped steps are still modeled steps: tau and the step counts
+include them.
+
 The states are stored one row per right-hand side, (k, T, n), so each
 product is X^T [P^T ... (P^D)^T] of shape (k x n)(n x D n) rather than
 [P; ...; P^D] X of shape (D n x n)(n x k). The two take the same flops, but
@@ -338,6 +349,106 @@ def _lookahead(n: int, steps: float) -> int:
     return max(1, min(best, _MAX_LOOKAHEAD, _STACK_DOUBLES // (n * n)))
 
 
+# Largest certified jump J. At most _MAX_JUMP steps are skipped per product;
+# 1 turns the jumps off.
+_MAX_JUMP = 1 << 12
+# Relative slack of the jump certificate: a skipped step's error exceeds
+# epsilon by at least this fraction, far above the rounding that separates
+# a jump's states from the one-step states.
+_JUMP_SLACK = 1e-6
+
+
+def _jump(n: int, k: int, steps: float, lookahead: int) -> int:
+    """Steps J that one certified jump advances a symmetric block: a power of two, 1 for no jump.
+
+    steps is the number of steps the jumps are predicted to cover before
+    some column's error nears the certificate's bar, and lookahead the D
+    the one-step passes would use. The squarings that give P^J cost
+    log2(J) 2 n^3 flops and each jump one (k x n)(n x n) product and a round
+    of tests, while each step a jump skips saves a step's 2 k n^2 flops and
+    1/D of a pass. The first jump that fails its certificate is wasted, and
+    up to J steps before it are left to the one-step passes. J is the power
+    of two, at most min(steps, _MAX_JUMP), that saves the most by this count,
+    or 1 where none saves anything.
+    """
+    product = 2.0 * k * n * n * _FLOP_S + _PASS_S
+    step = 2.0 * k * n * n * _FLOP_S + _PASS_S / lookahead
+    best, saved, jump = 1, 0.0, 2
+    while jump <= min(steps, _MAX_JUMP):
+        gain = (steps - jump) * step - (steps / jump + 1) * product - math.log2(jump) * 2.0 * n**3 * _FLOP_S
+        if gain > saved:
+            best, saved = jump, gain
+        jump *= 2
+    return best
+
+
+def _certified_jumps(
+    system: FeedbackSystem,
+    block: np.ndarray,
+    x_star: np.ndarray,
+    alpha: float,
+    propagate: np.ndarray,
+    drive: np.ndarray,
+    screen: np.ndarray,
+    cfg: SolveConfig,
+    lookahead: int,
+) -> tuple[np.ndarray, int]:
+    """Advance a block from x(0) = 0 by J steps per product while no column can stop.
+
+    Returns the state rows (k, n) after step s, and s: the end of the last
+    jump whose certificate held for every column (0, with zero rows, where
+    none did or J is 1). P^J and c_J come from repeated squaring, P^2m =
+    P^m P^m and c_2m = P^m c_m + c_m, starting from propagate = P and
+    drive = c_1. screen is the room ||x - x*||_2 has before the divergence
+    test looks, and lookahead the D of the passes that take over after the
+    jumps. See simulate for the certificate and its proof.
+    """
+    n, k = block.shape
+    lam_min, u = system.lambda_m_min, system.u
+    energy = system.a if cfg.norm_kind == "a_norm" else None
+    spread = math.sqrt(u.max() / u.min())  # C_2, the bound on every ||P^i||_2
+    reach = spread if energy is None else 1.0  # C, the bound in the run's norm
+    star_norm = np.sqrt(np.vecdot(x_star, x_star, axis=0))
+    low = float(star_norm.min())
+    span = math.log(low / (reach * cfg.epsilon)) / (alpha * lam_min) if low > reach * cfg.epsilon else 0.0
+    jump = _jump(n, k, span, lookahead)
+    x = np.zeros((k, n))
+    if jump == 1:
+        return x, 0
+
+    power, offset = propagate, drive
+    for _ in range(jump.bit_length() - 1):
+        offset = power @ offset + offset
+        power = power @ power
+    power_t = power.T
+    offset = np.ascontiguousarray(offset.T)
+    target = np.ascontiguousarray(x_star.T)
+    drift = alpha * (u[:, None] * (block - system.a @ x_star))  # g = alpha U (b - A x*)
+    drift_l2 = np.sqrt(np.vecdot(drift, drift, axis=0))
+    drift_run = drift_l2 if energy is None else np.sqrt(np.vecdot(drift, energy @ drift, axis=0))
+    # An end error above bar leaves every error of the jump above epsilon (1 + slack).
+    bar = reach * (cfg.epsilon * (1.0 + _JUMP_SLACK) + jump * drift_run)
+    bar_sq = bar * bar
+    # A start error within room keeps every ||x||_2 of the jump below the screen.
+    # An accepted jump's end is the next one's start, so it is checked there.
+    room = screen / spread - jump * drift_l2
+    room_sq = np.where(room > 0, room * room, -1.0)
+    if np.count_nonzero(star_norm * star_norm <= room_sq) < k:  # ||e_0||_2 = ||x*||_2
+        return x, 0
+    y, d = np.empty_like(x), np.empty_like(x)
+    s = 0
+    while s + jump < cfg.max_steps:
+        np.matmul(x, power_t, out=y)
+        y += offset
+        np.subtract(y, target, out=d)
+        sq = np.vecdot(d, d)
+        q = sq if energy is None else np.vecdot(d, d @ energy)
+        if np.count_nonzero((q > bar_sq) & (sq <= room_sq)) < k:
+            break
+        x, y, s = y, x, s + jump
+    return x, s
+
+
 def _stack_powers(propagate: np.ndarray, drive: np.ndarray, lookahead: int) -> tuple[np.ndarray, np.ndarray]:
     """Stacked powers [P; P^2; ...; P^D] of shape (D n, n) and offsets [c_1; ...; c_D] of shape (D, n, k).
 
@@ -468,6 +579,47 @@ def simulate(
     at least 16 for a single column; T changes no bit of the result,
     because the products and their order do not depend on it.
 
+    Certified jumps. A block (b of shape (n, k)) on an exactly symmetric A
+    (a == a.T bit for bit) with lambda_M,min > 0 and without
+    include_gain_correction first advances all its columns together J steps
+    per product, x <- P^J x + c_J, with J a power of two from a cost model
+    (1 means no jump). A jump from step s is kept only when s + J <
+    max_steps, and for every column ||e_(s+J)|| > C (epsilon (1 + 1e-6) +
+    J ||g||) in norm_kind and both ||e_s||_2 and ||e_(s+J)||_2 (the next
+    jump's start) are at most screen / C_2 - J ||g||_2. Here
+    e_t = x_t - x*, g = alpha U (b - A x*) is the drift that the oracle's
+    residual leaves, screen = divergence_factor max(1, ||x*||_2)(1 - 1e-9)
+    - ||x*||_2 is the room before the divergence test, C_2 = sqrt(u_max /
+    u_min), and C is C_2 for "l2" and 1 for "a_norm". At the first jump
+    refused, the passes resume after step s of the last jump kept, and
+    every stop, tau, column_steps, the divergence verdict and the max_steps
+    cut are decided on states computed step by step, as without jumps.
+    tau counts the skipped steps, which the loop models as before. A 1-D b
+    takes no jump, since its trace and max_slew read every step, and
+    neither does a nonsymmetric A, whose powers of P have no such bound.
+
+    Proof that no skipped step stops. e_(t+1) = P e_t + g, since x* solves
+    A x = b only up to its residual. With S = I - alpha U^1/2 A U^1/2,
+    P = U^1/2 S U^-1/2, and S is symmetric with the eigenvalues 1 - alpha
+    eig(M), which lie in (0, 1) because 0 < alpha lambda_M,min and
+    alpha rho(M) < 1; so ||S^i||_2 <= 1 and ||P^i||_2 <= C_2. In the energy
+    norm, A^1/2 P A^-1/2 = I - alpha A^1/2 U A^1/2 is symmetric with the
+    same eigenvalues (A is positive definite, as M = U A has positive
+    eigenvalues), so ||P^i||_A <= 1. For 0 <= j <= J, e_(s+J) =
+    P^(J-j) e_(s+j) + (P^0 + ... + P^(J-j-1)) g, so ||e_(s+J)|| <=
+    C ||e_(s+j)|| + J C ||g||. A skipped step with ||e_(s+j)|| <= epsilon
+    (1 + 1e-6) would leave ||e_(s+J)|| at or below the certificate's bar;
+    a kept jump ends above it, so each step it skips errs by more than
+    epsilon (1 + 1e-6) and cannot converge. The relative slack 1e-6
+    covers the rounding that separates the jump's states from one-step
+    states wherever that rounding, a small multiple of n u ||x*|| for the
+    unit roundoff u, lies far below 1e-6 epsilon. Likewise ||x_(s+j)||_2 <=
+    ||x*||_2 + C_2 (||e_s||_2 + J ||g||_2) stays below the divergence
+    screen, so no skipped step can diverge, and s + J < max_steps keeps the
+    max_steps cut out of the jump. As under D > 1, x_final may differ from
+    the run without jumps in its last bits, and a column whose error lies
+    within rounding of epsilon may stop one step earlier or later.
+
     A column converges when its error against the direct-solve oracle first
     drops to epsilon or below. Under include_gain_correction the loop settles
     at x_inf = (M + I/l0)^-1 U b instead of x*, so DomainError is raised,
@@ -523,8 +675,17 @@ def simulate(
     top = float(star_norm.max())
     predicted = math.log(top / cfg.epsilon) / (alpha * lam_min) if lam_min > 0 and top > cfg.epsilon else 0.0
     lookahead = _lookahead(n, min(predicted, max_steps))
+    propagate = np.eye(n) - alpha * m_eff
+    last, base = np.zeros((k, n)), 0  # the state before the first pass, and that pass's first step
+    # A jump needs A symmetric bit for bit. The cached system.symmetric, which
+    # allows 1e-12 of asymmetry, turns most other matrices away first.
+    eligible = not single and lam_min > 0 and not cfg.include_gain_correction and system.symmetric
+    if eligible and np.array_equal(system.a, system.a.T):
+        last, start = _certified_jumps(system, block, x_star, alpha, propagate, drive, screen, cfg, lookahead)
+        if start:  # the passes resume after the last certified step
+            base = start + 1
     batch = _batch(lookahead, k)
-    powers, offsets = _stack_powers(np.eye(n) - alpha * m_eff, drive, lookahead)
+    powers, offsets = _stack_powers(propagate, drive, lookahead)
     powers_t = np.ascontiguousarray(powers.T)  # [P^T ... (P^D)^T], (n, D n)
     offsets = np.ascontiguousarray(offsets.transpose(2, 0, 1))  # (k, D, n)
 
@@ -534,14 +695,12 @@ def simulate(
     # last; the first pass holds x(0) = 0, c_1, ..., c_(D-1) in its place.
     states = np.zeros((k, batch, n))
     states[:, 1:lookahead] = offsets[:, :-1]
-    last = np.zeros((k, n))
     products = _products(states, lookahead)
     # The oracle of the columns still in the block, repeated for every state
     # of a pass: a broadcast along the middle axis would cut the subtraction
     # into k T runs of n elements, 2-4 times slower at k = 25.
     target = np.empty((k, batch, n))
     target[...] = x_star.T[:, None]
-    base = 0
     cols = np.arange(k)  # original index of each column still in the block
     x_final = np.empty((n, k))
     column_steps = np.zeros(k, dtype=np.int64)

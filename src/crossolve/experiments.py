@@ -14,6 +14,7 @@ import functools
 import hashlib
 import numbers
 import operator
+import os
 import pickle
 import threading
 from dataclasses import dataclass, field
@@ -818,6 +819,8 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[RunRecord], str]:
         raise ConfigError(f"a nonnegative integer master seed is required, got {spec.seed!r}")
     if not _is_integer(spec.threads) or spec.threads < 1:
         raise ConfigError(f"threads must be an integer >= 1, got {spec.threads!r}")
+    if not isinstance(spec.output_dir, (str, os.PathLike)):
+        raise ConfigError(f"output_dir must be a path, got {spec.output_dir!r}")
     params = _merge_params(spec.scenario, dict(spec.parameters))
     for key in _COUNTS.get(spec.scenario, ()):
         value = params[key]

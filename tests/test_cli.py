@@ -1,8 +1,14 @@
 """Command line interface tests: flag resolution, config files, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import crossolve
 from crossolve import ConfigError, ExperimentSpec, run_experiment, scenario_defaults
 from crossolve.cli import _SUBCOMMANDS, main
 
@@ -121,6 +127,28 @@ def test_blocked_output_exits_four(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("x")
     assert main(["transient", "--seed", "1", "--out", str(blocker)]) == 4
+
+
+@pytest.mark.parametrize("value", ["5", "[runs]", "{dir: runs}"], ids=["number", "list", "mapping"])
+def test_non_path_output_dir_exits_two(tmp_path, capsys, monkeypatch, value):
+    # a number once escaped from the output writer as a TypeError (exit 1)
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"seed: 0\noutput_dir: {value}\n")
+    assert main(["transient", "--config", str(cfg)]) == 2
+    assert "output_dir must be a path" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.yaml"]
+
+
+@pytest.mark.parametrize(("args", "code"), [(["--seed", "0"], 0), ([], 2)], ids=["seeded", "no_seed"])
+def test_python_dash_m_runs_the_cli(tmp_path, args, code):
+    # python -m crossolve runs the same CLI as the installed crossolve script
+    env = dict(os.environ, PYTHONPATH=str(Path(crossolve.__file__).parents[1]))
+    argv = [sys.executable, "-m", "crossolve", "transient", "--out", str(tmp_path / "out"), *args]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert (tmp_path / "out" / "records.csv").exists() == (code == 0)
+    assert ("scenario: transient" in proc.stdout) == (code == 0)
 
 
 def test_threads_flag(tmp_path):

@@ -1090,3 +1090,163 @@ class TestLayout:
         assert np.all(res.converged) and not np.any(res.diverged)
         scale = np.abs(x_final).max(axis=0)
         assert np.all(np.abs(res.x_final.reshape(n, k) - x_final) <= 1e-12 * scale)
+
+
+def _wide_spread(n: int) -> np.ndarray:
+    """Exactly symmetric and positive definite, its diagonal spread over four decades.
+
+    A = D^1/2 ((1 - 0.5/n) I + (0.5/n) 1 1^T) D^1/2 with D = diag(0.1 .. 1000)
+    in shuffled order, so the row attenuations u spread 400-500-fold and
+    C = sqrt(u_max / u_min) is about 20.
+    """
+    d = np.logspace(-1.0, 3.0, n)[np.random.default_rng(n).permutation(n)]
+    root = np.sqrt(d)
+    a = 0.5 * np.outer(root, root) / n
+    a[np.diag_indices(n)] = d
+    return a
+
+
+def _without_jumps(system, b, oa, cfg):
+    """simulate with its certified jumps turned off (J capped at 1)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_MAX_JUMP", 1)
+        return simulate(system, b, oa, cfg)
+
+
+def _with_jumps(system, b, oa, cfg):
+    """simulate, and the step its certified jumps reached (None where it tried none)."""
+    rule, reached = dynamics._certified_jumps, []
+
+    def spy(*args):
+        out = rule(*args)
+        reached.append(out[1])
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_certified_jumps", spy)
+        result = simulate(system, b, oa, cfg)
+    return result, (reached[0] if reached else None)
+
+
+class TestCertifiedJumps:
+    """A symmetric block skips steps by P^J only where no column can stop."""
+
+    @pytest.mark.parametrize("norm_kind", ["l2", "a_norm"])
+    @pytest.mark.parametrize("k", [1, 3, 25])
+    @pytest.mark.parametrize(
+        ("family", "n"),
+        [("sparse_pd", 20), ("sparse_pd", 300), ("covariance", 30), ("covariance", 300), ("wide", 16), ("wide", 120)],
+    )
+    def test_jumps_never_move_a_stop(self, family, n, k, norm_kind, oa):
+        # Every column's stop and verdict equal the run without jumps, which
+        # tests every step, and x_final differs by rounding only.
+        if family == "sparse_pd":
+            a = sparse_pd(SparsePdSpec(n=n, s=10, lambda_target=0.4, seed=n))
+        elif family == "covariance":
+            a = covariance_matrix(n, 2.0)
+        else:
+            a = _wide_spread(n)
+        system = build_feedback(a)
+        block = np.random.default_rng(n + k).uniform(-1.0, 1.0, (n, k))
+        cfg = SolveConfig(norm_kind=norm_kind, record_trace=False)
+        res, reached = _with_jumps(system, block, oa, cfg)
+        ref = _without_jumps(system, block, oa, cfg)
+        assert reached > 0  # the run skipped steps
+        assert np.array_equal(res.column_steps, ref.column_steps)
+        assert np.array_equal(res.converged, ref.converged) and res.converged.all()
+        assert np.array_equal(res.diverged, ref.diverged)
+        assert res.tau.tobytes() == ref.tau.tobytes() and res.steps == ref.steps
+        scale = max(1.0, float(np.abs(ref.x_final).max()))
+        assert np.abs(res.x_final - ref.x_final).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_a_dip_below_epsilon_is_not_jumped(self, k, oa):
+        """The l2 error dips to epsilon at step 40 and then rises 1.4-fold; the column stops at the dip.
+
+        A = [[0.1, c], [c, 1e5]] spreads u 1100-fold (C = 33), so P = U^1/2 S U^-1/2
+        is far from normal. x* mixes the two modes of S so that their images
+        under U^1/2 nearly cancel at step 40. A jump over the dip ends with an
+        error below C epsilon, which the certificate refuses; with C taken
+        as 1 it would pass, and the column would stop some 16000 steps late.
+        """
+        a = np.array([[0.1, 0.0], [0.0, 1e5]])
+        a[0, 1] = a[1, 0] = 0.9 * math.sqrt(a[0, 0] * a[1, 1])
+        system = build_feedback(a)
+        alpha, _ = resolve_step(system, oa, SolveConfig())
+        root = np.sqrt(system.u)
+        mu, v = np.linalg.eigh(np.eye(2) - alpha * root[:, None] * a * root[None, :])  # fast mode first
+        w_fast, w_slow = root * v[:, 0], root * v[:, 1]
+        ratio = -(w_slow @ w_fast) / (w_fast @ w_fast) / (mu[0] / mu[1]) ** 40
+        x_star = -root * (v[:, 1] + ratio * v[:, 0])
+        b = a @ x_star
+        p, x, errors = np.eye(2) - alpha * system.m, np.zeros(2), []
+        for _ in range(200):
+            errors.append(float(np.linalg.norm(x - x_star)))
+            x = p @ x + alpha * system.u * b
+        epsilon = 1.001 * errors[40]
+        spread = math.sqrt(system.u.max() / system.u.min())
+        assert errors[40] == min(errors) and errors[199] > 1.3 * epsilon and errors[0] > spread * epsilon
+        block = np.column_stack([b, -b, 2.0 * b][:k])
+        cfg = SolveConfig(epsilon=epsilon, record_trace=False)
+        res, reached = _with_jumps(system, block, oa, cfg)
+        ref = _without_jumps(system, block, oa, cfg)
+        assert reached is not None and res.column_steps[0] == 40
+        assert np.array_equal(res.column_steps, ref.column_steps) and res.converged.all()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SolveConfig(epsilon=1e-9, max_steps=300, record_trace=False),
+            SolveConfig(max_steps=300, record_trace=False),
+            SolveConfig(divergence_factor=1.2, record_trace=False),
+        ],
+        ids=["all_cut", "one_converges", "tight_screen"],
+    )
+    def test_cut_and_divergence_screen(self, cfg, oa):
+        # Jumps end before max_steps, so the cut falls where it falls without
+        # them; a divergence screen nearer than C_2 ||x*|| leaves no room for one.
+        system = build_feedback(covariance_matrix(30, 1.0))
+        block = np.random.default_rng(3).uniform(-1.0, 1.0, (30, 3))
+        res, reached = _with_jumps(system, block, oa, cfg)
+        ref = _without_jumps(system, block, oa, cfg)
+        assert np.array_equal(res.column_steps, ref.column_steps) and np.array_equal(res.converged, ref.converged)
+        assert not res.diverged.any() and not ref.diverged.any()
+        if cfg.max_steps == 300:
+            assert reached > 0 and np.count_nonzero(res.column_steps == 300) == 3 - np.count_nonzero(res.converged)
+        else:
+            assert reached == 0
+            _assert_same_bits(res, ref)
+
+    @pytest.mark.parametrize("case", ["nonsymmetric", "within_tolerance", "vector", "gain_correction", "unstable"])
+    def test_ineligible_runs_take_no_jump(self, case, oa):
+        # A nonsymmetric A, one symmetric only within _is_symmetric's
+        # tolerance, a 1-D b (its trace and max_slew read every step), the
+        # finite-gain loop and an unstable loop: none tries a jump, and each
+        # result is bit for bit the one with jumps turned off.
+        a, cfg = covariance_matrix(30, 1.0), SolveConfig(record_trace=False)
+        block = np.random.default_rng(30).uniform(-1.0, 1.0, (30, 3))
+        if case == "nonsymmetric":
+            a = _random_stable(5, 30)
+        elif case == "within_tolerance":
+            a[0, 1] = math.nextafter(a[0, 1], math.inf)
+            assert build_feedback(a).symmetric
+        elif case == "vector":
+            block, cfg = block[:, 0], SolveConfig()
+        elif case == "gain_correction":
+            cfg = SolveConfig(include_gain_correction=True, record_trace=False)
+        else:
+            a, block = SWAP, np.array([[1.0, 0.0, -3.0], [1.0, 0.0, 0.5]])
+            cfg = SolveConfig(allow_unstable=True, max_steps=100_000, record_trace=False)
+        system = build_feedback(a)
+        res, reached = _with_jumps(system, block, oa, cfg)
+        assert reached is None
+        _assert_same_bits(res, _without_jumps(system, block, oa, cfg))
+
+    def test_rule(self):
+        # J is a power of two no longer than the steps it may cover; a step of
+        # a 3 x 3 system is cheaper than a jump, and a short run pays no squaring.
+        assert dynamics._jump(300, 25, 0.0, 1) == dynamics._jump(3, 25, 500.0, 256) == 1
+        for n, k, steps in ((20, 1, 900.0), (200, 1, 900.0), (300, 25, 400.0), (100, 25, 40.0)):
+            jump = dynamics._jump(n, k, steps, dynamics._lookahead(n, steps))
+            assert 1 < jump <= steps and jump & (jump - 1) == 0
+        assert dynamics._jump(20, 1, 1e9, 1) == dynamics._MAX_JUMP
