@@ -7,9 +7,10 @@ Gaussian programming noise. Reading the array back returns G / g0, the
 dimensionless matrix the feedback circuit actually operates on.
 
 The level grid spans [g_max/ratio, g_max] with num_levels uniformly
-spaced values. Programming noise has standard deviation
-sigma = noise_fraction * (g_max / num_levels); with the default fraction
-1/6 the +-3 sigma band of one level just touches its neighbours.
+spaced values; g_max is fixed at 1e-4 S, a scale that G / g0 cancels.
+Programming noise has standard deviation sigma = noise_fraction *
+(g_max / num_levels); with the default fraction 1/6 the +-3 sigma band of
+one level just touches its neighbours.
 """
 
 from __future__ import annotations
@@ -33,26 +34,26 @@ __all__ = [
 
 # Eight-level conductance set from device characterization, in siemens.
 _MEASURED_LEVELS_S = np.array([10.0, 15.0, 20.0, 30.0, 50.0, 60.0, 80.0, 120.0]) * 1e-6
+# Top of every programming grid, in siemens.
+_G_MAX = 1e-4
 
 
 @dataclass(frozen=True)
 class DevicePolicy:
     """Programming policy: level grid shape plus the noise rule.
 
-    sigma is noise_fraction * delta_g where delta_g = g_max / num_levels;
+    The grid runs from g_max / ratio to g_max = 1e-4 S, and sigma is
+    noise_fraction * delta_g where delta_g = g_max / num_levels;
     set noise_fraction to 0 for ideal (noiseless) programming.
     """
 
     num_levels: int = 64
-    g_max: float = 1e-4
     ratio: float = 1e3
     noise_fraction: float = 1.0 / 6.0
 
     def __post_init__(self) -> None:
         if not _is_integer(self.num_levels) or self.num_levels < 2:
             raise ConfigError(f"num_levels must be an integer >= 2, got {self.num_levels!r}")
-        if not self.g_max > 0:
-            raise ConfigError(f"g_max must be positive, got {self.g_max}")
         if not self.ratio > 1:
             raise ConfigError(f"ratio must exceed 1, got {self.ratio}")
         if not self.noise_fraction >= 0:
@@ -60,11 +61,11 @@ class DevicePolicy:
 
     @property
     def g_min(self) -> float:
-        return self.g_max / self.ratio
+        return _G_MAX / self.ratio
 
     @property
     def delta_g(self) -> float:
-        return self.g_max / self.num_levels
+        return _G_MAX / self.num_levels
 
     @property
     def sigma(self) -> float:
@@ -100,7 +101,7 @@ class LevelSet:
 
 def build_level_set(policy: DevicePolicy) -> LevelSet:
     """Uniform grid of policy.num_levels levels spanning [g_min, g_max] inclusive."""
-    return LevelSet(np.linspace(policy.g_min, policy.g_max, policy.num_levels))
+    return LevelSet(np.linspace(policy.g_min, _G_MAX, policy.num_levels))
 
 
 def quantize_levels(targets: np.ndarray, level_set: LevelSet) -> np.ndarray:
@@ -170,7 +171,7 @@ def program(
     if amax <= 0:
         raise DomainError("all-zero matrix leaves the conductance scale undefined")
 
-    gamma = policy.g_max / amax
+    gamma = _G_MAX / amax
     q = quantize_levels(gamma * a, build_level_set(policy))
 
     sigma = policy.sigma

@@ -29,8 +29,8 @@ fills T states with T/D such products and runs the stopping tests once
 over all T, so every step is still tested. T is D for a block; a single
 right-hand side, whose stop ends the run, tests at least 16 steps per pass
 with the same products, so that at large n the tests no longer cost as
-much as the product on every step. A recorded trace reads its samples from
-the rows of each pass, so it changes neither D nor T.
+much as the product on every step. The trace of a single right-hand side
+reads its samples from the rows of each pass, so it changes neither D nor T.
 
 Most of a run is the long approach to epsilon while the error is still far
 above it, and none of those steps can stop the run. A block on an exactly
@@ -220,6 +220,9 @@ class SolveConfig:
     where rho(M) is 0. include_gain_correction adds the finite-gain term
     I/l0 to M, modeling the op amp's finite open-loop gain; simulate then
     raises DomainError unless epsilon exceeds the error floor this leaves.
+    A run times out after max_steps steps, and an unstable system runs only
+    under allow_unstable. A column diverges once ||x||_2 exceeds
+    1e6 max(1, ||x*||_2), and a trace keeps at most 10^4 samples.
     """
 
     epsilon: float = 1e-3
@@ -228,9 +231,6 @@ class SolveConfig:
     max_steps: int = 1_000_000
     include_gain_correction: bool = False
     allow_unstable: bool = False
-    record_trace: bool = True
-    trace_limit: int = 10_000
-    divergence_factor: float = 1e6
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
@@ -241,10 +241,6 @@ class SolveConfig:
             raise ConfigError(f"alpha_fraction must be positive, got {self.alpha_fraction}")
         if not _is_integer(self.max_steps) or self.max_steps < 1:
             raise ConfigError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
-        if not _is_integer(self.trace_limit) or self.trace_limit < 2:
-            raise ConfigError(f"trace_limit must be an integer >= 2, got {self.trace_limit!r}")
-        if not self.divergence_factor > 0:
-            raise ConfigError(f"divergence_factor must be positive, got {self.divergence_factor}")
 
 
 def resolve_step(system: FeedbackSystem, oa: OpAmpModel, cfg: SolveConfig) -> tuple[float, float]:
@@ -284,14 +280,16 @@ class SolveResult:
 
     For a single right-hand side b of shape (n,), x_final has shape (n,),
     tau is steps * alpha / gbw exactly, and converged and diverged are
-    both False when the run hit max_steps (a timeout). trace is None when
-    recording was disabled. max_slew is the largest |x_i(t + dt) - x_i(t)| / dt
-    (V/s) over every step the run took, whether or not a trace was kept.
+    both False when the run hit max_steps (a timeout). trace holds the
+    run's decimated samples, and max_slew is the largest
+    |x_i(t + dt) - x_i(t)| / dt (V/s) over every step the run took, not
+    only the sampled ones.
 
     For a block b of shape (n, k), x_final has shape (n, k) and tau,
     converged and diverged are length-k arrays, one entry per column.
     column_steps holds each column's integer step count and steps is their
-    total. A block run records no trace and no max_slew (None).
+    total. A block run records no trace and no max_slew (both None), so a
+    single right-hand side runs untraced as the block of shape (n, 1).
     column_steps is None for a single right-hand side.
     """
 
@@ -306,11 +304,15 @@ class SolveResult:
     column_steps: np.ndarray | None = None
 
 
+# A column diverges once ||x||_2 exceeds this multiple of max(1, ||x*||_2).
+_DIVERGENCE_FACTOR = 1e6
 # Relative slack of the divergence screen: a column is checked exactly once
 # ||x - x*|| + ||x*|| comes within this fraction of the divergence threshold,
 # far above the rounding error of the norms, so the verdict is the one an
 # exact ||x|| test on every step would give.
 _SCREEN_SLACK = 1e-9
+# Most samples a trace keeps before the stop.
+_TRACE_LIMIT = 10_000
 
 # Cost model of the degree D of the stacked powers. One product and its
 # round of stopping tests cost about _PASS_S of interpreter time whatever its
@@ -526,13 +528,13 @@ def _products(states: np.ndarray, lookahead: int) -> list[tuple[np.ndarray | Non
     ]
 
 
-def _thin(samples: list, stride: int, limit: int) -> tuple[list, int]:
-    """Drop every other sample, doubling the stride, until at most limit are left.
+def _thin(samples: list, stride: int) -> tuple[list, int]:
+    """Drop every other sample, doubling the stride, until at most _TRACE_LIMIT are left.
 
     samples are the steps 0, stride, 2 stride, ... in order, so every other
     one of them is the steps that are multiples of the doubled stride.
     """
-    while len(samples) > limit:
+    while len(samples) > _TRACE_LIMIT:
         samples, stride = samples[::2], 2 * stride
     return samples, stride
 
@@ -588,7 +590,7 @@ def simulate(
     J ||g||) in norm_kind and both ||e_s||_2 and ||e_(s+J)||_2 (the next
     jump's start) are at most screen / C_2 - J ||g||_2. Here
     e_t = x_t - x*, g = alpha U (b - A x*) is the drift that the oracle's
-    residual leaves, screen = divergence_factor max(1, ||x*||_2)(1 - 1e-9)
+    residual leaves, screen = 1e6 max(1, ||x*||_2)(1 - 1e-9)
     - ||x*||_2 is the room before the divergence test, C_2 = sqrt(u_max /
     u_min), and C is C_2 for "l2" and 1 for "a_norm". At the first jump
     refused, the passes resume after step s of the last jump kept, and
@@ -625,13 +627,14 @@ def simulate(
     at x_inf = (M + I/l0)^-1 U b instead of x*, so DomainError is raised,
     before any step, when some column's ||x_inf - x*|| in norm_kind is
     epsilon or more. Divergence is declared when ||x||_2 exceeds
-    divergence_factor * max(1, ||x*||_2). The recorded trace (single
-    right-hand side only) holds the steps that are multiples of a stride,
-    the least power of two that keeps at most trace_limit of them up to the
-    stop, and then the stop itself. It is read from the rows each pass
-    computes anyway, so a traced run equals its untraced twin in every field
-    but the trace. tau, convergence and max_slew always use every step. See
-    SolveResult for the shapes of a block result.
+    1e6 max(1, ||x*||_2). A single right-hand side always records its
+    trace: the steps that are multiples of a stride, the least power of two
+    that keeps at most 10^4 of them up to the stop, and then the stop itself.
+    It is read from the rows each pass computes anyway, so the run's
+    x_final, steps, tau and verdicts equal bit for bit those of its
+    untraced twin, the block b[:, None], wherever that block takes no jump.
+    tau, convergence and max_slew always use every step. See SolveResult
+    for the shapes of a block result.
     """
     if oa is None:
         oa = OpAmpModel()
@@ -664,13 +667,12 @@ def simulate(
     limit = _square_limit(cfg.epsilon)
 
     star_norm = np.sqrt(np.vecdot(x_star, x_star, axis=0))
-    blow_up = cfg.divergence_factor * np.maximum(1.0, star_norm)
+    blow_up = _DIVERGENCE_FACTOR * np.maximum(1.0, star_norm)
     screen = blow_up * (1.0 - _SCREEN_SLACK) - star_norm
     screen_sq = np.where(screen > 0, screen * screen, -1.0)
 
     max_steps = cfg.max_steps
     single = b.ndim == 1
-    record = cfg.record_trace and single
     lam_min = system.lambda_m_min
     top = float(star_norm.max())
     predicted = math.log(top / cfg.epsilon) / (alpha * lam_min) if lam_min > 0 and top > cfg.epsilon else 0.0
@@ -721,8 +723,8 @@ def simulate(
         near = sq > screen_sq[:, None]
         if single:  # |dx_i| of each step of this pass, from the state before it
             jump = np.abs(np.diff(states[0], axis=0, prepend=last))
-        if record:  # the states of this pass whose step is a multiple of the stride
-            samples, stride = _thin(samples, stride, cfg.trace_limit)
+            # the trace keeps the states of this pass whose step is a multiple of the stride
+            samples, stride = _thin(samples, stride)
             first = -base % stride
             kept = slice(first, batch, stride)
             samples += zip(range(base + first, base + batch, stride), states[0, kept].copy(), q[0, kept])
@@ -774,18 +776,16 @@ def simulate(
             max_slew=None,
             column_steps=column_steps,
         )
-    trace = None
-    if record:
-        end = int(column_steps[0])
-        samples = _thin([sample for sample in samples if sample[0] <= end], stride, cfg.trace_limit)[0]
-        if samples[-1][0] != end:
-            samples.append((end, x_final[:, 0].copy(), q[0, end - base]))
-        sample_steps, sample_states, sample_sq = zip(*samples)
-        trace = Trace(
-            times=np.asarray(sample_steps, dtype=float) * dt,
-            states=np.vstack(sample_states),
-            errors=np.sqrt(np.asarray(sample_sq)),
-        )
+    end = int(column_steps[0])
+    samples = _thin([sample for sample in samples if sample[0] <= end], stride)[0]
+    if samples[-1][0] != end:
+        samples.append((end, x_final[:, 0].copy(), q[0, end - base]))
+    sample_steps, sample_states, sample_sq = zip(*samples)
+    trace = Trace(
+        times=np.asarray(sample_steps, dtype=float) * dt,
+        states=np.vstack(sample_states),
+        errors=np.sqrt(np.asarray(sample_sq)),
+    )
     return SolveResult(
         x_final=x_final[:, 0],
         x_star=x_star[:, 0],

@@ -47,6 +47,7 @@ from .errors import (
 )
 from .generators import SparsePdSpec, covariance_matrix, random_discrete_pd, random_vector, sparse_pd
 from .spectral import (
+    _check_estimate_args,
     _is_integer,
     _one_blas_thread,
     _pin_blas_threads,
@@ -261,18 +262,6 @@ _DEFAULTS: dict[str, dict] = {
 }
 
 
-# Parameters of each scenario that count systems, right-hand sides, draw
-# attempts, sizes or nonzeros per row, and so must be integers >= 1; each
-# entry of a list parameter is checked on its own.
-_COUNTS = {
-    "lambda_sweep": ("systems", "vectors_per_system", "floor_tries"),
-    "scaling": ("sizes", "vectors_per_size"),
-    "sparse_suite": ("systems", "s", "n_range"),
-    "inversion": ("n",),
-    "estimate": ("sizes", "s"),
-}
-
-
 def scenario_defaults(scenario: str) -> dict:
     """Default parameter set for a scenario id."""
     if scenario not in _DEFAULTS:
@@ -306,10 +295,11 @@ def _is_real(value) -> bool:
 def _check_kinds(scenario: str, params: dict) -> None:
     """ConfigError for a parameter value that is not of its default's kind.
 
-    An int default takes an integer (the counts are checked before this).
-    A float default, or scaling's ratio (None: derived from beta), takes a
-    real number, and a tuple of floats (lambda_range) a real number in each
-    entry: a bool or a string, even a quoted "0.01", is none. A bool
+    An int default, a count, takes an integer >= 1, and so does each entry
+    of a tuple of ints (sizes, n_range). A float default, or scaling's ratio
+    (None: derived from beta), takes a real number, and a tuple of floats
+    (lambda_range) a real number in each entry: a bool or a string, even a
+    quoted "0.01", is none. A bool
     default takes a bool, since the string "false" would read as true. The
     transient's a, when given, is a square matrix of real numbers and its b
     a vector of real numbers, as long as a's (or the default system's) side.
@@ -319,9 +309,10 @@ def _check_kinds(scenario: str, params: dict) -> None:
         if isinstance(default, bool):
             if not isinstance(value, (bool, np.bool_)):
                 raise ConfigError(f"{key} must be true or false, got {value!r}")
-        elif isinstance(default, int):
-            if not _is_integer(value):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        elif isinstance(default, int) or (isinstance(default, tuple) and isinstance(default[0], int)):
+            for count in value if isinstance(default, tuple) else [value]:
+                if not _is_integer(count) or count < 1:
+                    raise ConfigError(f"{key} must be an integer >= 1, got {count!r}")
         elif isinstance(default, float) or (key == "ratio" and value is not None):
             if not _is_real(value):
                 raise ConfigError(f"{key} must be a number, got {value!r}")
@@ -362,9 +353,8 @@ def _unit_vector(n: int, seed: int) -> np.ndarray:
     return b / norm
 
 
-def _programmed(ideal: np.ndarray, p: dict, ratio: float, seed: int) -> np.ndarray:
-    """The matrix the circuit reads back after ideal is programmed under p's device policy."""
-    policy = DevicePolicy(num_levels=p["num_levels"], ratio=ratio, noise_fraction=float(p["noise_fraction"]))
+def _programmed(ideal: np.ndarray, policy: DevicePolicy, seed: int) -> np.ndarray:
+    """The matrix the circuit reads back after ideal is programmed under policy."""
     return read_effective(program(ideal, policy, seed=seed))
 
 
@@ -512,6 +502,11 @@ def _sweep_task(spec: ExperimentSpec, p: dict, oa: OpAmpModel, cfg: SolveConfig,
     return _system_records(spec, build_feedback(a), bs, oa, cfg, mi * vectors, f";matrix={mi}")
 
 
+def _varies(values: np.ndarray) -> bool:
+    """True when values hold two distinct numbers at least, enough to determine a fitted line."""
+    return bool(np.ptp(values) > 0)
+
+
 def _run_lambda_sweep(spec: ExperimentSpec, p: dict):
     oa, cfg = _circuit(p)
     task = functools.partial(_sweep_task, spec, p, oa, cfg)
@@ -520,26 +515,25 @@ def _run_lambda_sweep(spec: ExperimentSpec, p: dict):
 
     inv_lam = np.array([1.0 / max(recs[0].lambda_m_min, 1e-30) for recs in by_matrix])
     peak_tau = np.array([max(r.tau_measured_s for r in recs) for recs in by_matrix])
-    slope, intercept = np.polyfit(inv_lam, peak_tau, 1)
-    pred = slope * inv_lam + intercept
-    ss_res = float(((peak_tau - pred) ** 2).sum())
-    ss_tot = float(((peak_tau - peak_tau.mean()) ** 2).sum())
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     lams = [recs[0].lambda_min for recs in by_matrix]
-    lines = [
-        f"lambda_min_range: {min(lams):.6g} .. {max(lams):.6g}",
-        f"envelope_fit: slope={slope:.6g} intercept={intercept:.6g} r2={r2:.6g}",
-    ]
+    lines = [f"lambda_min_range: {min(lams):.6g} .. {max(lams):.6g}"]
+    if _varies(inv_lam):
+        slope, intercept = np.polyfit(inv_lam, peak_tau, 1)
+        pred = slope * inv_lam + intercept
+        ss_res = float(((peak_tau - pred) ** 2).sum())
+        ss_tot = float(((peak_tau - peak_tau.mean()) ** 2).sum())
+        r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+        lines.append(f"envelope_fit: slope={slope:.6g} intercept={intercept:.6g} r2={r2:.6g}")
     return records, lines, {}
 
 
 def _scaling_task(
-    spec: ExperimentSpec, p: dict, oa: OpAmpModel, cfg: SolveConfig, ratio: float, job: int, si: int, variant: str
+    spec: ExperimentSpec, p: dict, oa: OpAmpModel, cfg: SolveConfig, policy: DevicePolicy, job: int, si: int, variant: str
 ) -> list[RunRecord]:
     n, beta, vectors = p["sizes"][si], float(p["beta"]), p["vectors_per_size"]
     a = covariance_matrix(n, beta)
     if variant == "rram":
-        a = _programmed(a, p, ratio, child_seed(spec.seed, si))
+        a = _programmed(a, policy, child_seed(spec.seed, si))
     bs = [random_vector(n, seed=child_seed(spec.seed, si, k)) for k in range(vectors)]
     return _system_records(spec, build_feedback(a), bs, oa, cfg, job * vectors, f";variant={variant}", beta_or_s=beta)
 
@@ -557,8 +551,9 @@ def _run_scaling(spec: ExperimentSpec, p: dict):
     if len(set(sizes)) != len(sizes):
         raise ConfigError(f"scaling sizes must be distinct, got {p['sizes']}")
     ratio = float(p["ratio"]) if p["ratio"] is not None else (1e4 if beta >= 2 else 1e3)
+    policy = DevicePolicy(num_levels=p["num_levels"], ratio=ratio, noise_fraction=float(p["noise_fraction"]))
     jobs = [(si, variant) for si in range(len(sizes)) for variant in variants]
-    task = functools.partial(_scaling_task, spec, p, oa, cfg, ratio)
+    task = functools.partial(_scaling_task, spec, p, oa, cfg, policy)
     groups = _map_tasks([functools.partial(task, job, *jobs[job]) for job in range(len(jobs))], spec.threads)
     records = [rec for recs in groups for rec in recs]
 
@@ -626,13 +621,17 @@ def _run_sparse_suite(spec: ExperimentSpec, p: dict):
     taus = np.array([r.tau_measured_s for r in records])
     ns = np.array([r.n for r in records], dtype=float)
     cg_time = np.array([r.cg_iterations * r.beta_or_s for r in records]) * ns
-    slope = float(np.polyfit(np.log(lams), np.log(taus), 1)[0])
     subset = (lams >= 0.9) & (lams <= 1.0)
-    lines = [f"loglog_slope_tau_vs_lambda_min: {slope:.6g}", f"subset_lambda_0.9_1.0: {int(subset.sum())}"]
-    if subset.sum() >= 3:
-        r_tau_n = float(np.corrcoef(taus[subset], ns[subset])[0, 1])
+    lines = []
+    if _varies(lams):
+        slope = float(np.polyfit(np.log(lams), np.log(taus), 1)[0])
+        lines.append(f"loglog_slope_tau_vs_lambda_min: {slope:.6g}")
+    lines.append(f"subset_lambda_0.9_1.0: {int(subset.sum())}")
+    if subset.sum() >= 3 and _varies(ns[subset]):
+        if _varies(taus[subset]):
+            r_tau_n = float(np.corrcoef(taus[subset], ns[subset])[0, 1])
+            lines.append(f"subset_pearson_tau_n: {r_tau_n:.6g}")
         cg_slope = float(np.polyfit(ns[subset], cg_time[subset], 1)[0])
-        lines.append(f"subset_pearson_tau_n: {r_tau_n:.6g}")
         lines.append(f"subset_cg_time_slope: {cg_slope:.6g}")
     return records, lines, {}
 
@@ -641,8 +640,9 @@ def _run_inversion(spec: ExperimentSpec, p: dict):
     oa, cfg = _circuit(p)
     n = p["n"]
     beta = float(p["beta"])
+    policy = DevicePolicy(num_levels=p["num_levels"], ratio=float(p["ratio"]), noise_fraction=float(p["noise_fraction"]))
     ideal = covariance_matrix(n, beta)
-    a_eff = _programmed(ideal, p, float(p["ratio"]), child_seed(spec.seed, 0)) if p["noisy"] else ideal
+    a_eff = _programmed(ideal, policy, child_seed(spec.seed, 0)) if p["noisy"] else ideal
 
     system = build_feedback(a_eff)
     result = invert_matrix(system, oa, cfg)
@@ -673,6 +673,11 @@ def _run_estimate(spec: ExperimentSpec, p: dict):
     lam_max = float(p["lambda_max"])
     lam_min = float(p["lambda_min"])
     epsilon = float(p["epsilon"])
+    try:  # parameters outside the estimates' domain are a configuration error
+        for n in p["sizes"]:
+            _check_estimate_args(n, s, lam_max, lam_min, epsilon)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
     records = []
     lines = []
     for i, n in enumerate(p["sizes"]):
@@ -822,11 +827,6 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[RunRecord], str]:
     if not isinstance(spec.output_dir, (str, os.PathLike)):
         raise ConfigError(f"output_dir must be a path, got {spec.output_dir!r}")
     params = _merge_params(spec.scenario, dict(spec.parameters))
-    for key in _COUNTS.get(spec.scenario, ()):
-        value = params[key]
-        for count in value if isinstance(_DEFAULTS[spec.scenario][key], tuple) else [value]:
-            if not _is_integer(count) or count < 1:
-                raise ConfigError(f"{key} must be an integer >= 1, got {count!r}")
     _check_kinds(spec.scenario, params)
     with _one_blas_thread():
         records, extra_lines, aux = SCENARIOS[spec.scenario](spec, params)

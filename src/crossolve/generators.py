@@ -162,11 +162,8 @@ def sparse_pd(spec: SparsePdSpec) -> np.ndarray:
     return a
 
 
-def random_vector(n: int, seed: int = 0, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
-    """Vector of n independent uniform draws on [lo, hi]."""
+def random_vector(n: int, seed: int = 0) -> np.ndarray:
+    """Vector of n independent uniform draws on [-1, 1)."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if lo > hi:
-        raise DomainError(f"need lo <= hi, got lo={lo}, hi={hi}")
-    rng = np.random.default_rng(seed)
-    return lo + (hi - lo) * rng.random(n)
+    return -1.0 + 2.0 * np.random.default_rng(seed).random(n)

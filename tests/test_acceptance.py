@@ -140,7 +140,7 @@ def test_criterion_02_discrete_matches_continuous():
         x_hat = _unit(rng, n)
         b = a @ x_hat
         for fraction, bucket in ((0.01, devs), (0.005, devs_half)):
-            res = simulate(system, b, cfg=SolveConfig(alpha_fraction=fraction, record_trace=False))
+            res = simulate(system, b, cfg=SolveConfig(alpha_fraction=fraction))
             assert res.converged
             x_exact = analytic_trajectory(system, b, np.zeros(n), t=res.tau)
             bucket.append(float(np.linalg.norm(res.x_final - x_exact)))
@@ -170,7 +170,7 @@ def test_criterion_03_energy_bound(sweep_run):
             _PD_POOL.append(a)
         system = build_feedback(a)
         b = _unit(rng, n)
-        cfg = SolveConfig(norm_kind="a_norm", record_trace=False)
+        cfg = SolveConfig(norm_kind="a_norm")
         res = simulate(system, b, cfg=cfg)
         bound = time_bound(system, b, cfg=cfg)
         if not (res.converged and res.tau <= bound):
@@ -226,7 +226,7 @@ def test_criterion_04_stability_classification():
         res = simulate(
             system,
             b,
-            cfg=SolveConfig(allow_unstable=True, max_steps=300_000, record_trace=False),
+            cfg=SolveConfig(allow_unstable=True, max_steps=300_000),
         )
         if predicted_unstable:
             saw_unstable = True

@@ -217,6 +217,46 @@ def test_zero_count_exits_two_before_solving(tmp_path, capsys, command, paramete
     assert not (tmp_path / "out" / "records.csv").exists()
 
 
+@pytest.mark.parametrize("parameter", ["num_levels: 1", "ratio: 1.0", "noise_fraction: -0.1"])
+@pytest.mark.parametrize(
+    "command,others",
+    [
+        pytest.param("scaling", "sizes: [3, 10, 30, 100]\n  vectors_per_size: 2", id="scaling"),
+        pytest.param("invert", "noisy: false", id="invert-noiseless"),
+    ],
+)
+def test_bad_device_parameter_exits_two_before_solving(tmp_path, capsys, monkeypatch, command, parameter, others):
+    # scaling once built its device policy in each rram task, after the n = 3
+    # ideal block had run (and with threads > 1 in a worker process), and a
+    # noiseless inversion never built it
+    calls = []
+    for module in (crossolve.experiments, crossolve.dynamics):
+        monkeypatch.setattr(module, "simulate", lambda *args, run=module.simulate: calls.append(1) or run(*args))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"seed: 0\noutput_dir: {tmp_path / 'out'}\nparameters:\n  {parameter}\n  {others}\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert parameter.split(":")[0] in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out" / "records.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "parameters,message",
+    [
+        pytest.param("sizes: [5]", "s must satisfy 1 <= s <= n", id="s-above-n"),
+        pytest.param("lambda_min: 5.0", "need lambda_max >= lambda_min", id="lambda_min-above-lambda_max"),
+        pytest.param("epsilon: 2.0", "epsilon must lie in (0, 1)", id="epsilon-above-one"),
+    ],
+)
+def test_inconsistent_estimate_parameters_exit_two(tmp_path, capsys, parameters, message):
+    # each once exited 3 with the DomainError of the estimates' own checks
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"seed: 0\noutput_dir: {tmp_path / 'out'}\nparameters:\n  {parameters}\n")
+    assert main(["estimate", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "records.csv").exists()
+
+
 @pytest.mark.parametrize(
     "command,parameter,value",
     [
@@ -240,7 +280,7 @@ def test_scalar_for_a_list_parameter_exits_two(tmp_path, capsys, command, parame
 # Parameters no run of these scenarios varied: only the transient reads l0 and
 # slew_rate, b is always normalized or always not, CG runs to epsilon,
 # inversion's significance cut is fixed, g_max, which only rescales the
-# conductances a matrix is programmed to, is DevicePolicy's default, and
+# conductances a matrix is programmed to, is fixed at 1e-4 S, and
 # lambda_sweep always draws 3 x 3 matrices at g0 = 100 uS, 64 draws an attempt.
 _REMOVED_KNOBS = [
     *((command, key) for command in ("lambda-sweep", "scaling", "sparse-suite", "invert") for key in ("l0", "slew_rate")),

@@ -16,7 +16,7 @@ from crossolve import (
     quantize_levels,
     read_effective,
 )
-from crossolve.devices import _MEASURED_LEVELS_S
+from crossolve.devices import _G_MAX, _MEASURED_LEVELS_S
 
 MEASURED = LevelSet(_MEASURED_LEVELS_S)
 
@@ -25,7 +25,7 @@ class TestDevicePolicy:
     def test_default_grid_numbers(self):
         p = DevicePolicy()
         assert p.num_levels == 64
-        assert p.g_max == 1e-4
+        assert _G_MAX == 1e-4
         assert p.g_min == pytest.approx(1e-7)
         assert p.delta_g == pytest.approx(1e-4 / 64)
         assert p.sigma == pytest.approx((1e-4 / 64) / 6)
@@ -37,14 +37,14 @@ class TestDevicePolicy:
         "kwargs",
         [
             {"num_levels": 1},
-            {"g_max": 0.0},
-            {"g_max": -1e-4},
+            {"num_levels": 0},
+            {"num_levels": float("nan")},
             {"ratio": 1.0},
             {"ratio": 0.5},
             {"noise_fraction": -0.1},
             {"noise_fraction": float("nan")},
             {"num_levels": 2.5},
-            {"g_max": float("nan")},
+            {"ratio": float("nan")},
         ],
     )
     def test_invalid_policy_rejected(self, kwargs):
@@ -119,10 +119,10 @@ class TestProgram:
         # entries already proportional to measured levels read back exactly
         g0 = 100e-6
         a = np.array([[0.1, 0.6], [1.2, 0.3]])
-        policy = DevicePolicy(num_levels=8, g_max=120e-6, ratio=12.0, noise_fraction=0.0)
+        policy = DevicePolicy(num_levels=8, ratio=12.0, noise_fraction=0.0)
         ls = build_level_set(policy)
         cm = program(a, policy=policy)
-        gamma = policy.g_max / a.max()
+        gamma = _G_MAX / a.max()
         assert cm.g0 == pytest.approx(gamma)
         back = read_effective(cm)
         assert np.allclose(back, quantize_levels(gamma * a, ls) / gamma)
@@ -131,7 +131,7 @@ class TestProgram:
         policy = DevicePolicy(noise_fraction=0.0)
         a = np.array([[0.5, 2.0], [1.0, 0.25]])
         cm = program(a, policy=policy)
-        assert cm.g.max() == pytest.approx(policy.g_max)
+        assert cm.g.max() == pytest.approx(_G_MAX)
 
     def test_zero_entries_stay_open(self):
         a = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -144,7 +144,7 @@ class TestProgram:
         n = 160
         a = np.ones((n, n))
         cm = program(a, policy=policy, seed=9)
-        noise = cm.g - policy.g_max
+        noise = cm.g - _G_MAX
         # top level cannot exceed g_max + 3 sigma and the clamp barely
         # moves the standard deviation
         assert np.abs(noise).max() <= 3 * policy.sigma + 1e-18

@@ -216,10 +216,10 @@ class TestSolveConfig:
             {"max_steps": 0},
             {"max_steps": 2.5},
             {"max_steps": float("nan")},
-            {"trace_limit": 1},
-            {"trace_limit": 2.5},
-            {"trace_limit": float("nan")},
-            {"divergence_factor": 0.0},
+            {"epsilon": -1e-3},
+            {"epsilon": float("nan")},
+            {"alpha_fraction": float("nan")},
+            {"max_steps": True},
         ],
     )
     def test_invalid(self, kwargs):
@@ -276,10 +276,11 @@ class TestSimulate:
         delta = res.x_final - direct_solve(a, b)
         assert math.sqrt(delta @ (a @ delta)) <= 1e-3
 
-    def test_monotone_contraction_in_a_norm(self, spd_pair, oa):
+    def test_monotone_contraction_in_a_norm(self, spd_pair, oa, monkeypatch):
         a, b = spd_pair
         system = build_feedback(a)
-        cfg = SolveConfig(norm_kind="a_norm", trace_limit=100_000)
+        cfg = SolveConfig(norm_kind="a_norm")
+        monkeypatch.setattr(dynamics, "_TRACE_LIMIT", 100_000)  # every step
         res = simulate(system, b, oa, cfg)
         rep = stability_report(system)
         alpha, _ = resolve_step(system, oa, cfg)
@@ -287,14 +288,15 @@ class TestSimulate:
         errs = res.trace.errors
         assert (errs[1:] <= factor * errs[:-1] * (1 + 1e-10)).all()
 
-    def test_step_deviation_is_first_order(self, oa):
+    def test_step_deviation_is_first_order(self, oa, monkeypatch):
         # forward-difference vs matrix-exponential deviation halves with alpha
         a = covariance_matrix(4, 1.0)
         system = build_feedback(a)
         b = a @ np.array([0.6, -0.4, 0.3, 0.5])
         devs = []
+        monkeypatch.setattr(dynamics, "_TRACE_LIMIT", 512)
         for fraction in (0.01, 0.005):
-            cfg = SolveConfig(alpha_fraction=fraction, trace_limit=512)
+            cfg = SolveConfig(alpha_fraction=fraction)
             res = simulate(system, b, oa, cfg)
             dev = 0.0
             for t, state in zip(res.trace.times, res.trace.states):
@@ -303,16 +305,17 @@ class TestSimulate:
         ratio = devs[0] / devs[1]
         assert 1.8 <= ratio <= 2.4
 
-    def test_divergence_guard_scales_with_solution(self, oa):
-        cfg = SolveConfig(allow_unstable=True, max_steps=2000, divergence_factor=10.0)
+    def test_divergence_guard_scales_with_solution(self, oa, monkeypatch):
+        monkeypatch.setattr(dynamics, "_DIVERGENCE_FACTOR", 10.0)
+        cfg = SolveConfig(allow_unstable=True, max_steps=2000)
         res = simulate(build_feedback(SWAP), np.array([1.0, 2.0]), oa, cfg)
         assert res.diverged
         assert np.linalg.norm(res.x_final) > 10.0
 
-    def test_trace_decimation_and_final_sample(self, demo_system, oa):
+    def test_trace_decimation_and_final_sample(self, demo_system, oa, monkeypatch):
         system, b = demo_system
-        cfg = SolveConfig(trace_limit=16)
-        res = simulate(system, b, oa, cfg)
+        monkeypatch.setattr(dynamics, "_TRACE_LIMIT", 16)
+        res = simulate(system, b, oa, SolveConfig())
         tr = res.trace
         assert len(tr.times) <= 17
         assert (np.diff(tr.times) > 0).all()
@@ -320,10 +323,18 @@ class TestSimulate:
         assert tr.times[-1] == pytest.approx(res.tau)
         assert np.array_equal(tr.states[-1], res.x_final)
 
-    def test_no_trace_when_disabled(self, demo_system, oa):
+    def test_trace_keeps_at_most_ten_thousand_samples(self, demo_system, oa):
+        # At alpha_fraction 1e-3 the demo takes 44 494 steps, so the stride
+        # doubles to 8 and the trace keeps the 5562 multiples of 8, then the stop.
         system, b = demo_system
-        res = simulate(system, b, oa, SolveConfig(record_trace=False))
-        assert res.trace is None
+        cfg = SolveConfig(alpha_fraction=1e-3)
+        res = simulate(system, b, oa, cfg)
+        _, dt = resolve_step(system, oa, cfg)
+        steps = np.rint(res.trace.times / dt).astype(int)
+        assert res.converged and res.steps == 44_494 and len(steps) == 5563 <= 10_001
+        assert np.array_equal(steps[:-1], 8 * np.arange(5562))  # the stride is 2^3
+        assert steps[-1] == res.steps and res.trace.times[-1] == pytest.approx(res.tau, rel=1e-15)
+        assert np.array_equal(res.trace.states[-1], res.x_final)
 
     def test_rhs_shape_checked(self, demo_system, oa):
         system, _ = demo_system
@@ -407,7 +418,7 @@ class TestTimeBound:
         # run takes 0, 3 and 20; the quotient alone fell short of all three.
         system = build_feedback(np.diag([1.0, 3.0]))
         b = np.array([c, 0.0])
-        cfg = SolveConfig(norm_kind=norm_kind, record_trace=False)
+        cfg = SolveConfig(norm_kind=norm_kind)
         res = simulate(system, b, oa, cfg)
         assert res.converged and res.steps == steps
         assert res.tau <= time_bound(system, b, oa, cfg)
@@ -433,10 +444,10 @@ class TestTimeBound:
         # system its error floor is 2.16e-5, so at epsilon 1e-5 the run cannot
         # converge, while the uncorrected proof gives a bound of 3.95e-7 s.
         a, b = np.array([[2.0, 0.5], [0.5, 1.0]]), np.ones(2)
-        cfg = SolveConfig(epsilon=1e-5, include_gain_correction=True, max_steps=200_000, record_trace=False)
+        cfg = SolveConfig(epsilon=1e-5, include_gain_correction=True, max_steps=200_000)
         with pytest.raises(DomainError, match="floor 2.164e-05"):
             simulate(build_feedback(a), b, oa, cfg)
-        plain = SolveConfig(epsilon=1e-5, record_trace=False)
+        plain = SolveConfig(epsilon=1e-5)
         assert time_bound(build_feedback(a), b, oa, plain) == pytest.approx(3.95e-7, rel=1e-3)
         monkeypatch.setattr(dynamics, "direct_solve", lambda *args: pytest.fail("solved for a bound it cannot give"))
         with pytest.raises(DomainError, match="include_gain_correction"):
@@ -446,7 +457,7 @@ class TestTimeBound:
         a, b = spd_pair
         system = build_feedback(a)
         block = np.column_stack([b, 2.0 * b])
-        res = simulate(system, block, oa, SolveConfig(record_trace=False))
+        res = simulate(system, block, oa, SolveConfig())
         expected = time_bound(build_feedback(a), block, oa)
         res.x_star[:] = 0.0  # the system keeps its own copy of the solution
         solves = []
@@ -465,7 +476,7 @@ class TestTimeBound:
         calls = []
         dgetrs = crossolve.spectral._dgetrs
         monkeypatch.setattr(crossolve.spectral, "_dgetrs", lambda lu, piv, rhs: calls.append(rhs.shape) or dgetrs(lu, piv, rhs))
-        res = simulate(system, b, oa, SolveConfig(record_trace=False))
+        res = simulate(system, b, oa, SolveConfig())
         assert time_bound(system, b, oa) > 0
         x = analytic_trajectory(system, b, expected, oa, t=1e-6)  # starts at x*, so stays there
         assert calls == [(12, 1)]
@@ -493,7 +504,7 @@ class TestTimeBound:
         )
         unit = build_feedback(np.diag([1.0, 3.0]))
         assert time_bound(unit, b, oa) == time_bound(unit, b, oa, A_NORM)
-        cfg = SolveConfig(norm_kind="l2", record_trace=False)
+        cfg = SolveConfig(norm_kind="l2")
         res = simulate(wide, b, oa, cfg)
         assert res.converged and res.tau <= time_bound(wide, b, oa, cfg)
 
@@ -520,7 +531,7 @@ class TestTimeBound:
 class TestInvertMatrix:
     def test_spd_inverse(self, spd_pair, oa):
         a, _ = spd_pair
-        cfg = SolveConfig(epsilon=1e-5, record_trace=False)
+        cfg = SolveConfig(epsilon=1e-5)
         res = invert_matrix(build_feedback(a), oa, cfg)
         expected = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
         assert np.allclose(res.x_final, expected, atol=1e-4)
@@ -542,7 +553,7 @@ class TestInvertMatrix:
             assert np.allclose(res.x_final[:, j], single.x_final, rtol=0.0, atol=1e-12)
 
     def test_failure_names_column(self, oa):
-        cfg = SolveConfig(allow_unstable=True, max_steps=50_000, record_trace=False)
+        cfg = SolveConfig(allow_unstable=True, max_steps=50_000)
         with pytest.raises(InversionError, match="column 0"):
             invert_matrix(build_feedback(SWAP), oa, cfg)
 
@@ -667,13 +678,14 @@ class TestSlewCheck:
         sluggish = OpAmpModel(slew_rate=1.0)
         assert not slew_check(res, sluggish)
 
-    def test_needs_trace(self, demo_system, oa):
+    def test_needs_trace(self, demo_system, oa, monkeypatch):
         # The verdict reads the per-step rate tracked in the loop, so a run
-        # without a trace gives the same rate; only a block result has none.
+        # that keeps two samples gives the same rate; only a block result has none.
         system, b = demo_system
         traced = simulate(system, b, oa, SolveConfig())
-        res = simulate(system, b, oa, SolveConfig(record_trace=False))
-        assert res.trace is None
+        monkeypatch.setattr(dynamics, "_TRACE_LIMIT", 2)
+        res = simulate(system, b, oa, SolveConfig())
+        assert len(res.trace.times) <= 3 < len(traced.trace.times)
         assert res.max_slew == traced.max_slew > 0
         assert slew_check(res, OpAmpModel(slew_rate=res.max_slew))
         assert not slew_check(res, OpAmpModel(slew_rate=0.99 * res.max_slew))
@@ -682,11 +694,12 @@ class TestSlewCheck:
         with pytest.raises(UsageError):
             slew_check(block, oa)
 
-    def test_decimated_trace_keeps_true_rate(self, demo_system, oa):
+    def test_decimated_trace_keeps_true_rate(self, demo_system, oa, monkeypatch):
         # Stride doubling averages slopes over two or more steps: this trace's
         # samples show 7.8e6 V/s, while the first step moves at 1.38e7 V/s.
         system, b = demo_system
-        res = simulate(system, b, oa, SolveConfig(trace_limit=16))
+        monkeypatch.setattr(dynamics, "_TRACE_LIMIT", 16)
+        res = simulate(system, b, oa, SolveConfig())
         alpha, dt = resolve_step(system, oa, SolveConfig())
         first_step = float(np.abs(alpha * system.u * b).max()) / dt
         assert res.max_slew == pytest.approx(first_step, rel=1e-12)
@@ -750,7 +763,7 @@ class TestLookahead:
         system = build_feedback(a)
         block = rng.uniform(-1.0, 1.0, (n, k))
         oa = OpAmpModel()
-        cfg = SolveConfig(epsilon=epsilon, norm_kind="a_norm", record_trace=False)
+        cfg = SolveConfig(epsilon=epsilon, norm_kind="a_norm")
         alpha, _ = resolve_step(system, oa, cfg)
         res = _simulate_at(lookahead, system, block, oa, cfg)
         assert res.converged.all()
@@ -789,7 +802,7 @@ class TestLookahead:
         system = build_feedback(a)
         block = rng.uniform(-1.0, 1.0, (n, columns or 1))
         oa = OpAmpModel()
-        cfg = SolveConfig(norm_kind="a_norm", record_trace=False)
+        cfg = SolveConfig(norm_kind="a_norm")
         alpha, dt = resolve_step(system, oa, cfg)
         res = _simulate_at(1 if one_step else None, system, block if columns else block[:, 0], oa, cfg)
         assert np.all(res.converged)
@@ -823,7 +836,7 @@ class TestLookahead:
             a = covariance_matrix(n, float(rng.choice([1.0, 2.0])))
         system = build_feedback(a)
         block = rng.uniform(-1.0, 1.0, (n, columns or 1))
-        cfg = SolveConfig(record_trace=False)
+        cfg = SolveConfig()
         alpha, _ = resolve_step(system, oa, cfg)
         res = _simulate_at(1 if one_step else None, system, block if columns else block[:, 0], oa, cfg)
         assert np.all(res.converged)
@@ -860,7 +873,7 @@ class TestLookahead:
     def test_negative_form_still_rejected(self, oa):
         a = np.array([[1.0, 3.0], [0.0, 1.0]])
         b = a @ np.array([1.0, -1.0])
-        cfg = SolveConfig(norm_kind="a_norm", record_trace=False)
+        cfg = SolveConfig(norm_kind="a_norm")
         for rhs in (b, np.column_stack([np.ones(2), b])):
             with pytest.raises(DomainError):
                 _simulate_at(8, build_feedback(a), rhs, oa, cfg)
@@ -885,13 +898,13 @@ class TestLookahead:
         stable = build_feedback(_random_stable(3, 4))
         b = np.random.default_rng(4).uniform(-1.0, 1.0, 4)
         system, rhs, cfg = {
-            "converged": (stable, 3.0 * b, SolveConfig(epsilon=1e-4, record_trace=False)),
+            "converged": (stable, 3.0 * b, SolveConfig(epsilon=1e-4)),
             "diverged": (
                 build_feedback(SWAP),
                 np.array([1.0, 2.0]),
-                SolveConfig(allow_unstable=True, max_steps=100_000, record_trace=False),
+                SolveConfig(allow_unstable=True, max_steps=100_000),
             ),
-            "max_steps": (stable, b, SolveConfig(epsilon=1e-12, max_steps=57, record_trace=False)),
+            "max_steps": (stable, b, SolveConfig(epsilon=1e-12, max_steps=57)),
         }[stop]
         if column:
             rhs = rhs[:, None]
@@ -918,7 +931,7 @@ class TestLookahead:
         system = build_feedback(sparse_pd(SparsePdSpec(n=n, s=10, lambda_target=0.5, seed=n)))
         b = np.random.default_rng(n).uniform(-1.0, 1.0, n)
         rhs = b[:, None] if column else b
-        cfg = SolveConfig(record_trace=False)
+        cfg = SolveConfig()
         rule, seen = dynamics._batch, []
 
         def spy(lookahead, columns):
@@ -930,8 +943,6 @@ class TestLookahead:
         assert seen == [({150: 2, 200: 1}[n], 16)]
         assert res.steps > 100 and np.all(res.converged)
         _assert_same_bits(res, _simulate_at(None, system, rhs, oa, cfg, batch=False))
-        if not column:  # a recorded trace changes no bit either
-            _assert_same_bits(res, simulate(system, rhs, oa, SolveConfig()))
 
     @pytest.mark.parametrize("n", [2, 3, 10, 16, 30, 100])
     def test_powers_double_in_place_bit_for_bit(self, n, oa):
@@ -977,38 +988,41 @@ class TestLookahead:
             assert t % d == 0 and t >= 16 and t < max(d, 16) + d
             assert dynamics._batch(d, 2) == d  # a block
 
-    @pytest.mark.parametrize("case", ["demo", 5, 20, 40])
+    @pytest.mark.parametrize("case", ["demo", 5, 20, 40, 150, "covariance"])
     def test_trace_changes_no_bit(self, case, oa, monkeypatch):
-        # A trace samples the rows each pass computes anyway, so a traced run
-        # takes the same D > 1 and T as its untraced twin, and the same bits.
+        # A trace samples the rows each pass computes anyway, so a 1-D run
+        # takes the same D and T as its untraced twin, the (n, 1) block, and
+        # the same bits wherever that block takes no jump.
         if case == "demo":
             system, b = build_feedback(DEFAULT_TRANSIENT_A), DEFAULT_TRANSIENT_B
+        elif case == "covariance":
+            system, b = build_feedback(covariance_matrix(40, 1.0)), np.random.default_rng(40).uniform(-1.0, 1.0, 40)
         else:
             system = build_feedback(sparse_pd(SparsePdSpec(n=case, s=min(4, case), lambda_target=0.3, seed=case)))
             b = np.random.default_rng(case).uniform(-1.0, 1.0, case)
         rule, seen = dynamics._lookahead, []
         monkeypatch.setattr(dynamics, "_lookahead", lambda n, steps: seen.append(rule(n, steps)) or seen[-1])
         traced = simulate(system, b, oa, SolveConfig())
-        plain = simulate(system, b, oa, SolveConfig(record_trace=False))
-        assert traced.trace is not None and plain.trace is None
-        _assert_same_bits(traced, plain)
+        twin = _without_jumps(system, b[:, None], oa, SolveConfig())
+        assert traced.trace is not None and twin.trace is None and twin.max_slew is None
+        assert traced.x_final.tobytes() == twin.x_final.tobytes()
+        assert np.float64(traced.tau).tobytes() == twin.tau.tobytes()
+        assert traced.steps == twin.steps and traced.x_star.tobytes() == twin.x_star.tobytes()
+        assert (traced.converged, traced.diverged) == (bool(twin.converged[0]), bool(twin.diverged[0]))
         assert seen[0] == seen[1] > 1
 
     @pytest.mark.parametrize("trace_limit", [2, 3, 16])
     @pytest.mark.parametrize("stop", ["converged", "max_steps", "diverged"])
-    def test_trace_samples_the_one_step_rule(self, trace_limit, stop, oa):
+    def test_trace_samples_the_one_step_rule(self, trace_limit, stop, oa, monkeypatch):
         # The batched trace keeps the steps a one-step run samples: the
         # multiples of the final stride, then the stop. The demo runs D = 64,
         # so the cut at step 157 lands inside the third pass.
+        monkeypatch.setattr(dynamics, "_TRACE_LIMIT", trace_limit)
         demo = build_feedback(DEFAULT_TRANSIENT_A)
         system, b, cfg = {
-            "converged": (demo, DEFAULT_TRANSIENT_B, SolveConfig(trace_limit=trace_limit)),
-            "max_steps": (demo, DEFAULT_TRANSIENT_B, SolveConfig(epsilon=1e-12, max_steps=157, trace_limit=trace_limit)),
-            "diverged": (
-                build_feedback(SWAP),
-                np.array([1.0, 2.0]),
-                SolveConfig(allow_unstable=True, max_steps=100_000, trace_limit=trace_limit),
-            ),
+            "converged": (demo, DEFAULT_TRANSIENT_B, SolveConfig()),
+            "max_steps": (demo, DEFAULT_TRANSIENT_B, SolveConfig(epsilon=1e-12, max_steps=157)),
+            "diverged": (build_feedback(SWAP), np.array([1.0, 2.0]), SolveConfig(allow_unstable=True, max_steps=100_000)),
         }[stop]
         res = simulate(system, b, oa, cfg)
         one = _simulate_at(1, system, b, oa, cfg, batch=False)
@@ -1083,7 +1097,7 @@ class TestLayout:
         # The default D rule: D > 1 at n = 3, 30 and 100, and D = 1 at n = 300.
         system = build_feedback(covariance_matrix(n, 1.0))
         block = np.random.default_rng(n + k).uniform(-1.0, 1.0, (n, k))
-        cfg = SolveConfig(norm_kind=norm_kind, record_trace=False)
+        cfg = SolveConfig(norm_kind=norm_kind)
         steps, x_final = _reference_transient(system, block, oa, cfg)
         res = simulate(system, block[:, 0] if k == 1 else block, oa, cfg)
         assert np.array_equal(np.atleast_1d(res.steps if k == 1 else res.column_steps), steps)
@@ -1148,7 +1162,7 @@ class TestCertifiedJumps:
             a = _wide_spread(n)
         system = build_feedback(a)
         block = np.random.default_rng(n + k).uniform(-1.0, 1.0, (n, k))
-        cfg = SolveConfig(norm_kind=norm_kind, record_trace=False)
+        cfg = SolveConfig(norm_kind=norm_kind)
         res, reached = _with_jumps(system, block, oa, cfg)
         ref = _without_jumps(system, block, oa, cfg)
         assert reached > 0  # the run skipped steps
@@ -1187,24 +1201,25 @@ class TestCertifiedJumps:
         spread = math.sqrt(system.u.max() / system.u.min())
         assert errors[40] == min(errors) and errors[199] > 1.3 * epsilon and errors[0] > spread * epsilon
         block = np.column_stack([b, -b, 2.0 * b][:k])
-        cfg = SolveConfig(epsilon=epsilon, record_trace=False)
+        cfg = SolveConfig(epsilon=epsilon)
         res, reached = _with_jumps(system, block, oa, cfg)
         ref = _without_jumps(system, block, oa, cfg)
         assert reached is not None and res.column_steps[0] == 40
         assert np.array_equal(res.column_steps, ref.column_steps) and res.converged.all()
 
     @pytest.mark.parametrize(
-        "cfg",
+        ("cfg", "factor"),
         [
-            SolveConfig(epsilon=1e-9, max_steps=300, record_trace=False),
-            SolveConfig(max_steps=300, record_trace=False),
-            SolveConfig(divergence_factor=1.2, record_trace=False),
+            (SolveConfig(epsilon=1e-9, max_steps=300), 1e6),
+            (SolveConfig(max_steps=300), 1e6),
+            (SolveConfig(), 1.2),
         ],
         ids=["all_cut", "one_converges", "tight_screen"],
     )
-    def test_cut_and_divergence_screen(self, cfg, oa):
+    def test_cut_and_divergence_screen(self, cfg, factor, oa, monkeypatch):
         # Jumps end before max_steps, so the cut falls where it falls without
         # them; a divergence screen nearer than C_2 ||x*|| leaves no room for one.
+        monkeypatch.setattr(dynamics, "_DIVERGENCE_FACTOR", factor)
         system = build_feedback(covariance_matrix(30, 1.0))
         block = np.random.default_rng(3).uniform(-1.0, 1.0, (30, 3))
         res, reached = _with_jumps(system, block, oa, cfg)
@@ -1223,7 +1238,7 @@ class TestCertifiedJumps:
         # tolerance, a 1-D b (its trace and max_slew read every step), the
         # finite-gain loop and an unstable loop: none tries a jump, and each
         # result is bit for bit the one with jumps turned off.
-        a, cfg = covariance_matrix(30, 1.0), SolveConfig(record_trace=False)
+        a, cfg = covariance_matrix(30, 1.0), SolveConfig()
         block = np.random.default_rng(30).uniform(-1.0, 1.0, (30, 3))
         if case == "nonsymmetric":
             a = _random_stable(5, 30)
@@ -1233,10 +1248,10 @@ class TestCertifiedJumps:
         elif case == "vector":
             block, cfg = block[:, 0], SolveConfig()
         elif case == "gain_correction":
-            cfg = SolveConfig(include_gain_correction=True, record_trace=False)
+            cfg = SolveConfig(include_gain_correction=True)
         else:
             a, block = SWAP, np.array([[1.0, 0.0, -3.0], [1.0, 0.0, 0.5]])
-            cfg = SolveConfig(allow_unstable=True, max_steps=100_000, record_trace=False)
+            cfg = SolveConfig(allow_unstable=True, max_steps=100_000)
         system = build_feedback(a)
         res, reached = _with_jumps(system, block, oa, cfg)
         assert reached is None

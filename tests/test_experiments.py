@@ -256,7 +256,7 @@ class TestSystemRecords:
         monkeypatch.setattr(crossolve.dynamics, "factorize", counted)
         monkeypatch.setattr(crossolve.spectral, "_dgetrs", counted_solve)
         spec = ExperimentSpec("scaling", seed=0, output_dir="unused")
-        cfg = SolveConfig(norm_kind=norm_kind, record_trace=False)
+        cfg = SolveConfig(norm_kind=norm_kind)
 
         a = covariance_matrix(12, 1.0)  # symmetric positive definite, so bounds are computed
         bs = [random_vector(12, seed=k) for k in range(4)]
@@ -559,6 +559,29 @@ class TestEstimateScenario:
         )
         records, _ = run_experiment(spec)
         assert records[0].n == 100000000
+
+
+@pytest.mark.parametrize(
+    ("scenario", "params", "absent", "present"),
+    [
+        ("lambda_sweep", {"systems": 1, "vectors_per_system": 3}, ["envelope_fit:"], ["lambda_min_range:"]),
+        ("sparse_suite", {"systems": 1}, ["loglog_slope_tau_vs_lambda_min:"], ["subset_lambda_0.9_1.0: 0"]),
+        (
+            "sparse_suite",
+            {"systems": 6, "n_range": [20, 20], "lambda_range": [0.9, 1.0]},
+            ["subset_pearson_tau_n:", "subset_cg_time_slope:"],
+            ["loglog_slope_tau_vs_lambda_min:", "subset_lambda_0.9_1.0: 6"],
+        ),
+    ],
+    ids=["sweep-one-system", "sparse-one-system", "sparse-one-size"],
+)
+def test_fit_lines_only_where_their_points_determine_them(tmp_path, scenario, params, absent, present):
+    # one point, or points at a single x, once gave a fit line (an exact
+    # r2 = 1, a slope through one point, a Pearson r of nan)
+    _, summary = run_experiment(ExperimentSpec(scenario, seed=0, output_dir=tmp_path, parameters=params))
+    assert not any(name in summary for name in absent)
+    assert all(line in summary for line in present)
+    assert "nan" not in summary
 
 
 # sha256 of every file that acceptance criterion 10's six configurations

@@ -243,16 +243,6 @@ class TestRandomVector:
         assert np.array_equal(v1, v2)
         assert (v1 >= -1.0).all() and (v1 <= 1.0).all()
 
-    def test_custom_range(self):
-        v = random_vector(50, seed=1, lo=2.0, hi=3.0)
-        assert (v >= 2.0).all() and (v <= 3.0).all()
-
-    def test_degenerate_range_allowed(self):
-        v = random_vector(4, seed=0, lo=1.5, hi=1.5)
-        assert np.allclose(v, 1.5)
-
     def test_validation(self):
         with pytest.raises(DomainError):
             random_vector(0, seed=0)
-        with pytest.raises(DomainError):
-            random_vector(3, seed=0, lo=2.0, hi=1.0)
