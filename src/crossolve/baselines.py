@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .spectral import _as_square, _is_symmetric
+from .spectral import _as_square
 
 __all__ = ["CgResult", "conjugate_gradient"]
 
@@ -30,15 +30,15 @@ def conjugate_gradient(a, b, tol: float = 1e-8, max_iters: int | None = None) ->
     """Solve A x = b for symmetric positive-definite A from x(0) = 0.
 
     Stops when ||A x - b||_2 <= tol * ||b||_2. Raises DomainError for a
-    non-symmetric matrix or when an indefinite direction (p^T A p <= 0) is
-    encountered.
+    matrix that is not finite or not equal to its transpose bit for bit,
+    and when an indefinite direction (p^T A p <= 0) is encountered.
     """
     a = _as_square(a)
     b = np.asarray(b, dtype=float)
     if b.shape != (a.shape[0],):
         raise DomainError(f"rhs shape {b.shape} does not match matrix {a.shape}")
-    if not _is_symmetric(a):
-        raise DomainError("conjugate gradient requires a symmetric matrix")
+    if not np.array_equal(a, a.T) or not np.isfinite(a).all():
+        raise DomainError("conjugate gradient requires a finite symmetric matrix")
     if not tol >= 0:
         raise DomainError(f"tol must be nonnegative, got {tol}")
 

@@ -71,7 +71,7 @@ from .errors import (
     StabilityError,
     UsageError,
 )
-from .spectral import _as_square, _is_integer, _is_symmetric, attenuation, direct_solve, factorize, sym_part_lambda_min
+from .spectral import _as_square, _is_integer, attenuation, direct_solve, factorize, sym_part_lambda_min
 
 __all__ = [
     "OpAmpModel",
@@ -148,7 +148,8 @@ class FeedbackSystem:
 
     @cached_property
     def symmetric(self) -> bool:
-        return _is_symmetric(self.a)
+        """Whether a equals its transpose bit for bit."""
+        return np.array_equal(self.a, self.a.T)
 
     @cached_property
     def m_eigenvalues(self) -> np.ndarray:
@@ -160,9 +161,10 @@ class FeedbackSystem:
         try:
             if self.symmetric:
                 root_u = np.sqrt(self.u)
-                return np.linalg.eigvalsh(root_u[:, None] * self.a * root_u[None, :])
+                # eigvals rejects the NaN that an infinite entry of a leaves; eigvalsh would return NaNs
+                return np.linalg.eigvalsh(np.asarray_chkfinite(root_u[:, None] * self.a * root_u[None, :]))
             return np.linalg.eigvals(self.m)
-        except np.linalg.LinAlgError as exc:
+        except (np.linalg.LinAlgError, ValueError) as exc:
             raise NumericalError(f"eigensolver failed on M: {exc}") from exc
 
     @cached_property
@@ -679,10 +681,7 @@ def simulate(
     lookahead = _lookahead(n, min(predicted, max_steps))
     propagate = np.eye(n) - alpha * m_eff
     last, base = np.zeros((k, n)), 0  # the state before the first pass, and that pass's first step
-    # A jump needs A symmetric bit for bit. The cached system.symmetric, which
-    # allows 1e-12 of asymmetry, turns most other matrices away first.
-    eligible = not single and lam_min > 0 and not cfg.include_gain_correction and system.symmetric
-    if eligible and np.array_equal(system.a, system.a.T):
+    if not single and lam_min > 0 and not cfg.include_gain_correction and system.symmetric:
         last, start = _certified_jumps(system, block, x_star, alpha, propagate, drive, screen, cfg, lookahead)
         if start:  # the passes resume after the last certified step
             base = start + 1
@@ -708,7 +707,7 @@ def simulate(
     column_steps = np.zeros(k, dtype=np.int64)
     converged = np.zeros(k, dtype=bool)
     diverged = np.zeros(k, dtype=bool)
-    max_jump = 0.0  # a single right-hand side's largest |dx_i| over the steps taken
+    max_dx = 0.0  # a single right-hand side's largest |dx_i| over the steps taken
     samples: list[tuple[int, np.ndarray, float]] = []  # trace (step, state, squared error)
     stride = 1
 
@@ -722,7 +721,7 @@ def simulate(
         conv = q <= limit
         near = sq > screen_sq[:, None]
         if single:  # |dx_i| of each step of this pass, from the state before it
-            jump = np.abs(np.diff(states[0], axis=0, prepend=last))
+            dx = np.abs(np.diff(states[0], axis=0, prepend=last))
             # the trace keeps the states of this pass whose step is a multiple of the stride
             samples, stride = _thin(samples, stride)
             first = -base % stride
@@ -739,7 +738,7 @@ def simulate(
             # each column's first stopping step in the pass, or T for a column that runs on
             stop_at = np.where(stop.any(axis=1), stop.argmax(axis=1), batch)
             if single:
-                max_jump = max(max_jump, float(jump[: stop_at[0] + 1].max()))
+                max_dx = max(max_dx, float(dx[: stop_at[0] + 1].max()))
             done = np.flatnonzero(stop_at < batch)
             if done.size:
                 at = stop_at[done]
@@ -759,7 +758,7 @@ def simulate(
                 target = target[live]
                 blow_up, screen_sq, cols = blow_up[live], screen_sq[live], cols[live]
         elif single:
-            max_jump = max(max_jump, float(jump.max()))
+            max_dx = max(max_dx, float(dx.max()))
         last[...] = states[:, -1]
         base += batch
 
@@ -794,7 +793,7 @@ def simulate(
         diverged=bool(diverged[0]),
         trace=trace,
         steps=int(column_steps[0]),
-        max_slew=max_jump / dt,
+        max_slew=max_dx / dt,
     )
 
 

@@ -24,7 +24,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .baselines import conjugate_gradient
-from .devices import DevicePolicy, program, read_effective
+from .devices import DevicePolicy, program
 from .dynamics import (
     OpAmpModel,
     SolveConfig,
@@ -45,7 +45,7 @@ from .errors import (
     StabilityError,
     UsageError,
 )
-from .generators import SparsePdSpec, covariance_matrix, random_discrete_pd, random_vector, sparse_pd
+from .generators import covariance_matrix, random_discrete_pd, random_vector, sparse_pd
 from .spectral import (
     _check_estimate_args,
     _is_integer,
@@ -353,9 +353,12 @@ def _unit_vector(n: int, seed: int) -> np.ndarray:
     return b / norm
 
 
-def _programmed(ideal: np.ndarray, policy: DevicePolicy, seed: int) -> np.ndarray:
-    """The matrix the circuit reads back after ideal is programmed under policy."""
-    return read_effective(program(ideal, policy, seed=seed))
+def _beta(p: dict) -> float:
+    """p's covariance exponent beta, which must be positive."""
+    beta = float(p["beta"])
+    if not beta > 0:
+        raise ConfigError(f"beta must be positive, got {beta}")
+    return beta
 
 
 def _bounds(system, block: np.ndarray, cfg: SolveConfig, oa: OpAmpModel) -> list[float | None]:
@@ -533,14 +536,14 @@ def _scaling_task(
     n, beta, vectors = p["sizes"][si], float(p["beta"]), p["vectors_per_size"]
     a = covariance_matrix(n, beta)
     if variant == "rram":
-        a = _programmed(a, policy, child_seed(spec.seed, si))
+        a = program(a, policy, seed=child_seed(spec.seed, si))
     bs = [random_vector(n, seed=child_seed(spec.seed, si, k)) for k in range(vectors)]
     return _system_records(spec, build_feedback(a), bs, oa, cfg, job * vectors, f";variant={variant}", beta_or_s=beta)
 
 
 def _run_scaling(spec: ExperimentSpec, p: dict):
     oa, cfg = _circuit(p)
-    beta = float(p["beta"])
+    beta = _beta(p)
     sizes = p["sizes"]
     variants = [str(v) for v in p["variants"]]
     for variant in variants:
@@ -597,7 +600,7 @@ def _sparse_task(
     rng = np.random.default_rng(child_seed(spec.seed, i))
     n = int(rng.integers(n_range[0], n_range[1] + 1))
     lam_target = float(rng.uniform(*lambda_range))
-    a = sparse_pd(SparsePdSpec(n=n, s=min(p["s"], n), lambda_target=lam_target, seed=child_seed(spec.seed, i, 1)))
+    a = sparse_pd(n, s=min(p["s"], n), lambda_target=lam_target, seed=child_seed(spec.seed, i, 1))
     b = _unit_vector(n, child_seed(spec.seed, i, 2))
     cg = conjugate_gradient(a, b, tol=cfg.epsilon)
     realized_s = np.count_nonzero(a) / n  # nonzeros per row actually placed, at most s
@@ -608,6 +611,9 @@ def _sparse_task(
 
 def _run_sparse_suite(spec: ExperimentSpec, p: dict):
     oa, cfg = _circuit(p)
+    for key in ("n_range", "lambda_range"):
+        if len(p[key]) != 2:
+            raise ConfigError(f"{key} must hold 2 entries, got {p[key]!r}")
     n_lo, n_hi = p["n_range"]
     lam_lo, lam_hi = (float(v) for v in p["lambda_range"])
     if n_hi < n_lo:
@@ -639,10 +645,10 @@ def _run_sparse_suite(spec: ExperimentSpec, p: dict):
 def _run_inversion(spec: ExperimentSpec, p: dict):
     oa, cfg = _circuit(p)
     n = p["n"]
-    beta = float(p["beta"])
+    beta = _beta(p)
     policy = DevicePolicy(num_levels=p["num_levels"], ratio=float(p["ratio"]), noise_fraction=float(p["noise_fraction"]))
     ideal = covariance_matrix(n, beta)
-    a_eff = _programmed(ideal, policy, child_seed(spec.seed, 0)) if p["noisy"] else ideal
+    a_eff = program(ideal, policy, seed=child_seed(spec.seed, 0)) if p["noisy"] else ideal
 
     system = build_feedback(a_eff)
     result = invert_matrix(system, oa, cfg)

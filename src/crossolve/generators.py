@@ -8,15 +8,12 @@ matrices with an exactly placed smallest eigenvalue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .devices import _MEASURED_LEVELS_S
 from .errors import ConfigError, DomainError, GenerationError
 
 __all__ = [
-    "SparsePdSpec",
     "covariance_matrix",
     "random_discrete_pd",
     "sparse_pd",
@@ -87,39 +84,16 @@ def random_discrete_pd(
     raise GenerationError(f"no positive-definite draw within {max_tries} tries")
 
 
-@dataclass(frozen=True)
-class SparsePdSpec:
-    """Recipe for a random sparse symmetric PD matrix.
+def sparse_pd(n: int, s: int = 10, lambda_target: float = 1.0, seed: int = 0) -> np.ndarray:
+    """Random sparse symmetric PD n x n matrix with lambda_min placed exactly.
 
-    s counts nonzeros per row including the diagonal; the smallest
-    eigenvalue is shifted to exactly lambda_target.
-    """
-
-    n: int
-    s: int = 10
-    lambda_target: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n}")
-        if self.s < 1:
-            raise DomainError(f"s must be >= 1, got {self.s}")
-        if self.s > self.n:
-            raise DomainError(f"s = {self.s} nonzeros per row is infeasible for n = {self.n}")
-        if not self.lambda_target > 0:
-            raise DomainError(f"lambda_target must be positive, got {self.lambda_target}")
-
-
-def sparse_pd(spec: SparsePdSpec) -> np.ndarray:
-    """Random sparse symmetric PD matrix with lambda_min placed exactly.
-
-    A symmetric off-diagonal pattern with at most s-1 entries per row is
-    filled with uniform (0, 1] values, the diagonal is set to the row sum
-    (weak diagonal dominance, so the matrix starts positive semidefinite),
-    and a uniform diagonal shift places the smallest eigenvalue at
-    lambda_target. All entries stay nonnegative because the shift can
-    never exceed the smallest diagonal element.
+    s counts nonzeros per row including the diagonal (1 <= s <= n), and
+    seed seeds every draw. A symmetric off-diagonal pattern with at most
+    s-1 entries per row is filled with uniform (0, 1] values, the diagonal
+    is set to the row sum (weak diagonal dominance, so the matrix starts
+    positive semidefinite), and a uniform diagonal shift places the
+    smallest eigenvalue at lambda_target > 0. All entries stay nonnegative
+    because the shift can never exceed the smallest diagonal element.
 
     The pattern comes from 20 n (s-1) random (row, column) draws taken in
     order: a draw is placed unless it is diagonal, joins a pair already
@@ -130,8 +104,16 @@ def sparse_pd(spec: SparsePdSpec) -> np.ndarray:
     are written straight into the matrix. Placement ends once fewer than
     two rows are open, since no later draw could be placed.
     """
-    n, want = spec.n, spec.s - 1
-    rng = np.random.default_rng(spec.seed)
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    if s < 1:
+        raise DomainError(f"s must be >= 1, got {s}")
+    if s > n:
+        raise DomainError(f"s = {s} nonzeros per row is infeasible for n = {n}")
+    if not lambda_target > 0:
+        raise DomainError(f"lambda_target must be positive, got {lambda_target}")
+    want = s - 1
+    rng = np.random.default_rng(seed)
     a = np.zeros((n, n))
     if want > 0 and n > 1:
         degree = [0] * n
@@ -158,7 +140,7 @@ def sparse_pd(spec: SparsePdSpec) -> np.ndarray:
                 break
     np.fill_diagonal(a, a.sum(axis=1))
     lam0 = float(np.linalg.eigvalsh(a)[0])
-    a[np.diag_indices(n)] += spec.lambda_target - lam0
+    a[np.diag_indices(n)] += lambda_target - lam0
     return a
 
 

@@ -166,12 +166,6 @@ def sym_part_lambda_min(a) -> float:
     return float(np.linalg.eigvalsh((a + a.T) / 2.0)[0])
 
 
-def _is_symmetric(a: np.ndarray) -> bool:
-    """Symmetry to within 1e-12 of the largest entry's magnitude; a NaN or an infinity fails it."""
-    tol = 1e-12 * max(float(np.abs(a).max()), np.finfo(float).tiny)
-    return bool(np.abs(a - a.T).max() <= tol < math.inf)
-
-
 def factorize(a) -> tuple[np.ndarray, np.ndarray]:
     """LU factors of A with partial pivoting, guarded by a condition estimate.
 

@@ -17,7 +17,6 @@ from crossolve import (
     DEFAULT_TRANSIENT_B,
     ExperimentSpec,
     SolveConfig,
-    SparsePdSpec,
     attenuation,
     build_feedback,
     child_seed,
@@ -134,7 +133,7 @@ def test_criterion_02_discrete_matches_continuous():
         n = int(rng.integers(3, 21))
         s = int(rng.integers(2, min(10, n) + 1))
         lam = float(rng.uniform(0.3, 1.2))
-        a = sparse_pd(SparsePdSpec(n, s, lam, seed=int(child_seed(master, i, 1))))
+        a = sparse_pd(n, s=s, lambda_target=lam, seed=int(child_seed(master, i, 1)))
         _PD_POOL.append(a)
         system = build_feedback(a)
         x_hat = _unit(rng, n)
@@ -165,7 +164,7 @@ def test_criterion_03_energy_bound(sweep_run):
         n = int(rng.integers(3, 41))
         s = int(rng.integers(2, min(10, n) + 1))
         lam = float(rng.uniform(0.05, 1.5))
-        a = sparse_pd(SparsePdSpec(n, s, lam, seed=int(child_seed(master, i, 1))))
+        a = sparse_pd(n, s=s, lambda_target=lam, seed=int(child_seed(master, i, 1)))
         if i < 50:
             _PD_POOL.append(a)
         system = build_feedback(a)
@@ -218,7 +217,7 @@ def test_criterion_04_stability_classification():
         else:
             n = int(rng.integers(2, 4))
             lam = float(rng.uniform(0.1, 1.0))
-            a = sparse_pd(SparsePdSpec(n, n, lam, seed=int(child_seed(master, i, 1))))
+            a = sparse_pd(n, s=n, lambda_target=lam, seed=int(child_seed(master, i, 1)))
             _PD_POOL.append(a)
         system = build_feedback(a)
         predicted_unstable = stability_report(system).lambda_m_min <= 0
@@ -366,7 +365,7 @@ def test_criterion_09_attenuation_inequality(
         pool.append(covariance_matrix(n, float(rng.uniform(0.5, 2.5))))
         lam = float(rng.uniform(0.05, 1.5))
         pool.append(
-            sparse_pd(SparsePdSpec(n, n, lam, seed=int(child_seed(9, 1, i))))
+            sparse_pd(n, s=n, lambda_target=lam, seed=int(child_seed(9, 1, i)))
         )
     for a in pool:
         u_min = float(attenuation(a).min())

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crossolve import DomainError, SparsePdSpec, conjugate_gradient, direct_solve, sparse_pd
+from crossolve import DomainError, conjugate_gradient, direct_solve, sparse_pd
 
 
 class TestConjugateGradient:
@@ -27,7 +27,7 @@ class TestConjugateGradient:
         assert res.iterations == 0
 
     def test_matches_direct_solve(self):
-        a = sparse_pd(SparsePdSpec(n=40, s=6, lambda_target=0.5, seed=7))
+        a = sparse_pd(40, s=6, lambda_target=0.5, seed=7)
         b = np.linspace(-1, 1, 40)
         res = conjugate_gradient(a, b, tol=1e-12)
         assert res.converged
@@ -35,7 +35,7 @@ class TestConjugateGradient:
 
     def test_iteration_count_bounded_by_dimension(self):
         # exact-arithmetic CG finishes in n steps; allow a little float slack
-        a = sparse_pd(SparsePdSpec(n=30, s=5, lambda_target=1.0, seed=2))
+        a = sparse_pd(30, s=5, lambda_target=1.0, seed=2)
         b = np.ones(30)
         res = conjugate_gradient(a, b, tol=1e-9)
         assert res.converged
@@ -45,13 +45,27 @@ class TestConjugateGradient:
         with pytest.raises(DomainError):
             conjugate_gradient(np.array([[1.0, 0.5], [0.2, 1.0]]), np.ones(2))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        # an infinite pair equals its transpose, but CG cannot solve it
+        a = np.ones((3, 3)) + 2.0 * np.eye(3)
+        a[0, 1] = a[1, 0] = bad
+        with pytest.raises(DomainError, match="finite symmetric"):
+            conjugate_gradient(a, np.ones(3))
+
+    def test_one_ulp_asymmetry_rejected(self):
+        a = np.array([[2.0, 0.5], [0.5, 1.0]])
+        a[0, 1] = np.nextafter(0.5, 1.0)
+        with pytest.raises(DomainError, match="symmetric"):
+            conjugate_gradient(a, np.ones(2))
+
     def test_indefinite_rejected(self):
         a = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(DomainError):
             conjugate_gradient(a, np.array([0.0, 1.0]))
 
     def test_max_iters_timeout(self):
-        a = sparse_pd(SparsePdSpec(n=50, s=8, lambda_target=0.01, seed=1))
+        a = sparse_pd(50, s=8, lambda_target=0.01, seed=1)
         res = conjugate_gradient(a, np.ones(50), tol=1e-14, max_iters=2)
         assert not res.converged
         assert res.iterations == 2

@@ -257,6 +257,38 @@ def test_inconsistent_estimate_parameters_exit_two(tmp_path, capsys, parameters,
     assert not (tmp_path / "out" / "records.csv").exists()
 
 
+@pytest.mark.parametrize("parameters", ["n_range: [20]", "n_range: [20, 30, 40]", "lambda_range: [0.5]"])
+def test_range_of_wrong_length_exits_two(tmp_path, capsys, parameters):
+    # each once escaped as a ValueError traceback (exit 1) from unpacking the range
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"seed: 0\noutput_dir: {tmp_path / 'out'}\nparameters:\n  {parameters}\n  systems: 2\n")
+    assert main(["sparse-suite", "--config", str(cfg)]) == 2
+    assert f"{parameters.split(':')[0]} must hold 2 entries" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "records.csv").exists()
+
+
+@pytest.mark.parametrize("beta", ["0.0", "-1.0", ".nan"])
+@pytest.mark.parametrize(
+    "command,others",
+    [
+        pytest.param("scaling", "sizes: [3, 10, 30, 100]\n  vectors_per_size: 2", id="scaling"),
+        pytest.param("invert", "noisy: true", id="invert"),
+    ],
+)
+def test_nonpositive_beta_exits_two_before_solving(tmp_path, capsys, monkeypatch, command, others, beta):
+    # beta 0 once exited 3 with covariance_matrix's DomainError from inside
+    # the first task (with threads > 1, from a worker process)
+    calls = []
+    for module in (crossolve.experiments, crossolve.dynamics):
+        monkeypatch.setattr(module, "simulate", lambda *args, run=module.simulate: calls.append(1) or run(*args))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"seed: 0\noutput_dir: {tmp_path / 'out'}\nparameters:\n  beta: {beta}\n  {others}\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert "beta must be positive" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out" / "records.csv").exists()
+
+
 @pytest.mark.parametrize(
     "command,parameter,value",
     [

@@ -5,20 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossolve import (
-    ConductanceMatrix,
-    ConfigError,
-    DevicePolicy,
-    DomainError,
-    LevelSet,
-    build_level_set,
-    program,
-    quantize_levels,
-    read_effective,
-)
-from crossolve.devices import _G_MAX, _MEASURED_LEVELS_S
+from crossolve import ConfigError, DevicePolicy, DomainError, program
+from crossolve.devices import _G_MAX, _MEASURED_LEVELS_S, _quantize
 
-MEASURED = LevelSet(_MEASURED_LEVELS_S)
+MEASURED = _MEASURED_LEVELS_S
+
+
+def _conductances(a, policy=None, seed=0):
+    """The programmed conductances in siemens: program's matrix times g0 = g_max / max(a)."""
+    return program(a, policy, seed) * (_G_MAX / np.max(a))
 
 
 class TestDevicePolicy:
@@ -54,52 +49,41 @@ class TestDevicePolicy:
 
 class TestLevelSets:
     def test_uniform_grid_endpoints_and_spacing(self):
-        ls = build_level_set(DevicePolicy())
-        assert len(ls) == 64
-        assert ls.levels[0] == pytest.approx(1e-7)
-        assert ls.levels[-1] == pytest.approx(1e-4)
-        spacing = np.diff(ls.levels)
-        assert np.allclose(spacing, (1e-4 - 1e-7) / 63)
+        # without noise, entries spread over the window program onto the
+        # 64 levels from g_max / 1e3 to g_max, evenly spaced
+        a = np.linspace(1e-3, 1.0, 32 * 32).reshape(32, 32)
+        levels = np.unique(_conductances(a, DevicePolicy(noise_fraction=0.0)))
+        assert levels.size == 64
+        assert levels[0] == pytest.approx(1e-7)
+        assert levels[-1] == pytest.approx(1e-4)
+        assert np.allclose(np.diff(levels), (1e-4 - 1e-7) / 63)
 
     def test_measured_levels(self):
-        ls = MEASURED
-        assert len(ls) == 8
+        assert MEASURED.size == 8
         expected = np.array([10, 15, 20, 30, 50, 60, 80, 120]) * 1e-6
-        assert np.allclose(ls.levels, expected)
-        assert ls.g_min == pytest.approx(10e-6)
-        assert ls.g_max == pytest.approx(120e-6)
-
-    def test_level_set_validation(self):
-        with pytest.raises(ConfigError):
-            LevelSet(np.array([1e-6]))
-        with pytest.raises(ConfigError):
-            LevelSet(np.array([0.0, 1e-6]))
-        with pytest.raises(ConfigError):
-            LevelSet(np.array([2e-6, 1e-6]))
+        assert np.allclose(MEASURED, expected)
+        assert np.all(np.diff(MEASURED) > 0)
 
 
 class TestQuantize:
     def test_snaps_to_nearest(self):
-        ls = MEASURED
         t = np.array([11e-6, 14e-6, 55.1e-6, 130e-6])
-        q = quantize_levels(t, ls)
+        q = _quantize(t, MEASURED)
         assert np.allclose(q, [10e-6, 15e-6, 60e-6, 120e-6])
 
     def test_below_half_minimum_is_open(self):
-        ls = MEASURED
-        q = quantize_levels(np.array([0.0, 4.9e-6, 5e-6, 9e-6]), ls)
+        q = _quantize(np.array([0.0, 4.9e-6, 5e-6, 9e-6]), MEASURED)
         assert np.allclose(q, [0.0, 0.0, 10e-6, 10e-6])
 
     def test_tie_goes_to_lower_level(self):
-        ls = LevelSet(np.array([1.0, 3.0]))
-        assert quantize_levels(np.array([2.0]), ls)[0] == 1.0
+        assert _quantize(np.array([2.0]), np.array([1.0, 3.0]))[0] == 1.0
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(min_value=0.0, max_value=2e-4, allow_nan=False))
     def test_idempotent(self, t):
-        ls = build_level_set(DevicePolicy())
-        once = quantize_levels(np.array([t]), ls)
-        twice = quantize_levels(once, ls)
+        levels = np.linspace(DevicePolicy().g_min, _G_MAX, 64)
+        once = _quantize(np.array([t]), levels)
+        twice = _quantize(once, levels)
         assert once[0] == twice[0]
 
     @settings(max_examples=200, deadline=None)
@@ -108,9 +92,8 @@ class TestQuantize:
         st.floats(min_value=0.0, max_value=2e-4, allow_nan=False),
     )
     def test_monotone(self, t1, t2):
-        ls = MEASURED
         lo, hi = min(t1, t2), max(t1, t2)
-        q = quantize_levels(np.array([lo, hi]), ls)
+        q = _quantize(np.array([lo, hi]), MEASURED)
         assert q[0] <= q[1]
 
 
@@ -120,31 +103,28 @@ class TestProgram:
         g0 = 100e-6
         a = np.array([[0.1, 0.6], [1.2, 0.3]])
         policy = DevicePolicy(num_levels=8, ratio=12.0, noise_fraction=0.0)
-        ls = build_level_set(policy)
-        cm = program(a, policy=policy)
+        levels = np.linspace(policy.g_min, _G_MAX, policy.num_levels)
         gamma = _G_MAX / a.max()
-        assert cm.g0 == pytest.approx(gamma)
-        back = read_effective(cm)
-        assert np.allclose(back, quantize_levels(gamma * a, ls) / gamma)
+        back = program(a, policy=policy)
+        assert np.array_equal(back, _quantize(gamma * a, levels) / gamma)
 
     def test_scale_puts_largest_entry_at_g_max(self):
         policy = DevicePolicy(noise_fraction=0.0)
         a = np.array([[0.5, 2.0], [1.0, 0.25]])
-        cm = program(a, policy=policy)
-        assert cm.g.max() == pytest.approx(_G_MAX)
+        assert _conductances(a, policy).max() == pytest.approx(_G_MAX)
+        assert program(a, policy=policy).max() == 2.0
 
     def test_zero_entries_stay_open(self):
         a = np.array([[1.0, 0.0], [0.0, 1.0]])
-        cm = program(a, policy=DevicePolicy(noise_fraction=10.0), seed=3)
-        assert cm.g[0, 1] == 0.0
-        assert cm.g[1, 0] == 0.0
+        back = program(a, policy=DevicePolicy(noise_fraction=10.0), seed=3)
+        assert back[0, 1] == 0.0
+        assert back[1, 0] == 0.0
 
     def test_noise_statistics(self):
         policy = DevicePolicy()
         n = 160
         a = np.ones((n, n))
-        cm = program(a, policy=policy, seed=9)
-        noise = cm.g - _G_MAX
+        noise = _conductances(a, policy, seed=9) - _G_MAX
         # top level cannot exceed g_max + 3 sigma and the clamp barely
         # moves the standard deviation
         assert np.abs(noise).max() <= 3 * policy.sigma + 1e-18
@@ -153,20 +133,19 @@ class TestProgram:
     def test_conductance_never_negative(self):
         policy = DevicePolicy(noise_fraction=50.0)
         a = np.array([[1.0, 0.001], [0.001, 1.0]])
-        cm = program(a, policy=policy, seed=1)
-        assert (cm.g >= 0).all()
+        assert (program(a, policy=policy, seed=1) >= 0).all()
 
     def test_seed_determinism(self):
         a = np.array([[1.0, 0.4], [0.7, 0.2]])
-        g1 = program(a, seed=5).g
-        g2 = program(a, seed=5).g
-        g3 = program(a, seed=6).g
+        g1 = program(a, seed=5)
+        g2 = program(a, seed=5)
+        g3 = program(a, seed=6)
         assert np.array_equal(g1, g2)
         assert not np.array_equal(g1, g3)
 
     def test_seed_defaults_to_zero(self):
         a = np.array([[1.0, 0.4], [0.7, 0.2]])
-        assert np.array_equal(program(a).g, program(a, seed=0).g)
+        assert np.array_equal(program(a), program(a, seed=0))
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, seed):
@@ -181,13 +160,3 @@ class TestProgram:
             program(np.zeros((2, 2)))
         with pytest.raises(DomainError):
             program(np.ones((2, 3)))
-
-
-class TestConductanceMatrix:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            ConductanceMatrix(g=np.array([[1e-6, -1e-6], [0.0, 1e-6]]), g0=1e-4)
-        with pytest.raises(DomainError):
-            ConductanceMatrix(g=np.ones((2, 2)) * 1e-6, g0=0.0)
-        with pytest.raises(DomainError):
-            ConductanceMatrix(g=np.ones(4) * 1e-6, g0=1e-4)

@@ -17,7 +17,6 @@ from crossolve import (
     NumericalError,
     OpAmpModel,
     SolveConfig,
-    SparsePdSpec,
     StabilityError,
     UsageError,
     build_feedback,
@@ -98,7 +97,7 @@ class TestStabilityReport:
     )
     def test_lambda_min_of_sparse_pd_is_eigvalsh(self, seed, n, s, lam):
         # sparse_pd output is exactly symmetric, so (A + A^T)/2 == A bit for bit
-        a = sparse_pd(SparsePdSpec(n=n, s=min(s, n), lambda_target=lam, seed=seed))
+        a = sparse_pd(n, s=min(s, n), lambda_target=lam, seed=seed)
         assert stability_report(build_feedback(a)).lambda_min == np.linalg.eigvalsh(a)[0]
 
     @settings(max_examples=60, deadline=None)
@@ -136,8 +135,8 @@ class TestStabilityReport:
         assert system.lambda_min == first.lambda_min == second.lambda_min == lambda_min(a)
 
     def test_infinite_entries_rejected(self, oa):
-        # an infinite symmetric pair once passed the symmetry test, and the
-        # symmetric eigensolver then gave an all-NaN report
+        # an infinite symmetric pair passes the exact symmetry test, and the
+        # symmetric eigensolver once gave an all-NaN report for it
         with np.errstate(invalid="ignore"):
             system = build_feedback(np.array([[1.0, np.inf], [np.inf, 1.0]]))
             with pytest.raises(NumericalError):
@@ -148,9 +147,9 @@ class TestMEigenvalues:
     @pytest.mark.parametrize(
         "a",
         [
-            sparse_pd(SparsePdSpec(n=200, s=10, lambda_target=0.05, seed=3)),
-            sparse_pd(SparsePdSpec(n=37, s=10, lambda_target=1.0, seed=8)),
-            sparse_pd(SparsePdSpec(n=5, s=1, lambda_target=2.0, seed=0)),
+            sparse_pd(200, s=10, lambda_target=0.05, seed=3),
+            sparse_pd(37, s=10, lambda_target=1.0, seed=8),
+            sparse_pd(5, s=1, lambda_target=2.0, seed=0),
             covariance_matrix(30, 1.0),
             covariance_matrix(300, 2.0),
         ],
@@ -438,6 +437,19 @@ class TestTimeBound:
         system = build_feedback(DEFAULT_TRANSIENT_A)
         with pytest.raises(DomainError, match="symmetric"):
             time_bound(system, DEFAULT_TRANSIENT_B, oa)
+
+    def test_asymmetric_by_one_part_in_a_trillion_rejected(self, oa):
+        # A symmetry test with a 1e-12 tolerance once passed this A: the bound
+        # then came from a proof that needs a symmetric A, and lambda_m_min
+        # from one triangle only (0.19055970445742, against 0.19055970445735).
+        a = covariance_matrix(5, 1.0)
+        a[0, 1] += 1e-12
+        system = build_feedback(a)
+        assert not system.symmetric
+        assert system.lambda_m_min == float(np.linalg.eigvals(system.m).real.min())
+        assert system.lambda_m_min == pytest.approx(0.19055970445735, abs=1e-14)
+        with pytest.raises(DomainError, match="symmetric"):
+            time_bound(system, np.ones(5), oa)
 
     def test_gain_correction_rejected_before_solving(self, oa, monkeypatch):
         # The corrected loop settles at (M + I/l0)^-1 U b, not at x*: on this
@@ -795,8 +807,7 @@ class TestLookahead:
         """
         rng = np.random.default_rng(seed)
         if family == "sparse_pd":
-            spec = SparsePdSpec(n=n, s=min(10, n), lambda_target=float(rng.uniform(0.2, 1.1)), seed=seed)
-            a = sparse_pd(spec)
+            a = sparse_pd(n, s=min(10, n), lambda_target=float(rng.uniform(0.2, 1.1)), seed=seed)
         else:
             a = covariance_matrix(n, float(rng.choice([1.0, 2.0])))
         system = build_feedback(a)
@@ -830,8 +841,7 @@ class TestLookahead:
         """
         rng = np.random.default_rng(n)
         if family == "sparse_pd":
-            spec = SparsePdSpec(n=n, s=min(10, n), lambda_target=float(rng.uniform(0.2, 1.1)), seed=n)
-            a = sparse_pd(spec)
+            a = sparse_pd(n, s=min(10, n), lambda_target=float(rng.uniform(0.2, 1.1)), seed=n)
         else:
             a = covariance_matrix(n, float(rng.choice([1.0, 2.0])))
         system = build_feedback(a)
@@ -928,7 +938,7 @@ class TestLookahead:
     def test_batch_changes_no_bit(self, n, column, oa, monkeypatch):
         # The default rules on suite-sized sparse systems: D = 2 at n = 150
         # and D = 1 at n = 200, with T = 16 for a single right-hand side.
-        system = build_feedback(sparse_pd(SparsePdSpec(n=n, s=10, lambda_target=0.5, seed=n)))
+        system = build_feedback(sparse_pd(n, s=10, lambda_target=0.5, seed=n))
         b = np.random.default_rng(n).uniform(-1.0, 1.0, n)
         rhs = b[:, None] if column else b
         cfg = SolveConfig()
@@ -998,7 +1008,7 @@ class TestLookahead:
         elif case == "covariance":
             system, b = build_feedback(covariance_matrix(40, 1.0)), np.random.default_rng(40).uniform(-1.0, 1.0, 40)
         else:
-            system = build_feedback(sparse_pd(SparsePdSpec(n=case, s=min(4, case), lambda_target=0.3, seed=case)))
+            system = build_feedback(sparse_pd(case, s=min(4, case), lambda_target=0.3, seed=case))
             b = np.random.default_rng(case).uniform(-1.0, 1.0, case)
         rule, seen = dynamics._lookahead, []
         monkeypatch.setattr(dynamics, "_lookahead", lambda n, steps: seen.append(rule(n, steps)) or seen[-1])
@@ -1155,7 +1165,7 @@ class TestCertifiedJumps:
         # Every column's stop and verdict equal the run without jumps, which
         # tests every step, and x_final differs by rounding only.
         if family == "sparse_pd":
-            a = sparse_pd(SparsePdSpec(n=n, s=10, lambda_target=0.4, seed=n))
+            a = sparse_pd(n, s=10, lambda_target=0.4, seed=n)
         elif family == "covariance":
             a = covariance_matrix(n, 2.0)
         else:
@@ -1234,17 +1244,18 @@ class TestCertifiedJumps:
 
     @pytest.mark.parametrize("case", ["nonsymmetric", "within_tolerance", "vector", "gain_correction", "unstable"])
     def test_ineligible_runs_take_no_jump(self, case, oa):
-        # A nonsymmetric A, one symmetric only within _is_symmetric's
-        # tolerance, a 1-D b (its trace and max_slew read every step), the
-        # finite-gain loop and an unstable loop: none tries a jump, and each
-        # result is bit for bit the one with jumps turned off.
+        # A nonsymmetric A, one asymmetric by a single ulp (within the 1e-12
+        # tolerance that the symmetry test once allowed), a 1-D b (its trace
+        # and max_slew read every step), the finite-gain loop and an unstable
+        # loop: none tries a jump, and each result is bit for bit the one
+        # with jumps turned off.
         a, cfg = covariance_matrix(30, 1.0), SolveConfig()
         block = np.random.default_rng(30).uniform(-1.0, 1.0, (30, 3))
         if case == "nonsymmetric":
             a = _random_stable(5, 30)
         elif case == "within_tolerance":
             a[0, 1] = math.nextafter(a[0, 1], math.inf)
-            assert build_feedback(a).symmetric
+            assert not build_feedback(a).symmetric
         elif case == "vector":
             block, cfg = block[:, 0], SolveConfig()
         elif case == "gain_correction":

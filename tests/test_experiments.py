@@ -31,7 +31,6 @@ from crossolve import (
     OutputError,
     RunRecord,
     SolveConfig,
-    SparsePdSpec,
     UsageError,
     build_feedback,
     child_seed,
@@ -420,7 +419,7 @@ class TestSparseSuiteScenario:
         n = int(rng.integers(20, 201))
         lam = float(rng.uniform(0.1, 1.1))
         assert n == 44
-        system = build_feedback(sparse_pd(SparsePdSpec(n=n, s=10, lambda_target=lam, seed=child_seed(0, 76, 1))))
+        system = build_feedback(sparse_pd(n, s=10, lambda_target=lam, seed=child_seed(0, 76, 1)))
         b = _unit_vector(n, child_seed(0, 76, 2))
         result = simulate(system, b)
         assert result.converged and result.tau <= time_bound(system, b)
@@ -428,18 +427,17 @@ class TestSparseSuiteScenario:
     def test_symmetric_eigensolver_only(self, tmp_path, monkeypatch):
         """Each system's symmetry is tested once, and eig(M) never runs the general solver."""
         tested, general = [], []
-        is_symmetric = crossolve.dynamics._is_symmetric
+        symmetric = FeedbackSystem.symmetric.func
         eigvals = np.linalg.eigvals
-        monkeypatch.setattr(
-            crossolve.dynamics, "_is_symmetric", lambda a: tested.append(a.shape) or is_symmetric(a)
-        )
+        spy = functools.cached_property(lambda system: tested.append(system.a.shape) or symmetric(system))
+        spy.__set_name__(FeedbackSystem, "symmetric")
+        monkeypatch.setattr(FeedbackSystem, "symmetric", spy)
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: general.append(a.shape) or eigvals(a))
         records, _ = run_experiment(
             ExperimentSpec("sparse_suite", seed=3, output_dir=tmp_path, parameters={"systems": 5})
         )
         assert tested == [(r.n, r.n) for r in records]
         assert general == []
-        assert not hasattr(crossolve.experiments, "_is_symmetric")
 
     def test_beta_or_s_is_realized_nonzeros(self, tmp_path, monkeypatch):
         """beta_or_s and the CG cost fit read the sparsity that was built, not the requested s."""

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from crossolve import (
     DomainError,
     GenerationError,
-    LevelSet,
-    SparsePdSpec,
     covariance_matrix,
     random_discrete_pd,
     random_vector,
@@ -20,10 +18,10 @@ from crossolve import generators
 from crossolve.devices import _MEASURED_LEVELS_S
 
 
-def _reference_sparse_pd(spec: SparsePdSpec) -> np.ndarray:
+def _reference_sparse_pd(n: int, s: int, lambda_target: float, seed: int) -> np.ndarray:
     """sparse_pd written as a plain placement loop over the array itself."""
-    n, want = spec.n, spec.s - 1
-    rng = np.random.default_rng(spec.seed)
+    want = s - 1
+    rng = np.random.default_rng(seed)
     a = np.zeros((n, n))
     if want > 0 and n > 1:
         degree = np.zeros(n, dtype=int)
@@ -42,13 +40,13 @@ def _reference_sparse_pd(spec: SparsePdSpec) -> np.ndarray:
             if placed == capacity:
                 break
     np.fill_diagonal(a, a.sum(axis=1))
-    a[np.diag_indices(n)] += spec.lambda_target - float(np.linalg.eigvalsh(a)[0])
+    a[np.diag_indices(n)] += lambda_target - float(np.linalg.eigvalsh(a)[0])
     return a
 
 
-def _reference_random_discrete_pd(dim, level_set, g0, seed, max_tries):
+def _reference_random_discrete_pd(dim, levels, g0, seed, max_tries):
     """random_discrete_pd drawing and screening one matrix at a time."""
-    values = level_set.levels / g0
+    values = levels / g0
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
         a = values[rng.integers(0, values.size, size=(dim, dim))]
@@ -124,12 +122,11 @@ class TestRandomDiscretePd:
         kwargs = {} if levels == "default" else {"g0": g0}
         if levels == "three":
             monkeypatch.setattr(generators, "_MEASURED_LEVELS_S", np.array([1e-6, 5e-5, 1e-4]))
-        level_set = LevelSet(generators._MEASURED_LEVELS_S)
         outcomes = set()
         for seed in range(12):
             for max_tries in (1, 15, 16, 17, 64):
                 try:
-                    want = _reference_random_discrete_pd(dim, level_set, g0, seed, max_tries)
+                    want = _reference_random_discrete_pd(dim, generators._MEASURED_LEVELS_S, g0, seed, max_tries)
                 except GenerationError as exc:
                     with pytest.raises(GenerationError, match=str(exc)):
                         random_discrete_pd(dim, seed=seed, max_tries=max_tries, **kwargs)
@@ -159,34 +156,33 @@ class TestRandomDiscretePd:
 class TestSparsePd:
     def test_spec_validation(self):
         with pytest.raises(DomainError):
-            SparsePdSpec(n=0)
+            sparse_pd(0)
         with pytest.raises(DomainError):
-            SparsePdSpec(n=5, s=0)
+            sparse_pd(5, s=0)
         with pytest.raises(DomainError):
-            SparsePdSpec(n=5, s=6)
+            sparse_pd(5, s=6)
         with pytest.raises(DomainError):
-            SparsePdSpec(n=5, lambda_target=0.0)
+            sparse_pd(5, lambda_target=0.0)
 
     def test_lambda_min_placed_exactly(self):
         for seed in range(5):
-            a = sparse_pd(SparsePdSpec(n=40, s=10, lambda_target=0.37, seed=seed))
+            a = sparse_pd(40, s=10, lambda_target=0.37, seed=seed)
             assert np.linalg.eigvalsh(a)[0] == pytest.approx(0.37, abs=1e-8)
 
     def test_symmetric_nonnegative_and_sparse(self):
-        spec = SparsePdSpec(n=50, s=10, lambda_target=1.0, seed=3)
-        a = sparse_pd(spec)
+        a = sparse_pd(50, s=10, lambda_target=1.0, seed=3)
         assert np.array_equal(a, a.T)
         assert (a >= 0).all()
         off_diag_counts = (a != 0).sum(axis=1) - 1
-        assert (off_diag_counts <= spec.s - 1).all()
+        assert (off_diag_counts <= 9).all()
 
     def test_s_one_is_diagonal(self):
-        a = sparse_pd(SparsePdSpec(n=6, s=1, lambda_target=2.0, seed=0))
+        a = sparse_pd(6, s=1, lambda_target=2.0, seed=0)
         assert np.allclose(a, 2.0 * np.eye(6))
 
     def test_deterministic_in_seed(self):
-        a1 = sparse_pd(SparsePdSpec(n=30, s=5, seed=4))
-        a2 = sparse_pd(SparsePdSpec(n=30, s=5, seed=4))
+        a1 = sparse_pd(30, s=5, seed=4)
+        a2 = sparse_pd(30, s=5, seed=4)
         assert np.array_equal(a1, a2)
 
     @settings(max_examples=25, deadline=None)
@@ -199,8 +195,8 @@ class TestSparsePd:
     @example(200, 10, 0.5, 0)
     @example(151, 10, 1.0, 11)
     def test_matches_reference_placement(self, n, s, lam, seed):
-        spec = SparsePdSpec(n=n, s=min(s, n), lambda_target=lam, seed=seed)
-        assert sparse_pd(spec).tobytes() == _reference_sparse_pd(spec).tobytes()
+        args = {"n": n, "s": min(s, n), "lambda_target": lam, "seed": seed}
+        assert sparse_pd(**args).tobytes() == _reference_sparse_pd(**args).tobytes()
 
     @pytest.mark.parametrize(
         ("case", "n", "seed"),
@@ -209,17 +205,16 @@ class TestSparsePd:
     )
     def test_reference_placement_at_the_end_of_the_draws(self, case, n, seed):
         """Suite-size (s = 10) draws whose placement ends with rows still open."""
-        spec = SparsePdSpec(n=n, s=10, lambda_target=0.5, seed=seed)
-        a = sparse_pd(spec)
-        assert a.tobytes() == _reference_sparse_pd(spec).tobytes()
-        short = spec.s - np.count_nonzero(a, axis=1)  # missing off-diagonal entries per row
+        a = sparse_pd(n, s=10, lambda_target=0.5, seed=seed)
+        assert a.tobytes() == _reference_sparse_pd(n, 10, 0.5, seed).tobytes()
+        short = 10 - np.count_nonzero(a, axis=1)  # missing off-diagonal entries per row
         open_rows = np.flatnonzero(short > 0)
         if case == "one_open_row_short_by_2":
             assert open_rows.size == 1 and short[open_rows[0]] >= 2
         elif case == "two_open_rows_joined":
             assert open_rows.size == 2 and a[open_rows[0], open_rows[1]] > 0
         else:
-            assert n * (spec.s - 1) % 2 == 1 and open_rows.size >= 1
+            assert n * 9 % 2 == 1 and open_rows.size >= 1
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -229,8 +224,7 @@ class TestSparsePd:
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_always_pd_with_exact_minimum(self, n, s, lam, seed):
-        spec = SparsePdSpec(n=n, s=min(s, n), lambda_target=lam, seed=seed)
-        a = sparse_pd(spec)
+        a = sparse_pd(n, s=min(s, n), lambda_target=lam, seed=seed)
         w = np.linalg.eigvalsh(a)
         assert w[0] == pytest.approx(lam, rel=1e-9, abs=1e-9)
         assert (a >= 0).all()

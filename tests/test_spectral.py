@@ -10,15 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 import crossolve.spectral
 from crossolve import (
     DomainError,
     NumericalError,
-    SparsePdSpec,
     UsageError,
     a_norm,
     attenuation,
@@ -32,7 +28,7 @@ from crossolve import (
     stability_report,
     sym_part_lambda_min,
 )
-from crossolve.spectral import _is_symmetric, factorize
+from crossolve.spectral import factorize
 
 DEMO_A = np.array([[1.2, 0.15, 0.8], [0.5, 0.5, 0.6], [0.6, 0.1, 0.8]])
 DEMO_B = np.array([-0.12, 0.36, 0.24])
@@ -89,48 +85,6 @@ class TestSymPartLambdaMin:
         a = np.array([[1.0, 2.0], [0.0, 1.0]])
         # sym part [[1, 1], [1, 1]] has eigenvalues 0 and 2
         assert sym_part_lambda_min(a) == pytest.approx(0.0, abs=1e-12)
-
-
-def _allclose_verdict(a: np.ndarray) -> bool:
-    """The np.allclose form of the symmetry test, kept as its finite-input oracle."""
-    scale = max(float(np.abs(a).max()), np.finfo(float).tiny)
-    return bool(np.allclose(a, a.T, rtol=0.0, atol=1e-12 * scale))
-
-
-_finite = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
-
-
-class TestIsSymmetric:
-    @settings(max_examples=200, deadline=None)
-    @given(a=st.integers(1, 6).flatmap(lambda n: arrays(float, (n, n), elements=_finite)), symmetrize=st.booleans())
-    def test_matches_allclose_on_finite(self, a, symmetrize):
-        if symmetrize:
-            a = np.triu(a) + np.triu(a, 1).T
-        assert _is_symmetric(a) == _allclose_verdict(a)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        a=st.integers(2, 6).flatmap(lambda n: arrays(float, (n, n), elements=_finite)),
-        data=st.data(),
-        sign=st.sampled_from([-1.0, 1.0]),
-        step=st.sampled_from([-1, 0, 1]),
-    )
-    def test_asymmetry_at_the_tolerance(self, a, data, sign, step):
-        """One entry pair apart by exactly the tolerance, or one ulp either side of it."""
-        i, j = data.draw(st.permutations(range(a.shape[0])))[:2]
-        a = np.triu(a) + np.triu(a, 1).T
-        a[i, j] = a[j, i] = 0.0
-        tol = 1e-12 * max(float(np.abs(a).max()), np.finfo(float).tiny)
-        offset = {-1: np.nextafter(tol, 0.0), 0: tol, 1: np.nextafter(tol, np.inf)}[step]
-        a[i, j] = sign * offset  # far below the largest entry, so the tolerance stays put
-        assert _is_symmetric(a) == _allclose_verdict(a) == (step <= 0)
-
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_non_finite_is_not_symmetric(self, bad):
-        a = np.ones((3, 3))
-        a[0, 1] = a[1, 0] = bad
-        with np.errstate(invalid="ignore"):
-            assert not _is_symmetric(a)
 
 
 class TestDirectSolve:
@@ -220,7 +174,7 @@ class TestDirectSolve:
 
 def _oracle_systems():
     rng = np.random.default_rng(11)
-    for a in (covariance_matrix(30, 1.0), sparse_pd(SparsePdSpec(60, seed=3)), DEMO_A):
+    for a in (covariance_matrix(30, 1.0), sparse_pd(60, seed=3), DEMO_A):
         n = a.shape[0]
         yield a, rng.uniform(-1.0, 1.0, n)
         yield a, rng.uniform(-1.0, 1.0, (n, 4))
