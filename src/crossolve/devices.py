@@ -98,8 +98,8 @@ def program(a: np.ndarray, policy: DevicePolicy | None = None, seed: int = 0) ->
         +-3 sigma, and applied to every site holding a programmed level.
         Conductances that would go negative are clamped to 0.
     """
-    if not 0 <= int(seed) < 2**64:
-        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    if not _is_integer(seed) or not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     if policy is None:
         policy = DevicePolicy()
     a = _as_square(a)

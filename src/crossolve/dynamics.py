@@ -33,12 +33,14 @@ much as the product on every step. The trace of a single right-hand side
 reads its samples from the rows of each pass, so it changes neither D nor T.
 
 Most of a run is the long approach to epsilon while the error is still far
-above it, and none of those steps can stop the run. A block on an exactly
-symmetric A with lambda_M,min > 0 therefore first skips them: it advances
-all its columns together J steps per product, x <- P^J x + c_J, with P^J
-from repeated squaring, and keeps each jump only when a bound on the norms
-of the powers of P proves that no column could have stopped at any step
-the jump skipped (the certificate and its proof are in simulate). The
+above it, and none of those steps can stop the run. A block with
+lambda_M,min > 0 on an exactly symmetric A, or under the l2 norm on a
+nonsymmetric A whose symmetric part is positive definite, therefore first
+skips them: it advances all its columns together J steps per product,
+x <- P^J x + c_J, with P^J from repeated squaring, and keeps each jump only
+when a bound on the norms of the powers of P proves that no column could
+have stopped at any step the jump skipped (the certificate, its bound for
+a nonsymmetric A and their proof are in simulate). The
 passes then resume from the last certified state and test every later step
 as before. Skipped steps are still modeled steps: tau and the step counts
 include them.
@@ -363,7 +365,7 @@ _JUMP_SLACK = 1e-6
 
 
 def _jump(n: int, k: int, steps: float, lookahead: int) -> int:
-    """Steps J that one certified jump advances a symmetric block: a power of two, 1 for no jump.
+    """Steps J that one certified jump advances a block: a power of two, 1 for no jump.
 
     steps is the number of steps the jumps are predicted to cover before
     some column's error nears the certificate's bar, and lookahead the D
@@ -384,6 +386,29 @@ def _jump(n: int, k: int, steps: float, lookahead: int) -> int:
             best, saved = jump, gain
         jump *= 2
     return best
+
+
+def _growth(system: FeedbackSystem, alpha: float, jump: int) -> float:
+    """max(1, gamma)^J, a bound on ||S^i||_2 for every i <= J where S = I - alpha U^1/2 A U^1/2.
+
+    With K = U^1/2 A U^1/2, gamma^2 = 1 - 2 mu + alpha^2 ||K||_1 ||K||_inf
+    bounds ||S||_2^2 where mu = alpha u_min lambda_min((A + A^T)/2) (see
+    simulate). A is nonnegative, so K's largest row and column sums are its
+    two norms. The eigensolver's lambda_min errs by a small multiple of
+    n eps ||A||_2 for the machine epsilon eps, and u_min ||A||_2 <= ||K||_2
+    because K >= u_min A entrywise, so mu is taken with alpha 4 n eps
+    sqrt(||K||_1 ||K||_inf) off. gamma^2 is then rounded up by
+    8 eps (2 + alpha^2 ||K||_1 ||K||_inf), more than the rounding of the
+    operations that form it.
+    """
+    u, a = system.u, system.a
+    root = np.sqrt(u)
+    k_sq = float((root * (a @ root)).max()) * float((root * (root @ a)).max())  # ||K||_inf ||K||_1 >= ||K||_2^2
+    eps = np.finfo(float).eps
+    mu = alpha * (float(u.min()) * system.lambda_min - 4.0 * a.shape[0] * eps * math.sqrt(k_sq))
+    pull = alpha * alpha * k_sq
+    gamma_sq = 1.0 - 2.0 * mu + pull + 8.0 * eps * (2.0 + pull)
+    return max(1.0, gamma_sq) ** (jump / 2)
 
 
 def _certified_jumps(
@@ -410,7 +435,7 @@ def _certified_jumps(
     n, k = block.shape
     lam_min, u = system.lambda_m_min, system.u
     energy = system.a if cfg.norm_kind == "a_norm" else None
-    spread = math.sqrt(u.max() / u.min())  # C_2, the bound on every ||P^i||_2
+    spread = math.sqrt(u.max() / u.min())  # C_2, the bound on every ||P^i||_2 of a symmetric A
     reach = spread if energy is None else 1.0  # C, the bound in the run's norm
     star_norm = np.sqrt(np.vecdot(x_star, x_star, axis=0))
     low = float(star_norm.min())
@@ -419,6 +444,8 @@ def _certified_jumps(
     x = np.zeros((k, n))
     if jump == 1:
         return x, 0
+    if not system.symmetric:  # l2 only: ||P^i||_2 <= C_2 max(1, gamma)^J for i <= J
+        spread = reach = spread * _growth(system, alpha, jump)
 
     power, offset = propagate, drive
     for _ in range(jump.bit_length() - 1):
@@ -583,46 +610,61 @@ def simulate(
     at least 16 for a single column; T changes no bit of the result,
     because the products and their order do not depend on it.
 
-    Certified jumps. A block (b of shape (n, k)) on an exactly symmetric A
-    (a == a.T bit for bit) with lambda_M,min > 0 and without
-    include_gain_correction first advances all its columns together J steps
-    per product, x <- P^J x + c_J, with J a power of two from a cost model
-    (1 means no jump). A jump from step s is kept only when s + J <
-    max_steps, and for every column ||e_(s+J)|| > C (epsilon (1 + 1e-6) +
-    J ||g||) in norm_kind and both ||e_s||_2 and ||e_(s+J)||_2 (the next
-    jump's start) are at most screen / C_2 - J ||g||_2. Here
-    e_t = x_t - x*, g = alpha U (b - A x*) is the drift that the oracle's
-    residual leaves, screen = 1e6 max(1, ||x*||_2)(1 - 1e-9)
-    - ||x*||_2 is the room before the divergence test, C_2 = sqrt(u_max /
-    u_min), and C is C_2 for "l2" and 1 for "a_norm". At the first jump
+    Certified jumps. A block (b of shape (n, k)) with lambda_M,min > 0 and
+    without include_gain_correction, on an exactly symmetric A (a == a.T
+    bit for bit) or, under "l2" only, on a nonsymmetric A whose symmetric
+    part (A + A^T)/2 is positive definite, first advances all its columns
+    together J steps per product, x <- P^J x + c_J, with J a power of two
+    from a cost model (1 means no jump; the model is consulted first, so a
+    run it rules out does no other work for the jumps). A jump from step s
+    is kept only when s + J < max_steps, and for every column
+    ||e_(s+J)|| > C (epsilon (1 + 1e-6) + J ||g||) in norm_kind and both
+    ||e_s||_2 and ||e_(s+J)||_2 (the next jump's start) are at most
+    screen / C_2' - J ||g||_2. Here e_t = x_t - x*, g = alpha U (b - A x*)
+    is the drift that the oracle's residual leaves, screen = 1e6 max(1,
+    ||x*||_2)(1 - 1e-9) - ||x*||_2 is the room before the divergence test,
+    and C_2' bounds every ||P^i||_2 with i <= J: C_2 = sqrt(u_max / u_min)
+    for a symmetric A, and C_2 max(1, gamma)^J for a nonsymmetric one, with
+    gamma below. C is C_2' for "l2" and 1 for "a_norm". At the first jump
     refused, the passes resume after step s of the last jump kept, and
     every stop, tau, column_steps, the divergence verdict and the max_steps
     cut are decided on states computed step by step, as without jumps.
     tau counts the skipped steps, which the loop models as before. A 1-D b
-    takes no jump, since its trace and max_slew read every step, and
-    neither does a nonsymmetric A, whose powers of P have no such bound.
+    takes no jump, since its trace and max_slew read every step.
 
     Proof that no skipped step stops. e_(t+1) = P e_t + g, since x* solves
-    A x = b only up to its residual. With S = I - alpha U^1/2 A U^1/2,
-    P = U^1/2 S U^-1/2, and S is symmetric with the eigenvalues 1 - alpha
+    A x = b only up to its residual. With K = U^1/2 A U^1/2 and
+    S = I - alpha K, P = U^1/2 S U^-1/2, so ||P^i||_2 <= C_2 ||S^i||_2.
+    For a symmetric A, S is symmetric with the eigenvalues 1 - alpha
     eig(M), which lie in (0, 1) because 0 < alpha lambda_M,min and
-    alpha rho(M) < 1; so ||S^i||_2 <= 1 and ||P^i||_2 <= C_2. In the energy
-    norm, A^1/2 P A^-1/2 = I - alpha A^1/2 U A^1/2 is symmetric with the
-    same eigenvalues (A is positive definite, as M = U A has positive
-    eigenvalues), so ||P^i||_A <= 1. For 0 <= j <= J, e_(s+J) =
-    P^(J-j) e_(s+j) + (P^0 + ... + P^(J-j-1)) g, so ||e_(s+J)|| <=
-    C ||e_(s+j)|| + J C ||g||. A skipped step with ||e_(s+j)|| <= epsilon
-    (1 + 1e-6) would leave ||e_(s+J)|| at or below the certificate's bar;
-    a kept jump ends above it, so each step it skips errs by more than
-    epsilon (1 + 1e-6) and cannot converge. The relative slack 1e-6
-    covers the rounding that separates the jump's states from one-step
-    states wherever that rounding, a small multiple of n u ||x*|| for the
-    unit roundoff u, lies far below 1e-6 epsilon. Likewise ||x_(s+j)||_2 <=
-    ||x*||_2 + C_2 (||e_s||_2 + J ||g||_2) stays below the divergence
-    screen, so no skipped step can diverge, and s + J < max_steps keeps the
-    max_steps cut out of the jump. As under D > 1, x_final may differ from
-    the run without jumps in its last bits, and a column whose error lies
-    within rounding of epsilon may stop one step earlier or later.
+    alpha rho(M) < 1; so ||S^i||_2 <= 1. In the energy norm,
+    A^1/2 P A^-1/2 = I - alpha A^1/2 U A^1/2 is symmetric with the same
+    eigenvalues (A is positive definite, as M = U A has positive
+    eigenvalues), so ||P^i||_A <= 1. For a nonsymmetric A (a logarithmic
+    norm bound; Soderlind, "The logarithmic norm", BIT 46, 2006), any x
+    has ||S x||^2 = ||x||^2 - 2 alpha x^T K_s x + alpha^2 ||K x||^2 with
+    K_s = U^1/2 (A + A^T)/2 U^1/2, where x^T K_s x >= u_min
+    lambda_min((A + A^T)/2) ||x||^2 for a positive definite symmetric part,
+    and ||K||_2^2 <= ||K||_1 ||K||_inf. So ||S||_2 <= gamma with gamma^2 =
+    1 - 2 alpha u_min lambda_min((A + A^T)/2) + alpha^2 ||K||_1 ||K||_inf,
+    and ||S^i||_2 <= max(1, gamma)^J for i <= J; gamma^2 is formed with an
+    allowance for the eigensolver's error in lambda_min and rounded up.
+    The energy-norm argument has no such counterpart, so a nonsymmetric A
+    jumps under "l2" only. For 0 <= j <= J, e_(s+J) = P^(J-j) e_(s+j)
+    + (P^0 + ... + P^(J-j-1)) g, so ||e_(s+J)|| <= C ||e_(s+j)|| +
+    J C ||g||. A skipped step with ||e_(s+j)|| <= epsilon (1 + 1e-6) would
+    leave ||e_(s+J)|| at or below the certificate's bar; a kept jump ends
+    above it, so each step it skips errs by more than epsilon (1 + 1e-6)
+    and cannot converge. The relative slack 1e-6 covers the rounding that
+    separates the jump's states from one-step states wherever that
+    rounding, a small multiple of n u ||x*|| for the unit roundoff u, lies
+    far below 1e-6 epsilon; it also covers the last-bit rounding of C.
+    Likewise ||x_(s+j)||_2 <= ||x*||_2 + C_2' (||e_s||_2 + J ||g||_2)
+    stays below the divergence screen, so no skipped step can diverge, and
+    s + J < max_steps keeps the max_steps cut out of the jump. As under
+    D > 1, x_final may differ from the run without jumps in its last bits,
+    and a column whose error lies within rounding of epsilon may stop one
+    step earlier or later.
 
     A column converges when its error against the direct-solve oracle first
     drops to epsilon or below. Under include_gain_correction the loop settles
@@ -681,7 +723,15 @@ def simulate(
     lookahead = _lookahead(n, min(predicted, max_steps))
     propagate = np.eye(n) - alpha * m_eff
     last, base = np.zeros((k, n)), 0  # the state before the first pass, and that pass's first step
-    if not single and lam_min > 0 and not cfg.include_gain_correction and system.symmetric:
+    if (
+        not single
+        and lam_min > 0
+        and not cfg.include_gain_correction
+        # _certified_jumps prices a span at most predicted, and _jump's gain
+        # grows with the span wherever it is positive, so 1 here rules out any jump
+        and _jump(n, k, predicted, lookahead) > 1
+        and (system.symmetric or (energy is None and system.lambda_min > 0))
+    ):
         last, start = _certified_jumps(system, block, x_star, alpha, propagate, drive, screen, cfg, lookahead)
         if start:  # the passes resume after the last certified step
             base = start + 1

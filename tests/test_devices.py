@@ -153,6 +153,16 @@ class TestProgram:
         with pytest.raises(ConfigError, match="64-bit"):
             program(np.array([[1.0, 0.4], [0.7, 0.2]]), seed=seed)
 
+    @pytest.mark.parametrize("seed", [1.7, 2.0, True, "3"])
+    def test_seed_must_be_an_integer(self, seed):
+        # a float seed once escaped as numpy's TypeError, and True was taken as 1
+        with pytest.raises(ConfigError, match="64-bit"):
+            program(np.array([[1.0, 0.4], [0.7, 0.2]]), seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        a = np.array([[1.0, 0.4], [0.7, 0.2]])
+        assert np.array_equal(program(a, seed=np.uint64(5)), program(a, seed=5))
+
     def test_rejects_bad_matrices(self):
         with pytest.raises(DomainError):
             program(np.array([[1.0, -0.1], [0.2, 1.0]]))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from crossolve import (
     ConfigError,
+    DevicePolicy,
     DomainError,
     FeedbackSystem,
     InversionError,
@@ -23,6 +24,7 @@ from crossolve import (
     covariance_matrix,
     direct_solve,
     invert_matrix,
+    program,
     random_discrete_pd,
     resolve_step,
     simulate,
@@ -1152,8 +1154,27 @@ def _with_jumps(system, b, oa, cfg):
     return result, (reached[0] if reached else None)
 
 
+def _assert_jumps_keep_stops(system, n, k, oa, cfg):
+    """With jumps taken, every stop and verdict equals the run without them, and x_final differs by rounding only."""
+    block = np.random.default_rng(n + k).uniform(-1.0, 1.0, (n, k))
+    res, reached = _with_jumps(system, block, oa, cfg)
+    ref = _without_jumps(system, block, oa, cfg)
+    assert reached > 0  # the run skipped steps
+    assert np.array_equal(res.column_steps, ref.column_steps)
+    assert np.array_equal(res.converged, ref.converged) and res.converged.all()
+    assert np.array_equal(res.diverged, ref.diverged)
+    assert res.tau.tobytes() == ref.tau.tobytes() and res.steps == ref.steps
+    scale = max(1.0, float(np.abs(ref.x_final).max()))
+    assert np.abs(res.x_final - ref.x_final).max() <= 1e-12 * scale
+
+
+def _triangular(n: int, c: float) -> np.ndarray:
+    """I + c (ones above the diagonal): eig(M) = u > 0, and (A + A^T)/2 = (1 - c/2) I + (c/2) 1 1^T is indefinite for c > 2."""
+    return np.eye(n) + c * np.triu(np.ones((n, n)), 1)
+
+
 class TestCertifiedJumps:
-    """A symmetric block skips steps by P^J only where no column can stop."""
+    """A block skips steps by P^J only where no column can stop."""
 
     @pytest.mark.parametrize("norm_kind", ["l2", "a_norm"])
     @pytest.mark.parametrize("k", [1, 3, 25])
@@ -1162,26 +1183,60 @@ class TestCertifiedJumps:
         [("sparse_pd", 20), ("sparse_pd", 300), ("covariance", 30), ("covariance", 300), ("wide", 16), ("wide", 120)],
     )
     def test_jumps_never_move_a_stop(self, family, n, k, norm_kind, oa):
-        # Every column's stop and verdict equal the run without jumps, which
-        # tests every step, and x_final differs by rounding only.
+        # The run without jumps tests every step.
         if family == "sparse_pd":
             a = sparse_pd(n, s=10, lambda_target=0.4, seed=n)
         elif family == "covariance":
             a = covariance_matrix(n, 2.0)
         else:
             a = _wide_spread(n)
+        _assert_jumps_keep_stops(build_feedback(a), n, k, oa, SolveConfig(norm_kind=norm_kind))
+
+    @pytest.mark.parametrize("k", [1, 3, 25])
+    @pytest.mark.parametrize(
+        ("family", "n"), [("rram", 30), ("rram", 100), ("rram", 300), ("stable", 40), ("stable", 100), ("ulp", 30)]
+    )
+    def test_nonsymmetric_jumps_never_move_a_stop(self, family, n, k, oa):
+        # A nonsymmetric A jumps under l2 with ||P^i||_2 <= C_2 max(1, gamma)^J.
+        # The programmed covariance matrices are scaling's rram systems; at
+        # n = 300 gamma exceeds 1, so the growth factor enters the certificate.
+        # "ulp" is a covariance matrix with one entry moved by one ulp.
+        if family == "rram":
+            a = program(covariance_matrix(n, 1.0), DevicePolicy(), seed=n)
+        elif family == "stable":
+            a = _random_stable(5, n)
+        else:
+            a = covariance_matrix(n, 1.0)
+            a[0, 1] = math.nextafter(a[0, 1], math.inf)
         system = build_feedback(a)
-        block = np.random.default_rng(n + k).uniform(-1.0, 1.0, (n, k))
-        cfg = SolveConfig(norm_kind=norm_kind)
-        res, reached = _with_jumps(system, block, oa, cfg)
-        ref = _without_jumps(system, block, oa, cfg)
-        assert reached > 0  # the run skipped steps
-        assert np.array_equal(res.column_steps, ref.column_steps)
-        assert np.array_equal(res.converged, ref.converged) and res.converged.all()
-        assert np.array_equal(res.diverged, ref.diverged)
-        assert res.tau.tobytes() == ref.tau.tobytes() and res.steps == ref.steps
-        scale = max(1.0, float(np.abs(ref.x_final).max()))
-        assert np.abs(res.x_final - ref.x_final).max() <= 1e-12 * scale
+        assert not system.symmetric
+        if n == 300:
+            alpha, _ = resolve_step(system, oa, SolveConfig())
+            assert dynamics._growth(system, alpha, 2) > 1.0
+        _assert_jumps_keep_stops(system, n, k, oa, SolveConfig())
+
+    @pytest.mark.parametrize(
+        ("a", "alpha_fraction"),
+        [
+            (program(covariance_matrix(300, 1.0), DevicePolicy(), seed=300), 0.1),
+            (_random_stable(5, 40), 0.1),
+            (_random_stable(7, 12), 0.9),
+            (_triangular(8, 1.5), 0.5),
+        ],
+        ids=["rram300", "stable40", "stable12_long_step", "triangular"],
+    )
+    def test_growth_bounds_the_powers(self, a, alpha_fraction, oa):
+        # max(1, gamma)^J bounds ||S^i||_2 for every i <= J, S = I - alpha U^1/2 A U^1/2.
+        system = build_feedback(a)
+        alpha, _ = resolve_step(system, oa, SolveConfig(alpha_fraction=alpha_fraction))
+        root = np.sqrt(system.u)
+        s = np.eye(a.shape[0]) - alpha * root[:, None] * a * root[None, :]
+        gamma_sq = dynamics._growth(system, alpha, 2)
+        assert np.linalg.norm(s, 2) ** 2 <= gamma_sq
+        power = np.eye(a.shape[0])
+        for _ in range(16):
+            power = power @ s
+            assert np.linalg.norm(power, 2) <= dynamics._growth(system, alpha, 16)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_a_dip_below_epsilon_is_not_jumped(self, k, oa):
@@ -1242,20 +1297,23 @@ class TestCertifiedJumps:
             assert reached == 0
             _assert_same_bits(res, ref)
 
-    @pytest.mark.parametrize("case", ["nonsymmetric", "within_tolerance", "vector", "gain_correction", "unstable"])
+    @pytest.mark.parametrize(
+        "case", ["nonsymmetric_a_norm", "indefinite_symmetric_part", "vector", "gain_correction", "unstable"]
+    )
     def test_ineligible_runs_take_no_jump(self, case, oa):
-        # A nonsymmetric A, one asymmetric by a single ulp (within the 1e-12
-        # tolerance that the symmetry test once allowed), a 1-D b (its trace
-        # and max_slew read every step), the finite-gain loop and an unstable
-        # loop: none tries a jump, and each result is bit for bit the one
-        # with jumps turned off.
+        # A nonsymmetric A under a_norm (its proof needs A symmetric), a
+        # nonsymmetric A whose symmetric part is indefinite while M is
+        # stable, a 1-D b (its trace and max_slew read every step), the
+        # finite-gain loop and an unstable loop: none tries a jump, and each
+        # result is bit for bit the one with jumps turned off.
         a, cfg = covariance_matrix(30, 1.0), SolveConfig()
         block = np.random.default_rng(30).uniform(-1.0, 1.0, (30, 3))
-        if case == "nonsymmetric":
-            a = _random_stable(5, 30)
-        elif case == "within_tolerance":
-            a[0, 1] = math.nextafter(a[0, 1], math.inf)
-            assert not build_feedback(a).symmetric
+        if case == "nonsymmetric_a_norm":
+            a, cfg = _random_stable(5, 30), A_NORM
+        elif case == "indefinite_symmetric_part":
+            a, block = _triangular(12, 4.0), block[:12]
+            system = build_feedback(a)
+            assert system.lambda_min < 0 < system.lambda_m_min
         elif case == "vector":
             block, cfg = block[:, 0], SolveConfig()
         elif case == "gain_correction":
@@ -1267,6 +1325,16 @@ class TestCertifiedJumps:
         res, reached = _with_jumps(system, block, oa, cfg)
         assert reached is None
         _assert_same_bits(res, _without_jumps(system, block, oa, cfg))
+
+    def test_no_jump_can_pay_on_a_3x3_system(self, oa):
+        # A 3 x 3 step costs less than a jump saves, so a nonsymmetric 3 x 3
+        # block tries none and leaves lambda_min((A + A^T)/2) uncomputed.
+        system = build_feedback(_random_stable(1, 3))
+        block = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 3))
+        res, reached = _with_jumps(system, block, oa, SolveConfig(epsilon=1e-9))
+        assert reached is None and "lambda_min" not in vars(system)
+        assert res.steps > 3 * 256  # long enough that a step count alone would not rule a jump out
+        _assert_same_bits(res, _without_jumps(system, block, oa, SolveConfig(epsilon=1e-9)))
 
     def test_rule(self):
         # J is a power of two no longer than the steps it may cover; a step of
