@@ -399,7 +399,8 @@ def _growth(system: FeedbackSystem, alpha: float, jump: int) -> float:
     because K >= u_min A entrywise, so mu is taken with alpha 4 n eps
     sqrt(||K||_1 ||K||_inf) off. gamma^2 is then rounded up by
     8 eps (2 + alpha^2 ||K||_1 ||K||_inf), more than the rounding of the
-    operations that form it.
+    operations that form it. A growth beyond the largest double is returned
+    as inf, which leaves the certificate no room.
     """
     u, a = system.u, system.a
     root = np.sqrt(u)
@@ -408,7 +409,10 @@ def _growth(system: FeedbackSystem, alpha: float, jump: int) -> float:
     mu = alpha * (float(u.min()) * system.lambda_min - 4.0 * a.shape[0] * eps * math.sqrt(k_sq))
     pull = alpha * alpha * k_sq
     gamma_sq = 1.0 - 2.0 * mu + pull + 8.0 * eps * (2.0 + pull)
-    return max(1.0, gamma_sq) ** (jump / 2)
+    try:
+        return math.pow(max(1.0, gamma_sq), jump / 2)
+    except OverflowError:
+        return math.inf
 
 
 def _certified_jumps(
@@ -446,6 +450,19 @@ def _certified_jumps(
         return x, 0
     if not system.symmetric:  # l2 only: ||P^i||_2 <= C_2 max(1, gamma)^J for i <= J
         spread = reach = spread * _growth(system, alpha, jump)
+    drift = alpha * (u[:, None] * (block - system.a @ x_star))  # g = alpha U (b - A x*)
+    drift_l2 = np.sqrt(np.vecdot(drift, drift, axis=0))
+    # A start error within room keeps every ||x||_2 of the jump below the screen.
+    # An accepted jump's end is the next one's start, so it is checked there.
+    # The first start is checked before the squarings, which it does not need.
+    room = screen / spread - jump * drift_l2
+    room_sq = np.where(room > 0, room * room, -1.0)
+    if np.count_nonzero(star_norm * star_norm <= room_sq) < k:  # ||e_0||_2 = ||x*||_2
+        return x, 0
+    drift_run = drift_l2 if energy is None else np.sqrt(np.vecdot(drift, energy @ drift, axis=0))
+    # An end error above bar leaves every error of the jump above epsilon (1 + slack).
+    bar = reach * (cfg.epsilon * (1.0 + _JUMP_SLACK) + jump * drift_run)
+    bar_sq = bar * bar
 
     power, offset = propagate, drive
     for _ in range(jump.bit_length() - 1):
@@ -454,18 +471,6 @@ def _certified_jumps(
     power_t = power.T
     offset = np.ascontiguousarray(offset.T)
     target = np.ascontiguousarray(x_star.T)
-    drift = alpha * (u[:, None] * (block - system.a @ x_star))  # g = alpha U (b - A x*)
-    drift_l2 = np.sqrt(np.vecdot(drift, drift, axis=0))
-    drift_run = drift_l2 if energy is None else np.sqrt(np.vecdot(drift, energy @ drift, axis=0))
-    # An end error above bar leaves every error of the jump above epsilon (1 + slack).
-    bar = reach * (cfg.epsilon * (1.0 + _JUMP_SLACK) + jump * drift_run)
-    bar_sq = bar * bar
-    # A start error within room keeps every ||x||_2 of the jump below the screen.
-    # An accepted jump's end is the next one's start, so it is checked there.
-    room = screen / spread - jump * drift_l2
-    room_sq = np.where(room > 0, room * room, -1.0)
-    if np.count_nonzero(star_norm * star_norm <= room_sq) < k:  # ||e_0||_2 = ||x*||_2
-        return x, 0
     y, d = np.empty_like(x), np.empty_like(x)
     s = 0
     while s + jump < cfg.max_steps:

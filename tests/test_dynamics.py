@@ -1238,6 +1238,41 @@ class TestCertifiedJumps:
             power = power @ s
             assert np.linalg.norm(power, 2) <= dynamics._growth(system, alpha, 16)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_growth_past_the_largest_double_takes_no_jump(self, k, oa, monkeypatch):
+        # On I + 1.9 (ones above the diagonal) at n = 16, gamma^2 = 2.55, and
+        # epsilon = 1e-100 predicts a span long enough for J = 2048 at k = 1,
+        # where max(1, gamma)^J = 2.55^1024 lies beyond the largest double,
+        # and J = 1024 at k = 3, where it is about 2e208. The first reads as
+        # inf without an overflow. Either leaves the first start no room, so
+        # the block pays no squaring, and the result is the one without jumps
+        # bit for bit.
+        system = build_feedback(_triangular(16, 1.9))
+        cfg = SolveConfig(epsilon=1e-100, alpha_fraction=0.2, max_steps=5000)
+        block = np.random.default_rng(16).uniform(-1.0, 1.0, (16, k))
+        growth, rule, calls, products = dynamics._growth, dynamics._certified_jumps, [], []
+
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                products.append(other.shape)
+                return np.asarray(self) @ other
+
+        def spy_growth(*args):
+            calls.append((args[2], growth(*args)))
+            return calls[-1][1]
+
+        def spy_rule(*args):
+            return rule(*args[:4], args[4].view(Counted), *args[5:])
+
+        monkeypatch.setattr(dynamics, "_growth", spy_growth)
+        monkeypatch.setattr(dynamics, "_certified_jumps", spy_rule)
+        res = simulate(system, block, oa, cfg)
+        (jump, bound), = calls
+        assert jump == {1: 2048, 3: 1024}[k] and bound > 1e200 and (bound == math.inf) == (k == 1)
+        assert products == []
+        _assert_same_bits(res, _without_jumps(system, block, oa, cfg))
+
     @pytest.mark.parametrize("k", [1, 3])
     def test_a_dip_below_epsilon_is_not_jumped(self, k, oa):
         """The l2 error dips to epsilon at step 40 and then rises 1.4-fold; the column stops at the dip.
