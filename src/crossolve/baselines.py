@@ -26,12 +26,16 @@ class CgResult:
     converged: bool
 
 
-def conjugate_gradient(a, b, tol: float = 1e-8, max_iters: int | None = None) -> CgResult:
+_ITERS_PER_UNKNOWN = 10  # conjugate_gradient's cap on iterations, per unknown
+
+
+def conjugate_gradient(a, b, tol: float = 1e-8) -> CgResult:
     """Solve A x = b for symmetric positive-definite A from x(0) = 0.
 
-    Stops when ||A x - b||_2 <= tol * ||b||_2. Raises DomainError for a
-    matrix that is not finite or not equal to its transpose bit for bit,
-    and when an indefinite direction (p^T A p <= 0) is encountered.
+    Stops when ||A x - b||_2 <= tol * ||b||_2, or unconverged after 10 n
+    iterations. Raises DomainError for a matrix that is not finite or not
+    equal to its transpose bit for bit, and when an indefinite direction
+    (p^T A p <= 0) is encountered.
     """
     a = _as_square(a)
     b = np.asarray(b, dtype=float)
@@ -43,8 +47,6 @@ def conjugate_gradient(a, b, tol: float = 1e-8, max_iters: int | None = None) ->
         raise DomainError(f"tol must be nonnegative, got {tol}")
 
     n = b.size
-    if max_iters is None:
-        max_iters = 10 * n
     threshold = tol * float(np.linalg.norm(b))
 
     x = np.zeros(n)
@@ -56,7 +58,7 @@ def conjugate_gradient(a, b, tol: float = 1e-8, max_iters: int | None = None) ->
     rs = float(r @ r)
     converged = False
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, _ITERS_PER_UNKNOWN * n + 1):
         ap = a @ p
         pap = float(p @ ap)
         if pap <= 0:

@@ -362,13 +362,17 @@ _MAX_JUMP = 1 << 12
 # epsilon by at least this fraction, far above the rounding that separates
 # a jump's states from the one-step states.
 _JUMP_SLACK = 1e-6
+# A block jumps only while n u max ||x*|| is at most this share of the slack
+# _JUMP_SLACK epsilon, for the unit roundoff u (see simulate).
+_ROUNDING_SHARE = 1e-2
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def _jump(n: int, k: int, steps: float, lookahead: int) -> int:
     """Steps J that one certified jump advances a block: a power of two, 1 for no jump.
 
-    steps is the number of steps the jumps are predicted to cover before
-    some column's error nears the certificate's bar, and lookahead the D
+    steps is the certificate's span, the steps the jumps may cover before
+    some column's error nears its bar (0 for no jump), and lookahead the D
     the one-step passes would use. The squarings that give P^J cost
     log2(J) 2 n^3 flops and each jump one (k x n)(n x n) product and a round
     of tests, while each step a jump skips saves a step's 2 k n^2 flops and
@@ -424,33 +428,27 @@ def _certified_jumps(
     drive: np.ndarray,
     screen: np.ndarray,
     cfg: SolveConfig,
-    lookahead: int,
+    jump: int,
+    star_norm: np.ndarray,
+    spread: float,
+    energy: np.ndarray | None,
 ) -> tuple[np.ndarray, int]:
-    """Advance a block from x(0) = 0 by J steps per product while no column can stop.
+    """Advance a block from x(0) = 0 by J = jump > 1 steps per product while no column can stop.
 
     Returns the state rows (k, n) after step s, and s: the end of the last
     jump whose certificate held for every column (0, with zero rows, where
-    none did or J is 1). P^J and c_J come from repeated squaring, P^2m =
-    P^m P^m and c_2m = P^m c_m + c_m, starting from propagate = P and
-    drive = c_1. screen is the room ||x - x*||_2 has before the divergence
-    test looks, and lookahead the D of the passes that take over after the
-    jumps. See simulate for the certificate and its proof.
+    none did). P^J and c_J come from repeated squaring, P^2m = P^m P^m and
+    c_2m = P^m c_m + c_m, starting from propagate = P and drive = c_1.
+    screen (the room ||x - x*||_2 has before the divergence test looks),
+    star_norm (each ||x*||_2), spread (C_2) and energy (A under "a_norm",
+    None under "l2") are simulate's; see it for the certificate's proof.
     """
     n, k = block.shape
-    lam_min, u = system.lambda_m_min, system.u
-    energy = system.a if cfg.norm_kind == "a_norm" else None
-    spread = math.sqrt(u.max() / u.min())  # C_2, the bound on every ||P^i||_2 of a symmetric A
     reach = spread if energy is None else 1.0  # C, the bound in the run's norm
-    star_norm = np.sqrt(np.vecdot(x_star, x_star, axis=0))
-    low = float(star_norm.min())
-    span = math.log(low / (reach * cfg.epsilon)) / (alpha * lam_min) if low > reach * cfg.epsilon else 0.0
-    jump = _jump(n, k, span, lookahead)
     x = np.zeros((k, n))
-    if jump == 1:
-        return x, 0
     if not system.symmetric:  # l2 only: ||P^i||_2 <= C_2 max(1, gamma)^J for i <= J
         spread = reach = spread * _growth(system, alpha, jump)
-    drift = alpha * (u[:, None] * (block - system.a @ x_star))  # g = alpha U (b - A x*)
+    drift = alpha * (system.u[:, None] * (block - system.a @ x_star))  # g = alpha U (b - A x*)
     drift_l2 = np.sqrt(np.vecdot(drift, drift, axis=0))
     # A start error within room keeps every ||x||_2 of the jump below the screen.
     # An accepted jump's end is the next one's start, so it is checked there.
@@ -620,8 +618,10 @@ def simulate(
     bit for bit) or, under "l2" only, on a nonsymmetric A whose symmetric
     part (A + A^T)/2 is positive definite, first advances all its columns
     together J steps per product, x <- P^J x + c_J, with J a power of two
-    from a cost model (1 means no jump; the model is consulted first, so a
-    run it rules out does no other work for the jumps). A jump from step s
+    that a cost model prices once, over the certificate's span
+    ln(min ||x*||_2 / (C epsilon)) / (alpha lambda_M,min) (1 means no jump;
+    the price comes first, so a run it rules out does no other work for
+    the jumps, not even lambda_min((A + A^T)/2)). A jump from step s
     is kept only when s + J < max_steps, and for every column
     ||e_(s+J)|| > C (epsilon (1 + 1e-6) + J ||g||) in norm_kind and both
     ||e_s||_2 and ||e_(s+J)||_2 (the next jump's start) are at most
@@ -661,15 +661,25 @@ def simulate(
     leave ||e_(s+J)|| at or below the certificate's bar; a kept jump ends
     above it, so each step it skips errs by more than epsilon (1 + 1e-6)
     and cannot converge. The relative slack 1e-6 covers the rounding that
-    separates the jump's states from one-step states wherever that
-    rounding, a small multiple of n u ||x*|| for the unit roundoff u, lies
-    far below 1e-6 epsilon; it also covers the last-bit rounding of C.
-    Likewise ||x_(s+j)||_2 <= ||x*||_2 + C_2' (||e_s||_2 + J ||g||_2)
-    stays below the divergence screen, so no skipped step can diverge, and
+    separates the jump's states from one-step states, and the last-bit
+    rounding of C, wherever the rounding premise below holds. Likewise
+    ||x_(s+j)||_2 <= ||x*||_2 + C_2' (||e_s||_2 + J ||g||_2) stays below
+    the divergence screen, so no skipped step can diverge, and
     s + J < max_steps keeps the max_steps cut out of the jump. As under
     D > 1, x_final may differ from the run without jumps in its last bits,
     and a column whose error lies within rounding of epsilon may stop one
     step earlier or later.
+
+    Rounding premise. A computed product P x + c errs by at most about
+    n u (|P| |x| + |c|) entrywise for the unit roundoff u = 2^-53 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 3).
+    A jump's state takes such an error from its product and each squaring,
+    carried by powers of P bounded by C, so it differs from the one-step
+    state by a multiple of n u max ||x*|| growing with C and log2 J. Jumps
+    are therefore taken only while n u max ||x*|| (in norm_kind, ||x*||_A^2
+    read as x*^T b) is at most 1% of the slack 1e-6 epsilon; past that,
+    rounding, not the circuit, decides when an error crosses epsilon
+    (Higham, ch. 17), and a jump could move a stop by several steps.
 
     A column converges when its error against the direct-solve oracle first
     drops to epsilon or below. Under include_gain_correction the loop settles
@@ -723,21 +733,25 @@ def simulate(
     max_steps = cfg.max_steps
     single = b.ndim == 1
     lam_min = system.lambda_m_min
-    top = float(star_norm.max())
+    norms = star_norm.tolist()
+    top, low = max(norms), min(norms)
     predicted = math.log(top / cfg.epsilon) / (alpha * lam_min) if lam_min > 0 and top > cfg.epsilon else 0.0
     lookahead = _lookahead(n, min(predicted, max_steps))
     propagate = np.eye(n) - alpha * m_eff
     last, base = np.zeros((k, n)), 0  # the state before the first pass, and that pass's first step
-    if (
-        not single
-        and lam_min > 0
-        and not cfg.include_gain_correction
-        # _certified_jumps prices a span at most predicted, and _jump's gain
-        # grows with the span wherever it is positive, so 1 here rules out any jump
-        and _jump(n, k, predicted, lookahead) > 1
-        and (system.symmetric or (energy is None and system.lambda_min > 0))
-    ):
-        last, start = _certified_jumps(system, block, x_star, alpha, propagate, drive, screen, cfg, lookahead)
+    u = system.u.tolist()
+    spread = math.sqrt(max(u) / min(u))  # C_2
+    reach = spread if energy is None else 1.0  # C for a symmetric A
+    top_run = top if energy is None else math.sqrt(max(0.0, float(np.vecdot(x_star, block, axis=0).max())))
+    span = 0.0
+    if not single and lam_min > 0 and not cfg.include_gain_correction and low > reach * cfg.epsilon:
+        if n * _UNIT_ROUNDOFF * top_run <= _ROUNDING_SHARE * _JUMP_SLACK * cfg.epsilon:  # see Rounding premise
+            span = math.log(low / (reach * cfg.epsilon)) / (alpha * lam_min)
+    jump = _jump(n, k, span, lookahead)
+    if jump > 1 and (system.symmetric or (energy is None and system.lambda_min > 0)):
+        last, start = _certified_jumps(
+            system, block, x_star, alpha, propagate, drive, screen, cfg, jump, star_norm, spread, energy
+        )
         if start:  # the passes resume after the last certified step
             base = start + 1
     batch = _batch(lookahead, k)

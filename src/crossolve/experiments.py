@@ -480,17 +480,11 @@ def _run_transient(spec: ExperimentSpec, p: dict):
     return [record], lines, {"trace.csv": _csv([header, *samples])}
 
 
-# lambda_sweep's matrices: 3 x 3, levels in units of g0 = 100 uS, at most 64 draws an attempt
-_SWEEP_DIM, _SWEEP_G0, _SWEEP_TRIES = 3, 100e-6, 64
-
-
 def _sweep_matrix(master: int, mi: int, p: dict) -> np.ndarray:
     floor = float(p["lambda_floor"])
     for attempt in range(p["floor_tries"]):
         try:
-            a, lam = random_discrete_pd(
-                dim=_SWEEP_DIM, g0=_SWEEP_G0, seed=child_seed(master, mi, attempt), max_tries=_SWEEP_TRIES
-            )
+            a, lam = random_discrete_pd(child_seed(master, mi, attempt))
         except GenerationError:
             continue  # a draw with no PD candidate is one more failed attempt
         if lam >= floor:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .devices import _MEASURED_LEVELS_S
-from .errors import ConfigError, DomainError, GenerationError
+from .errors import DomainError, GenerationError
 
 __all__ = [
     "covariance_matrix",
@@ -40,48 +40,37 @@ def covariance_matrix(n: int, beta: float) -> np.ndarray:
     return a
 
 
-# Candidate matrices that random_discrete_pd draws and screens per eigvalsh
-# call; about 11 draws are needed per accepted 3 x 3 matrix.
-_SCREEN_DRAWS = 16
+# lambda_sweep's draw: _DIM x _DIM levels in units of _G0 (S), _TRIES draws a
+# call, screened _SCREEN_DRAWS at a time (about 11 per accepted 3 x 3 matrix).
+_DIM, _G0, _TRIES, _SCREEN_DRAWS = 3, 100e-6, 64, 16
 
 
-def random_discrete_pd(
-    dim: int = 3,
-    g0: float = 100e-6,
-    seed: int = 0,
-    max_tries: int = 64,
-) -> tuple[np.ndarray, float]:
-    """Random matrix with entries drawn from the measured level set, PD-screened.
+def random_discrete_pd(seed: int = 0) -> tuple[np.ndarray, float]:
+    """Random 3 x 3 matrix with entries drawn from the measured level set, PD-screened.
 
     Every entry is an independent uniform draw from the measured eight-level
-    conductance set divided by g0, so the result is generally not
+    conductance set divided by g0 = 100 uS, so the result is generally not
     symmetric; draws are retried until the symmetric part (A + A^T)/2 is
     positive definite, which also guarantees every eigenvalue of the
     attenuated loop matrix has positive real part.
 
     Returns the accepted matrix together with its symmetric-part smallest
-    eigenvalue. Raises GenerationError when max_tries draws all fail.
+    eigenvalue. Raises GenerationError when all 64 draws fail.
 
-    Draws are taken and screened up to 16 at a time, with one stacked
-    eigvalsh; a call of m draws continues the generator's stream exactly as
-    m calls of one draw would, and the first positive draw is returned, so
-    the result is that of screening one draw at a time.
+    Draws are taken and screened 16 at a time, with one stacked eigvalsh;
+    a call of 16 draws continues the generator's stream exactly as 16 calls
+    of one draw would, and the first positive draw is returned, so the
+    result is that of screening one draw at a time.
     """
-    if dim < 1:
-        raise DomainError(f"dim must be >= 1, got {dim}")
-    if max_tries < 1:
-        raise ConfigError(f"max_tries must be >= 1, got {max_tries}")
-    if not g0 > 0:
-        raise DomainError(f"g0 must be positive, got {g0}")
-    values = _MEASURED_LEVELS_S / g0
+    values = _MEASURED_LEVELS_S / _G0
     rng = np.random.default_rng(seed)
-    for start in range(0, max_tries, _SCREEN_DRAWS):
-        draws = values[rng.integers(0, values.size, size=(min(_SCREEN_DRAWS, max_tries - start), dim, dim))]
+    for _ in range(_TRIES // _SCREEN_DRAWS):
+        draws = values[rng.integers(0, values.size, size=(_SCREEN_DRAWS, _DIM, _DIM))]
         lams = np.linalg.eigvalsh((draws + draws.transpose(0, 2, 1)) / 2.0)[:, 0]
         hits = np.flatnonzero(lams > 0)
         if hits.size:
             return draws[hits[0]], float(lams[hits[0]])
-    raise GenerationError(f"no positive-definite draw within {max_tries} tries")
+    raise GenerationError(f"no positive-definite draw within {_TRIES} tries")
 
 
 def sparse_pd(n: int, s: int = 10, lambda_target: float = 1.0, seed: int = 0) -> np.ndarray:

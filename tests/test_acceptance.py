@@ -373,7 +373,7 @@ def test_criterion_09_attenuation_inequality(
         assert lam_a > 0
         assert stability_report(build_feedback(a)).lambda_m_min >= tol * u_min * lam_a
     for i in range(10):
-        a, lam_sym = random_discrete_pd(3, seed=int(child_seed(9, 2, i)))
+        a, lam_sym = random_discrete_pd(int(child_seed(9, 2, i)))
         u_min = float(attenuation(a).min())
         assert stability_report(build_feedback(a)).lambda_m_min >= tol * u_min * lam_sym
 

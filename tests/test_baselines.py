@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crossolve import DomainError, conjugate_gradient, direct_solve, sparse_pd
+from crossolve import DomainError, baselines, conjugate_gradient, direct_solve, sparse_pd
 
 
 class TestConjugateGradient:
@@ -64,11 +64,15 @@ class TestConjugateGradient:
         with pytest.raises(DomainError):
             conjugate_gradient(a, np.array([0.0, 1.0]))
 
-    def test_max_iters_timeout(self):
-        a = sparse_pd(50, s=8, lambda_target=0.01, seed=1)
-        res = conjugate_gradient(a, np.ones(50), tol=1e-14, max_iters=2)
+    def test_max_iters_timeout(self, monkeypatch):
+        # At condition number 1e15 the run needs some 100 iterations, within
+        # its cap of 10 n = 160; with the cap patched to n it times out there
+        a = np.diag(np.logspace(0.0, 15.0, 16))
+        assert conjugate_gradient(a, np.ones(16), tol=1e-10).converged
+        monkeypatch.setattr(baselines, "_ITERS_PER_UNKNOWN", 1)
+        res = conjugate_gradient(a, np.ones(16), tol=1e-10)
         assert not res.converged
-        assert res.iterations == 2
+        assert res.iterations == 16
 
     def test_shape_checks(self):
         with pytest.raises(DomainError):

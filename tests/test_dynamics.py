@@ -26,6 +26,7 @@ from crossolve import (
     invert_matrix,
     program,
     random_discrete_pd,
+    random_vector,
     resolve_step,
     simulate,
     slew_check,
@@ -35,6 +36,7 @@ from crossolve import (
 )
 import crossolve.spectral
 from crossolve import dynamics
+from crossolve.devices import _MEASURED_LEVELS_S
 from crossolve.dynamics import _square_limit
 from crossolve.experiments import DEFAULT_TRANSIENT_A, DEFAULT_TRANSIENT_B
 from modal_oracle import continuous_crossings, energy_crossing, l2_crossing
@@ -42,6 +44,24 @@ from trajectory_oracle import analytic_trajectory
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 A_NORM = SolveConfig(norm_kind="a_norm")
+
+
+def _screened_draw(dim: int, seed: int) -> tuple[np.ndarray, float]:
+    """A dim x dim draw from the measured levels (units of 100 uS) with a positive definite symmetric part.
+
+    The draws are screened as random_discrete_pd screens its 3 x 3 ones,
+    16 at a time with one stacked eigvalsh, but for up to 1024 draws, and
+    the screen's lambda_min((A + A^T)/2) is returned with the draw.
+    """
+    values = _MEASURED_LEVELS_S / 100e-6
+    rng = np.random.default_rng(seed)
+    for _ in range(64):
+        draws = values[rng.integers(0, values.size, size=(16, dim, dim))]
+        lams = np.linalg.eigvalsh((draws + draws.transpose(0, 2, 1)) / 2.0)[:, 0]
+        hits = np.flatnonzero(lams > 0)
+        if hits.size:
+            return draws[hits[0]], float(lams[hits[0]])
+    raise AssertionError(f"no positive-definite {dim} x {dim} draw for seed {seed}")
 
 
 class TestOpAmpModel:
@@ -105,7 +125,7 @@ class TestStabilityReport:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3))
     def test_lambda_min_of_discrete_pd_is_screen_value(self, seed, dim):
-        a, lam = random_discrete_pd(dim=dim, seed=seed, max_tries=1_000)
+        a, lam = _screened_draw(dim, seed)
         assert stability_report(build_feedback(a)).lambda_min == lam
 
     def test_demo_stable(self, demo_system, oa):
@@ -170,7 +190,7 @@ class TestMEigenvalues:
         assert np.array_equal(system.m_eigenvalues, np.linalg.eigvals(system.m))
 
     def test_discrete_draw_keeps_complex_pair(self):
-        a, _ = random_discrete_pd(dim=3, seed=0)
+        a, _ = random_discrete_pd(seed=0)
         system = build_feedback(a)
         assert not system.symmetric
         ev = system.m_eigenvalues
@@ -1140,17 +1160,27 @@ def _without_jumps(system, b, oa, cfg):
 
 
 def _with_jumps(system, b, oa, cfg):
-    """simulate, and the step its certified jumps reached (None where it tried none)."""
-    rule, reached = dynamics._certified_jumps, []
+    """simulate, and the step its certified jumps reached (None where it tried none).
 
-    def spy(*args):
-        out = rule(*args)
+    The run prices its jump once, and the certified jumps take that J.
+    """
+    rule, price, reached, priced = dynamics._certified_jumps, dynamics._jump, [], []
+
+    def spy(system, block, x_star, alpha, propagate, drive, screen, cfg, jump, *args):
+        assert jump == priced[-1] > 1
+        out = rule(system, block, x_star, alpha, propagate, drive, screen, cfg, jump, *args)
         reached.append(out[1])
         return out
 
+    def counted(*args):
+        priced.append(price(*args))
+        return priced[-1]
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dynamics, "_certified_jumps", spy)
+        patch.setattr(dynamics, "_jump", counted)
         result = simulate(system, b, oa, cfg)
+    assert len(priced) == 1
     return result, (reached[0] if reached else None)
 
 
@@ -1241,15 +1271,18 @@ class TestCertifiedJumps:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("k", [1, 3])
     def test_growth_past_the_largest_double_takes_no_jump(self, k, oa, monkeypatch):
-        # On I + 1.9 (ones above the diagonal) at n = 16, gamma^2 = 2.55, and
-        # epsilon = 1e-100 predicts a span long enough for J = 2048 at k = 1,
-        # where max(1, gamma)^J = 2.55^1024 lies beyond the largest double,
-        # and J = 1024 at k = 3, where it is about 2e208. The first reads as
-        # inf without an overflow. Either leaves the first start no room, so
-        # the block pays no squaring, and the result is the one without jumps
+        # On D^1/2 (I + 1.9 (ones above the diagonal)) D^1/2 at n = 16 with
+        # D = diag(1e-3 .. 1), alpha_fraction = 0.5 gives gamma^2 = 3.93,
+        # and epsilon = 1e-3 (with n u max ||x*||_2 under 0.5% of the slack
+        # 1e-6 epsilon) gives a span long enough for J = 2048 at k = 1, where
+        # max(1, gamma)^J = 3.93^1024 lies beyond the largest double, and
+        # J = 1024 at k = 3, where it is about 3e304. The first reads as inf
+        # without an overflow. Either leaves the first start no room, so the
+        # block pays no squaring, and the result is the one without jumps
         # bit for bit.
-        system = build_feedback(_triangular(16, 1.9))
-        cfg = SolveConfig(epsilon=1e-100, alpha_fraction=0.2, max_steps=5000)
+        root = np.sqrt(np.logspace(-3.0, 0.0, 16))
+        system = build_feedback(root[:, None] * _triangular(16, 1.9) * root[None, :])
+        cfg = SolveConfig(epsilon=1e-3, alpha_fraction=0.5)
         block = np.random.default_rng(16).uniform(-1.0, 1.0, (16, k))
         growth, rule, calls, products = dynamics._growth, dynamics._certified_jumps, [], []
 
@@ -1262,14 +1295,14 @@ class TestCertifiedJumps:
             calls.append((args[2], growth(*args)))
             return calls[-1][1]
 
-        def spy_rule(*args):
-            return rule(*args[:4], args[4].view(Counted), *args[5:])
+        def spy_rule(system, block, x_star, alpha, propagate, *args):
+            return rule(system, block, x_star, alpha, propagate.view(Counted), *args)
 
         monkeypatch.setattr(dynamics, "_growth", spy_growth)
         monkeypatch.setattr(dynamics, "_certified_jumps", spy_rule)
         res = simulate(system, block, oa, cfg)
         (jump, bound), = calls
-        assert jump == {1: 2048, 3: 1024}[k] and bound > 1e200 and (bound == math.inf) == (k == 1)
+        assert jump == {1: 2048, 3: 1024}[k] and bound > 1e300 and (bound == math.inf) == (k == 1)
         assert products == []
         _assert_same_bits(res, _without_jumps(system, block, oa, cfg))
 
@@ -1310,7 +1343,7 @@ class TestCertifiedJumps:
     @pytest.mark.parametrize(
         ("cfg", "factor"),
         [
-            (SolveConfig(epsilon=1e-9, max_steps=300), 1e6),
+            (SolveConfig(epsilon=1e-6, max_steps=300), 1e6),
             (SolveConfig(max_steps=300), 1e6),
             (SolveConfig(), 1.2),
         ],
@@ -1370,6 +1403,21 @@ class TestCertifiedJumps:
         assert reached is None and "lambda_min" not in vars(system)
         assert res.steps > 3 * 256  # long enough that a step count alone would not rule a jump out
         _assert_same_bits(res, _without_jumps(system, block, oa, SolveConfig(epsilon=1e-9)))
+
+    @pytest.mark.parametrize(("norm_kind", "max_steps", "converging"), [("l2", 200_000, 8), ("a_norm", 5000, 3)])
+    def test_no_jump_where_rounding_could_decide_a_stop(self, norm_kind, max_steps, converging, oa):
+        # Here n u max ||x*|| is about 1.5e-11 in l2, 10^6 times the
+        # certificate's slack 1e-6 epsilon, and as far past it in the energy
+        # norm. Jumps taken anyway reached step 2112 (l2) and 2176 (a_norm)
+        # and moved column stops by up to 5 and 7 steps. So the block takes
+        # none, and its result is the one without jumps bit for bit. Under
+        # a_norm rounding keeps five columns' errors above epsilon for good.
+        system = build_feedback(covariance_matrix(100, 1.0))
+        block = np.column_stack([1e3 * random_vector(100, seed=s) for s in range(8)])
+        cfg = SolveConfig(epsilon=1e-11, max_steps=max_steps, norm_kind=norm_kind)
+        res, reached = _with_jumps(system, block, oa, cfg)
+        assert reached is None and np.count_nonzero(res.converged) == converging
+        _assert_same_bits(res, _without_jumps(system, block, oa, cfg))
 
     def test_rule(self):
         # J is a power of two no longer than the steps it may cover; a step of

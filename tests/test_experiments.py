@@ -327,7 +327,7 @@ class TestLambdaSweepScenario:
 
     def test_exhausted_draw_counts_as_failed_attempt(self, tmp_path):
         # at master seed 31 the first draw for system 52 finds no PD matrix
-        # within max_tries; the next attempt succeeds
+        # within its 64 draws; the next attempt succeeds
         spec = ExperimentSpec(
             "lambda_sweep",
             seed=31,
@@ -743,7 +743,10 @@ def test_package_keeps_no_surface_only_tests_read():
     # every scenario draws from the measured levels and programs at g_max / max(a),
     # and records read three spectral numbers and CG's iteration count
     assert not hasattr(crossolve, "analytic_trajectory") and not hasattr(crossolve, "measured_level_set")
-    for function, removed in ((crossolve.random_discrete_pd, "level_set"), (crossolve.program, "g0"), (crossolve.stability_report, "oa")):
+    # lambda_sweep's draw and the CG baseline keep no setting the package never varies
+    assert list(inspect.signature(crossolve.random_discrete_pd).parameters) == ["seed"]
+    assert list(inspect.signature(crossolve.conjugate_gradient).parameters) == ["a", "b", "tol"]
+    for function, removed in ((crossolve.program, "g0"), (crossolve.stability_report, "oa")):
         assert removed not in inspect.signature(function).parameters
     assert [f.name for f in dataclasses.fields(crossolve.CgResult)] == ["x", "iterations", "converged"]
     assert [f.name for f in dataclasses.fields(crossolve.StabilityReport)] == ["lambda_min", "lambda_m_min", "u_min"]

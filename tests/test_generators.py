@@ -96,61 +96,65 @@ class TestCovarianceMatrix:
 
 class TestRandomDiscretePd:
     def test_entries_come_from_level_set(self):
-        a, lam = random_discrete_pd(dim=3, seed=2)
+        a, lam = random_discrete_pd(seed=2)
         values = _MEASURED_LEVELS_S / 100e-6
-        assert np.isin(a, values).all()
+        assert a.shape == (3, 3) and np.isin(a, values).all()
         assert lam > 0
         assert lam == pytest.approx(sym_part_lambda_min(a))
 
     def test_deterministic_in_seed(self):
-        a1, _ = random_discrete_pd(dim=3, seed=11)
-        a2, _ = random_discrete_pd(dim=3, seed=11)
-        a3, _ = random_discrete_pd(dim=3, seed=12)
+        a1, _ = random_discrete_pd(seed=11)
+        a2, _ = random_discrete_pd(seed=11)
+        a3, _ = random_discrete_pd(seed=12)
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, a3)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5])
     @pytest.mark.parametrize("levels", ["measured", "default", "three"])
     def test_matches_one_draw_at_a_time(self, dim, levels, monkeypatch):
-        # The three-level set, swapped in for the measured one, fails the
-        # screen often: at dim 2 and 3 a seed may be accepted on its first
-        # draw, in a later batch of 16 (dim 3, seeds 5 and 11, only at
-        # max_tries = 64) or not at all, and at dim 5 every draw fails.
-        # "default" leaves g0 at its default of 100 uS; "measured" scales
-        # the measured set by another g0.
-        g0 = {"default": 100e-6, "measured": 60e-6, "three": 1e-4}[levels]
-        kwargs = {} if levels == "default" else {"g0": g0}
+        # "default" is lambda_sweep's own draw at dim 3: 3 x 3, the measured
+        # levels in units of 100 uS, 64 draws. The other cases patch the
+        # module's constants to check the stacked screen beyond it: the
+        # draw's size, g0 ("measured" scales the measured set by 60 uS), the
+        # number of draws (16 or 64), and a three-level set that fails the
+        # screen more often. Each seed is accepted in the first stack of 16,
+        # in a later one, or by none of the 64 draws (all of them fail for
+        # the measured 3 x 3 draws of seeds 2328 and 2766).
+        g0 = {"default": 100e-6, "measured": 60e-6, "three": 100e-6}[levels]
+        monkeypatch.setattr(generators, "_DIM", dim)
+        monkeypatch.setattr(generators, "_G0", g0)
         if levels == "three":
             monkeypatch.setattr(generators, "_MEASURED_LEVELS_S", np.array([1e-6, 5e-5, 1e-4]))
+        seeds = [*range(150 if (dim, levels) == (3, "default") else 12), 2328, 2766]
         outcomes = set()
-        for seed in range(12):
-            for max_tries in (1, 15, 16, 17, 64):
+        for seed in seeds:
+            accepted = []
+            for tries in (16, 64):
+                monkeypatch.setattr(generators, "_TRIES", tries)
                 try:
-                    want = _reference_random_discrete_pd(dim, generators._MEASURED_LEVELS_S, g0, seed, max_tries)
+                    want = _reference_random_discrete_pd(dim, generators._MEASURED_LEVELS_S, g0, seed, tries)
                 except GenerationError as exc:
                     with pytest.raises(GenerationError, match=str(exc)):
-                        random_discrete_pd(dim, seed=seed, max_tries=max_tries, **kwargs)
-                    outcomes.add("raised")
+                        random_discrete_pd(seed)
                     continue
-                a, lam = random_discrete_pd(dim, seed=seed, max_tries=max_tries, **kwargs)
+                a, lam = random_discrete_pd(seed)
                 assert a.tobytes() == want[0].tobytes() and a.shape == want[0].shape
                 assert type(lam) is float and np.float64(lam).tobytes() == np.float64(want[1]).tobytes()
-                outcomes.add("returned")
-        if levels == "three":
-            assert outcomes == {1: {"returned"}, 5: {"raised"}}.get(dim, {"raised", "returned"})
+                accepted.append(tries)
+            outcomes.add({2: "first", 1: "later", 0: "none"}[len(accepted)])
+        if dim < 3:
+            assert outcomes == {"first"}
+        elif levels == "three":
+            assert outcomes == {3: {"first", "later"}, 5: {"none"}}[dim]
         else:
-            assert "returned" in outcomes
+            assert outcomes == {"first", "later", "none"}
 
     def test_exhaustion_raises(self):
-        # off-diagonal-heavy draws at dim 8 fail the PD screen
-        with pytest.raises(GenerationError):
-            random_discrete_pd(dim=8, seed=0, max_tries=2)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            random_discrete_pd(dim=0)
-        with pytest.raises(DomainError):
-            random_discrete_pd(dim=3, g0=0.0)
+        # all 64 draws of seed 2328 have an indefinite symmetric part
+        with pytest.raises(GenerationError, match="within 64 tries"):
+            _reference_random_discrete_pd(3, _MEASURED_LEVELS_S, 100e-6, 2328, 64)
+        with pytest.raises(GenerationError, match="within 64 tries"):
+            random_discrete_pd(2328)
 
 
 class TestSparsePd:
