@@ -362,10 +362,10 @@ _MAX_JUMP = 1 << 12
 # epsilon by at least this fraction, far above the rounding that separates
 # a jump's states from the one-step states.
 _JUMP_SLACK = 1e-6
-# A block jumps only while n u max ||x*|| is at most this share of the slack
-# _JUMP_SLACK epsilon, for the unit roundoff u (see simulate).
-_ROUNDING_SHARE = 1e-2
-_UNIT_ROUNDOFF = 2.0**-53
+# A block jumps only while n u C (1 + log2 J) max ||x*|| (1 + log2 J is J's bit
+# length) is at most this share of the slack _JUMP_SLACK epsilon (see simulate).
+_ROUNDING_SHARE = 0.1
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 def _jump(n: int, k: int, steps: float, lookahead: int) -> int:
@@ -431,6 +431,7 @@ def _certified_jumps(
     jump: int,
     star_norm: np.ndarray,
     spread: float,
+    reach: float,
     energy: np.ndarray | None,
 ) -> tuple[np.ndarray, int]:
     """Advance a block from x(0) = 0 by J = jump > 1 steps per product while no column can stop.
@@ -440,14 +441,11 @@ def _certified_jumps(
     none did). P^J and c_J come from repeated squaring, P^2m = P^m P^m and
     c_2m = P^m c_m + c_m, starting from propagate = P and drive = c_1.
     screen (the room ||x - x*||_2 has before the divergence test looks),
-    star_norm (each ||x*||_2), spread (C_2) and energy (A under "a_norm",
-    None under "l2") are simulate's; see it for the certificate's proof.
+    star_norm (each ||x*||_2), spread and reach (C_2' and C) and energy (A
+    under "a_norm", None under "l2") are simulate's; see it for the proof.
     """
     n, k = block.shape
-    reach = spread if energy is None else 1.0  # C, the bound in the run's norm
     x = np.zeros((k, n))
-    if not system.symmetric:  # l2 only: ||P^i||_2 <= C_2 max(1, gamma)^J for i <= J
-        spread = reach = spread * _growth(system, alpha, jump)
     drift = alpha * (system.u[:, None] * (block - system.a @ x_star))  # g = alpha U (b - A x*)
     drift_l2 = np.sqrt(np.vecdot(drift, drift, axis=0))
     # A start error within room keeps every ||x||_2 of the jump below the screen.
@@ -619,10 +617,10 @@ def simulate(
     part (A + A^T)/2 is positive definite, first advances all its columns
     together J steps per product, x <- P^J x + c_J, with J a power of two
     that a cost model prices once, over the certificate's span
-    ln(min ||x*||_2 / (C epsilon)) / (alpha lambda_M,min) (1 means no jump;
-    the price comes first, so a run it rules out does no other work for
-    the jumps, not even lambda_min((A + A^T)/2)). A jump from step s
-    is kept only when s + J < max_steps, and for every column
+    ln(min ||x*||_2 / (C epsilon)) / (alpha lambda_M,min), C without its
+    growth below (1 means no jump; the price comes first, so a run it rules
+    out does no other work for the jumps, not even lambda_min((A + A^T)/2)).
+    A jump from step s is kept only when s + J < max_steps, and for every column
     ||e_(s+J)|| > C (epsilon (1 + 1e-6) + J ||g||) in norm_kind and both
     ||e_s||_2 and ||e_(s+J)||_2 (the next jump's start) are at most
     screen / C_2' - J ||g||_2. Here e_t = x_t - x*, g = alpha U (b - A x*)
@@ -673,12 +671,12 @@ def simulate(
     Rounding premise. A computed product P x + c errs by at most about
     n u (|P| |x| + |c|) entrywise for the unit roundoff u = 2^-53 (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 3).
-    A jump's state takes such an error from its product and each squaring,
-    carried by powers of P bounded by C, so it differs from the one-step
-    state by a multiple of n u max ||x*|| growing with C and log2 J. Jumps
-    are therefore taken only while n u max ||x*|| (in norm_kind, ||x*||_A^2
-    read as x*^T b) is at most 1% of the slack 1e-6 epsilon; past that,
-    rounding, not the circuit, decides when an error crosses epsilon
+    A jump's state takes such an error from its product and each of the
+    log2 J squarings, carried by powers of P bounded by C (growth included),
+    so it differs from the one-step state by about n u C (1 + log2 J)
+    max ||x*||, in norm_kind with ||x*||_A^2 read as x*^T b. Jumps are taken
+    only while that is at most a tenth of the slack 1e-6 epsilon; far past
+    it, rounding, not the circuit, decides when an error crosses epsilon
     (Higham, ch. 17), and a jump could move a stop by several steps.
 
     A column converges when its error against the direct-solve oracle first
@@ -742,18 +740,20 @@ def simulate(
     u = system.u.tolist()
     spread = math.sqrt(max(u) / min(u))  # C_2
     reach = spread if energy is None else 1.0  # C for a symmetric A
-    top_run = top if energy is None else math.sqrt(max(0.0, float(np.vecdot(x_star, block, axis=0).max())))
     span = 0.0
     if not single and lam_min > 0 and not cfg.include_gain_correction and low > reach * cfg.epsilon:
-        if n * _UNIT_ROUNDOFF * top_run <= _ROUNDING_SHARE * _JUMP_SLACK * cfg.epsilon:  # see Rounding premise
-            span = math.log(low / (reach * cfg.epsilon)) / (alpha * lam_min)
+        span = math.log(low / (reach * cfg.epsilon)) / (alpha * lam_min)
     jump = _jump(n, k, span, lookahead)
     if jump > 1 and (system.symmetric or (energy is None and system.lambda_min > 0)):
-        last, start = _certified_jumps(
-            system, block, x_star, alpha, propagate, drive, screen, cfg, jump, star_norm, spread, energy
-        )
-        if start:  # the passes resume after the last certified step
-            base = start + 1
+        if not system.symmetric:  # l2 only: ||P^i||_2 <= C_2 max(1, gamma)^J for i <= J
+            spread = reach = spread * _growth(system, alpha, jump)
+        top_run = top if energy is None else math.sqrt(max(0.0, float(np.vecdot(x_star, block, axis=0).max())))
+        if n * _UNIT_ROUNDOFF * reach * jump.bit_length() * top_run <= _ROUNDING_SHARE * _JUMP_SLACK * cfg.epsilon:
+            last, start = _certified_jumps(
+                system, block, x_star, alpha, propagate, drive, screen, cfg, jump, star_norm, spread, reach, energy
+            )
+            if start:  # the passes resume after the last certified step
+                base = start + 1
     batch = _batch(lookahead, k)
     powers, offsets = _stack_powers(propagate, drive, lookahead)
     powers_t = np.ascontiguousarray(powers.T)  # [P^T ... (P^D)^T], (n, D n)

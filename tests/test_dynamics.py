@@ -1277,14 +1277,17 @@ class TestCertifiedJumps:
         # 1e-6 epsilon) gives a span long enough for J = 2048 at k = 1, where
         # max(1, gamma)^J = 3.93^1024 lies beyond the largest double, and
         # J = 1024 at k = 3, where it is about 3e304. The first reads as inf
-        # without an overflow. Either leaves the first start no room, so the
-        # block pays no squaring, and the result is the one without jumps
-        # bit for bit.
+        # without an overflow. Folded into C, either puts the rounding bound
+        # n u C (1 + log2 J) max ||x*|| far past its share of the slack, so
+        # the block never enters the certificate. With that check lifted
+        # (an unbounded share), the growth leaves the first start no room,
+        # which refuses the jump before any squaring. Either way the block
+        # pays no squaring, and the result is the one without jumps bit for bit.
         root = np.sqrt(np.logspace(-3.0, 0.0, 16))
         system = build_feedback(root[:, None] * _triangular(16, 1.9) * root[None, :])
         cfg = SolveConfig(epsilon=1e-3, alpha_fraction=0.5)
         block = np.random.default_rng(16).uniform(-1.0, 1.0, (16, k))
-        growth, rule, calls, products = dynamics._growth, dynamics._certified_jumps, [], []
+        growth, rule, calls, products, reached = dynamics._growth, dynamics._certified_jumps, [], [], []
 
         class Counted(np.ndarray):
             def __matmul__(self, other):
@@ -1296,15 +1299,22 @@ class TestCertifiedJumps:
             return calls[-1][1]
 
         def spy_rule(system, block, x_star, alpha, propagate, *args):
-            return rule(system, block, x_star, alpha, propagate.view(Counted), *args)
+            out = rule(system, block, x_star, alpha, propagate.view(Counted), *args)
+            reached.append(out[1])
+            return out
 
         monkeypatch.setattr(dynamics, "_growth", spy_growth)
         monkeypatch.setattr(dynamics, "_certified_jumps", spy_rule)
-        res = simulate(system, block, oa, cfg)
-        (jump, bound), = calls
-        assert jump == {1: 2048, 3: 1024}[k] and bound > 1e300 and (bound == math.inf) == (k == 1)
-        assert products == []
-        _assert_same_bits(res, _without_jumps(system, block, oa, cfg))
+        ref = _without_jumps(system, block, oa, cfg)
+        for share, entered in ((dynamics._ROUNDING_SHARE, []), (math.inf, [0])):
+            monkeypatch.setattr(dynamics, "_ROUNDING_SHARE", share)
+            calls.clear()
+            reached.clear()
+            res = simulate(system, block, oa, cfg)
+            (jump, bound), = calls
+            assert jump == {1: 2048, 3: 1024}[k] and bound > 1e300 and (bound == math.inf) == (k == 1)
+            assert reached == entered and products == []
+            _assert_same_bits(res, ref)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_a_dip_below_epsilon_is_not_jumped(self, k, oa):
@@ -1368,7 +1378,7 @@ class TestCertifiedJumps:
     @pytest.mark.parametrize(
         "case", ["nonsymmetric_a_norm", "indefinite_symmetric_part", "vector", "gain_correction", "unstable"]
     )
-    def test_ineligible_runs_take_no_jump(self, case, oa):
+    def test_ineligible_runs_take_no_jump(self, case, oa, monkeypatch):
         # A nonsymmetric A under a_norm (its proof needs A symmetric), a
         # nonsymmetric A whose symmetric part is indefinite while M is
         # stable, a 1-D b (its trace and max_slew read every step), the
@@ -1379,9 +1389,21 @@ class TestCertifiedJumps:
         if case == "nonsymmetric_a_norm":
             a, cfg = _random_stable(5, 30), A_NORM
         elif case == "indefinite_symmetric_part":
-            a, block = _triangular(12, 4.0), block[:12]
+            # lambda_min((A + A^T)/2) = -0.1 alone refuses this block: the
+            # cost model prices J = 256, and the growth that the bound would
+            # give, max(1, gamma)^256 = 9.2, would still pass the rounding
+            # check (the short step keeps gamma near 1; the scaled b keeps
+            # max ||x*|| small).
+            a, block, cfg = _triangular(16, 2.2), 1e-3 * block[:16], SolveConfig(alpha_fraction=0.02)
             system = build_feedback(a)
             assert system.lambda_min < 0 < system.lambda_m_min
+            price, priced = dynamics._jump, []
+
+            def spy(*args):
+                priced.append(price(*args))
+                return priced[-1]
+
+            monkeypatch.setattr(dynamics, "_jump", spy)
         elif case == "vector":
             block, cfg = block[:, 0], SolveConfig()
         elif case == "gain_correction":
@@ -1392,16 +1414,27 @@ class TestCertifiedJumps:
         system = build_feedback(a)
         res, reached = _with_jumps(system, block, oa, cfg)
         assert reached is None
+        if case == "indefinite_symmetric_part":
+            assert priced == [256]
         _assert_same_bits(res, _without_jumps(system, block, oa, cfg))
 
-    def test_no_jump_can_pay_on_a_3x3_system(self, oa):
+    def test_no_jump_can_pay_on_a_3x3_system(self, oa, monkeypatch):
         # A 3 x 3 step costs less than a jump saves, so a nonsymmetric 3 x 3
         # block tries none and leaves lambda_min((A + A^T)/2) uncomputed.
+        # The span priced is 559 steps, more than two passes of D = 256, so
+        # the cost model, not a short span, returns J = 1.
+        price, spans = dynamics._jump, []
+
+        def spy(n, k, steps, lookahead):
+            spans.append(steps)
+            return price(n, k, steps, lookahead)
+
+        monkeypatch.setattr(dynamics, "_jump", spy)
         system = build_feedback(_random_stable(1, 3))
         block = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 3))
         res, reached = _with_jumps(system, block, oa, SolveConfig(epsilon=1e-9))
         assert reached is None and "lambda_min" not in vars(system)
-        assert res.steps > 3 * 256  # long enough that a step count alone would not rule a jump out
+        assert spans[0] > 2 * 256 and res.steps > 3 * 256
         _assert_same_bits(res, _without_jumps(system, block, oa, SolveConfig(epsilon=1e-9)))
 
     @pytest.mark.parametrize(("norm_kind", "max_steps", "converging"), [("l2", 200_000, 8), ("a_norm", 5000, 3)])
