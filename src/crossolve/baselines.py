@@ -33,9 +33,15 @@ def conjugate_gradient(a, b, tol: float = 1e-8) -> CgResult:
     """Solve A x = b for symmetric positive-definite A from x(0) = 0.
 
     Stops when ||A x - b||_2 <= tol * ||b||_2, or unconverged after 10 n
-    iterations. Raises DomainError for a matrix that is not finite or not
-    equal to its transpose bit for bit, and when an indefinite direction
-    (p^T A p <= 0) is encountered.
+    iterations. The iteration updates its residual r by recurrence, which
+    drifts from b - A x by rounding and can fall far below the accuracy x
+    reaches (to 0 at tol = 0), so a stop the updated residual allows is
+    confirmed on the true residual b - A x; where that one does not pass,
+    the iteration restarts from it (residual replacement; van der Vorst and
+    Ye, SIAM J. Sci. Comput. 22, 2000), and a tol below what rounding
+    allows ends unconverged at the cap. Raises DomainError for a matrix that
+    is not finite or not equal to its transpose bit for bit, and when an
+    indefinite direction (p^T A p <= 0) is encountered.
     """
     a = _as_square(a)
     b = np.asarray(b, dtype=float)
@@ -67,8 +73,12 @@ def conjugate_gradient(a, b, tol: float = 1e-8) -> CgResult:
         x += gamma * p
         r -= gamma * ap
         if float(np.linalg.norm(r)) <= threshold:
-            converged = True
-            break
+            r = b - a @ x
+            if float(np.linalg.norm(r)) <= threshold:
+                converged = True
+                break
+            p, rs = r.copy(), float(r @ r)
+            continue
         rs_next = float(r @ r)
         p = r + (rs_next / rs) * p
         rs = rs_next

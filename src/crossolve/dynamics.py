@@ -32,18 +32,18 @@ with the same products, so that at large n the tests no longer cost as
 much as the product on every step. The trace of a single right-hand side
 reads its samples from the rows of each pass, so it changes neither D nor T.
 
-Most of a run is the long approach to epsilon while the error is still far
-above it, and none of those steps can stop the run. A block with
-lambda_M,min > 0 on an exactly symmetric A, or under the l2 norm on a
-nonsymmetric A whose symmetric part is positive definite, therefore first
-skips them: it advances all its columns together J steps per product,
-x <- P^J x + c_J, with P^J from repeated squaring, and keeps each jump only
-when a bound on the norms of the powers of P proves that no column could
-have stopped at any step the jump skipped (the certificate, its bound for
-a nonsymmetric A and their proof are in simulate). The
-passes then resume from the last certified state and test every later step
-as before. Skipped steps are still modeled steps: tau and the step counts
-include them.
+Most of a run is the long approach to epsilon, where no step can stop. A
+block with lambda_M,min > 0 on an exactly symmetric A, or under l2 on a
+nonsymmetric A with a positive definite symmetric part, therefore first
+skips those steps column by column, J per product, x <- P^J x + c_J, with
+P^J from repeated squaring, keeping a column's jump only when a bound on
+the powers of P proves that the column could not have stopped at a skipped
+step (proof in simulate). A column refused at J tries J/2, J/4, ... once
+each from its own state, so it leaves the ladder near its own reach, not
+where the block's first column was refused. The recurrence does not depend
+on the step index, so the passes then resume every column after its own
+reach, in the same products, and test every later step. tau and the step
+counts include the skipped steps.
 
 The states are stored one row per right-hand side, (k, T, n), so each
 product is X^T [P^T ... (P^D)^T] of shape (k x n)(n x D n) rather than
@@ -362,10 +362,16 @@ _MAX_JUMP = 1 << 12
 # epsilon by at least this fraction, far above the rounding that separates
 # a jump's states from the one-step states.
 _JUMP_SLACK = 1e-6
-# A block jumps only while n u C (1 + log2 J) max ||x*|| (1 + log2 J is J's bit
-# length) is at most this share of the slack _JUMP_SLACK epsilon (see simulate).
+# A column takes rung 2^j only while n u C_j (1 + j) ||x*|| is at most this
+# share of the slack _JUMP_SLACK epsilon (see simulate).
 _ROUNDING_SHARE = 0.1
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _costs(n: int, k: int, lookahead: int) -> tuple[float, float]:
+    """Seconds of one jump of a (k x n) block, its product and round of tests, and of one step of its passes."""
+    flops = 2.0 * k * n * n * _FLOP_S
+    return flops + _PASS_S, flops + _PASS_S / lookahead
 
 
 def _jump(n: int, k: int, steps: float, lookahead: int) -> int:
@@ -376,13 +382,14 @@ def _jump(n: int, k: int, steps: float, lookahead: int) -> int:
     the one-step passes would use. The squarings that give P^J cost
     log2(J) 2 n^3 flops and each jump one (k x n)(n x n) product and a round
     of tests, while each step a jump skips saves a step's 2 k n^2 flops and
-    1/D of a pass. The first jump that fails its certificate is wasted, and
-    up to J steps before it are left to the one-step passes. J is the power
-    of two, at most min(steps, _MAX_JUMP), that saves the most by this count,
-    or 1 where none saves anything.
+    1/D of a pass. The count takes the first jump that fails its certificate
+    as wasted and up to J steps before it as left to the one-step passes;
+    each column then descends the lower rungs from its own state (see
+    _certified_jumps) and leaves the passes fewer, so the count errs towards
+    a shorter J. J is the power of two, at most min(steps, _MAX_JUMP), that
+    saves the most by this count, or 1 where none saves anything.
     """
-    product = 2.0 * k * n * n * _FLOP_S + _PASS_S
-    step = 2.0 * k * n * n * _FLOP_S + _PASS_S / lookahead
+    product, step = _costs(n, k, lookahead)
     best, saved, jump = 1, 0.0, 2
     while jump <= min(steps, _MAX_JUMP):
         gain = (steps - jump) * step - (steps / jump + 1) * product - math.log2(jump) * 2.0 * n**3 * _FLOP_S
@@ -392,19 +399,20 @@ def _jump(n: int, k: int, steps: float, lookahead: int) -> int:
     return best
 
 
-def _growth(system: FeedbackSystem, alpha: float, jump: int) -> float:
-    """max(1, gamma)^J, a bound on ||S^i||_2 for every i <= J where S = I - alpha U^1/2 A U^1/2.
+def _growth(system: FeedbackSystem, alpha: float, jump: int) -> list[float]:
+    """[max(1, gamma)^2, max(1, gamma)^4, ..., max(1, gamma)^J] for J = jump: entry j - 1 bounds ||S^i||_2, i <= 2^j.
 
-    With K = U^1/2 A U^1/2, gamma^2 = 1 - 2 mu + alpha^2 ||K||_1 ||K||_inf
-    bounds ||S||_2^2 where mu = alpha u_min lambda_min((A + A^T)/2) (see
-    simulate). A is nonnegative, so K's largest row and column sums are its
+    S = I - alpha U^1/2 A U^1/2. With K = U^1/2 A U^1/2, gamma^2 = 1 - 2 mu +
+    alpha^2 ||K||_1 ||K||_inf bounds ||S||_2^2 where mu = alpha u_min
+    lambda_min((A + A^T)/2) (see simulate); it is formed once for all
+    rungs. A is nonnegative, so K's largest row and column sums are its
     two norms. The eigensolver's lambda_min errs by a small multiple of
     n eps ||A||_2 for the machine epsilon eps, and u_min ||A||_2 <= ||K||_2
     because K >= u_min A entrywise, so mu is taken with alpha 4 n eps
     sqrt(||K||_1 ||K||_inf) off. gamma^2 is then rounded up by
     8 eps (2 + alpha^2 ||K||_1 ||K||_inf), more than the rounding of the
     operations that form it. A growth beyond the largest double is returned
-    as inf, which leaves the certificate no room.
+    as inf, which leaves its rung no room.
     """
     u, a = system.u, system.a
     root = np.sqrt(u)
@@ -412,11 +420,14 @@ def _growth(system: FeedbackSystem, alpha: float, jump: int) -> float:
     eps = np.finfo(float).eps
     mu = alpha * (float(u.min()) * system.lambda_min - 4.0 * a.shape[0] * eps * math.sqrt(k_sq))
     pull = alpha * alpha * k_sq
-    gamma_sq = 1.0 - 2.0 * mu + pull + 8.0 * eps * (2.0 + pull)
-    try:
-        return math.pow(max(1.0, gamma_sq), jump / 2)
-    except OverflowError:
-        return math.inf
+    gamma_sq = max(1.0, 1.0 - 2.0 * mu + pull + 8.0 * eps * (2.0 + pull))
+    growth = []
+    for rung in range(1, jump.bit_length()):
+        try:
+            growth.append(math.pow(gamma_sq, 1 << (rung - 1)))
+        except OverflowError:
+            growth.append(math.inf)
+    return growth
 
 
 def _certified_jumps(
@@ -424,61 +435,133 @@ def _certified_jumps(
     block: np.ndarray,
     x_star: np.ndarray,
     alpha: float,
-    propagate: np.ndarray,
     drive: np.ndarray,
     screen: np.ndarray,
     cfg: SolveConfig,
-    jump: int,
     star_norm: np.ndarray,
-    spread: float,
-    reach: float,
+    spreads: list[float],
+    bounds: list[float],
+    cap: np.ndarray,
+    lookahead: int,
     energy: np.ndarray | None,
-) -> tuple[np.ndarray, int]:
-    """Advance a block from x(0) = 0 by J = jump > 1 steps per product while no column can stop.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance each column of a block from x(0) = 0 down a ladder of certified jumps: 2^L, then 2^(L-1), ... once each.
 
-    Returns the state rows (k, n) after step s, and s: the end of the last
-    jump whose certificate held for every column (0, with zero rows, where
-    none did). P^J and c_J come from repeated squaring, P^2m = P^m P^m and
-    c_2m = P^m c_m + c_m, starting from propagate = P and drive = c_1.
-    screen (the room ||x - x*||_2 has before the divergence test looks),
-    star_norm (each ||x*||_2), spread and reach (C_2' and C) and energy (A
-    under "a_norm", None under "l2") are simulate's; see it for the proof.
+    Returns the state rows (k, n) and each column's reach s_i, the step of
+    its last certified state (0, with a zero row, where it took no jump).
+    spreads and bounds hold C_2,j and C_j of the rungs 2, 4, ..., 2^L, cap
+    each column's highest rung, and lookahead the passes' D. Each column
+    jumps 2^L steps while its own certificate holds, the columns still
+    jumping in one product (a block whose passes cost mostly interpreter
+    time jumps as one, up to its first refusal), then tries each lower rung
+    once from its own state, down to the least that saves time, all columns
+    in one product per rung. P^(2^j) and c_(2^j) come from repeated squaring,
+    P^2m = P^m P^m and c_2m = P^m c_m + c_m, from P = I - alpha M (formed
+    here and freed once squared) and drive = c_1; a rung below the bottom is
+    freed once the next is formed, and each other rung once used. A column
+    that takes no jump resumes after step 0, so the block takes none unless
+    every column's step-0 error exceeds epsilon (1 + slack). screen,
+    star_norm and energy (A under "a_norm") are simulate's; see it for the proof.
     """
     n, k = block.shape
-    x = np.zeros((k, n))
+    x, reach = np.zeros((k, n)), np.zeros(k, dtype=np.int64)
+    start_sq = star_norm * star_norm  # ||e_s||_2^2 of each column's next start: ||e_0||_2 = ||x*||_2
+    start_run = start_sq if energy is None else np.vecdot(x_star, energy @ x_star, axis=0)
+    if start_run.min() <= (cfg.epsilon * (1.0 + _JUMP_SLACK)) ** 2:
+        return x, reach
     drift = alpha * (system.u[:, None] * (block - system.a @ x_star))  # g = alpha U (b - A x*)
     drift_l2 = np.sqrt(np.vecdot(drift, drift, axis=0))
-    # A start error within room keeps every ||x||_2 of the jump below the screen.
-    # An accepted jump's end is the next one's start, so it is checked there.
-    # The first start is checked before the squarings, which it does not need.
-    room = screen / spread - jump * drift_l2
-    room_sq = np.where(room > 0, room * room, -1.0)
-    if np.count_nonzero(star_norm * star_norm <= room_sq) < k:  # ||e_0||_2 = ||x*||_2
-        return x, 0
     drift_run = drift_l2 if energy is None else np.sqrt(np.vecdot(drift, energy @ drift, axis=0))
-    # An end error above bar leaves every error of the jump above epsilon (1 + slack).
-    bar = reach * (cfg.epsilon * (1.0 + _JUMP_SLACK) + jump * drift_run)
-    bar_sq = bar * bar
 
-    power, offset = propagate, drive
-    for _ in range(jump.bit_length() - 1):
-        offset = power @ offset + offset
-        power = power @ power
-    power_t = power.T
-    offset = np.ascontiguousarray(offset.T)
+    def room_sq(rung: int) -> np.ndarray:
+        # A start and end error within room keep every ||x||_2 of a jump of
+        # 2^rung below the screen; a column past its cap gets none.
+        room = np.where(cap >= rung, screen / spreads[rung - 1] - (1 << rung) * drift_l2, -1.0)
+        return np.where(room > 0, room * room, -1.0)
+
+    def bar_sq(rung: int) -> np.ndarray:
+        # An end error above bar leaves every skipped error above epsilon (1 + slack).
+        bar = bounds[rung - 1] * (cfg.epsilon * (1.0 + _JUMP_SLACK) + (1 << rung) * drift_run)
+        return bar * bar
+
+    # A lower rung, tried once by each column after a refusal above, skips
+    # half its 2^j steps on average: it pays where they cost the passes more
+    # than its product and its setup, about two passes' interpreter time.
+    product, step = _costs(n, k, lookahead)
+    bottom = min(len(spreads), math.floor(math.log2((product + 2.0 * _PASS_S) / step)) + 2)
+    # Squarings only up to the highest rung where some column's start fits.
+    top = len(spreads)
+    while top >= bottom:
+        fit = room_sq(top)
+        if np.count_nonzero(start_sq <= fit):
+            break
+        top -= 1
+    else:
+        return x, reach
+    power, offset, ladder = _propagator(system.m, alpha), drive, []
+    for rung in range(1, top + 1):
+        power, offset = power @ power, power @ offset + offset
+        if rung >= bottom:
+            ladder.append((power.T, offset.T))
+    del power, offset  # so that each rung is freed once used
     target = np.ascontiguousarray(x_star.T)
-    y, d = np.empty_like(x), np.empty_like(x)
-    s = 0
-    while s + jump < cfg.max_steps:
-        np.matmul(x, power_t, out=y)
-        y += offset
-        np.subtract(y, target, out=d)
+
+    # The top rung: the columns still jumping, gathered once per refusal,
+    # share a product. They go on apart only where the flops a jump skips,
+    # 2^L 2 k n^2, outweigh its product; a block whose passes cost mostly
+    # interpreter time jumps as one, so that its columns stop together.
+    power_t, shift = ladder.pop()
+    size, bar = 1 << top, bar_sq(top)
+    apart = size * (product - _PASS_S) > product
+    live = np.flatnonzero((start_sq <= fit) & (size < cfg.max_steps))
+    while live.size:
+        rows, plus, goal, high, wide = x[live], shift[live], target[live], bar[live], fit[live]
+        y, d = np.empty_like(rows), np.empty_like(rows)
+        room_jumps, taken = (cfg.max_steps - 1 - int(reach[live].max())) // size, 0
+        while taken < room_jumps:
+            np.matmul(rows, power_t, out=y)
+            y += plus
+            np.subtract(y, goal, out=d)
+            sq = np.vecdot(d, d)
+            q = sq if energy is None else np.vecdot(d, d @ energy)
+            kept = (q > high) & (sq <= wide)
+            if np.count_nonzero(kept) < live.size:
+                break
+            rows, y, end_sq, taken = y, rows, sq, taken + 1
+        if taken:
+            x[live], reach[live], start_sq[live] = rows, reach[live] + taken * size, end_sq
+        if taken < room_jumps:  # the columns kept by the refused jump take it
+            if not apart:
+                break
+            live = live[kept]
+            x[live], reach[live], start_sq[live] = y[kept], reach[live] + size, sq[kept]
+        live = live[reach[live] + size < cfg.max_steps]
+
+    # The rungs below: every column tries each once, from its own state.
+    for rung in range(top - 1, bottom - 1, -1):
+        power_t, shift = ladder.pop()
+        size, fit = 1 << rung, room_sq(rung)
+        y = x @ power_t
+        y += shift
+        d = y - target
         sq = np.vecdot(d, d)
         q = sq if energy is None else np.vecdot(d, d @ energy)
-        if np.count_nonzero((q > bar_sq) & (sq <= room_sq)) < k:
-            break
-        x, y, s = y, x, s + jump
-    return x, s
+        kept = (q > bar_sq(rung)) & (sq <= fit) & (start_sq <= fit) & (reach + size < cfg.max_steps)
+        x[kept], reach[kept], start_sq[kept] = y[kept], reach[kept] + size, sq[kept]
+    return x, reach
+
+
+def _propagator(m: np.ndarray, alpha: float) -> np.ndarray:
+    """P = I - alpha M, bit for bit np.eye(n) - alpha * m, in one n x n array.
+
+    Each entry is 0 - alpha m_ij, plus 1 on the diagonal, as the identity's
+    entries give it; 1 + (-t) is 1 - t exactly, and 0 - t keeps a zero
+    positive.
+    """
+    p = alpha * m
+    np.subtract(0.0, p, out=p)
+    p.flat[:: m.shape[0] + 1] += 1.0
+    return p
 
 
 def _stack_powers(propagate: np.ndarray, drive: np.ndarray, lookahead: int) -> tuple[np.ndarray, np.ndarray]:
@@ -611,73 +694,76 @@ def simulate(
     at least 16 for a single column; T changes no bit of the result,
     because the products and their order do not depend on it.
 
-    Certified jumps. A block (b of shape (n, k)) with lambda_M,min > 0 and
-    without include_gain_correction, on an exactly symmetric A (a == a.T
-    bit for bit) or, under "l2" only, on a nonsymmetric A whose symmetric
-    part (A + A^T)/2 is positive definite, first advances all its columns
-    together J steps per product, x <- P^J x + c_J, with J a power of two
-    that a cost model prices once, over the certificate's span
+    Certified jumps. A block with lambda_M,min > 0 and no
+    include_gain_correction, on an exactly symmetric A (a == a.T bit for
+    bit) or, under "l2" only, on a nonsymmetric A whose symmetric part is
+    positive definite, first skips steps column by column, 2^j per product,
+    x <- P^(2^j) x + c_(2^j). J, the top of this ladder of rungs 2^j, is a
+    power of two that a cost model prices once over the span
     ln(min ||x*||_2 / (C epsilon)) / (alpha lambda_M,min), C without its
-    growth below (1 means no jump; the price comes first, so a run it rules
-    out does no other work for the jumps, not even lambda_min((A + A^T)/2)).
-    A jump from step s is kept only when s + J < max_steps, and for every column
-    ||e_(s+J)|| > C (epsilon (1 + 1e-6) + J ||g||) in norm_kind and both
-    ||e_s||_2 and ||e_(s+J)||_2 (the next jump's start) are at most
-    screen / C_2' - J ||g||_2. Here e_t = x_t - x*, g = alpha U (b - A x*)
-    is the drift that the oracle's residual leaves, screen = 1e6 max(1,
-    ||x*||_2)(1 - 1e-9) - ||x*||_2 is the room before the divergence test,
-    and C_2' bounds every ||P^i||_2 with i <= J: C_2 = sqrt(u_max / u_min)
-    for a symmetric A, and C_2 max(1, gamma)^J for a nonsymmetric one, with
-    gamma below. C is C_2' for "l2" and 1 for "a_norm". At the first jump
-    refused, the passes resume after step s of the last jump kept, and
-    every stop, tau, column_steps, the divergence verdict and the max_steps
-    cut are decided on states computed step by step, as without jumps.
-    tau counts the skipped steps, which the loop models as before. A 1-D b
-    takes no jump, since its trace and max_slew read every step.
+    growth below (1 means no jump, and a run priced out does no other jump
+    work, not even lambda_min((A + A^T)/2)). A column's jump of 2^j from
+    step s is kept only when s + 2^j < max_steps,
+    ||e_(s+2^j)|| > C_j (epsilon (1 + 1e-6) + 2^j ||g||) in norm_kind, and
+    ||e_s||_2 and ||e_(s+2^j)||_2 are at most screen / C_2,j - 2^j ||g||_2.
+    Here e_t = x_t - x*, g = alpha U (b - A x*) is the drift the oracle's
+    residual leaves, screen = 1e6 max(1, ||x*||_2)(1 - 1e-9) - ||x*||_2 the
+    room before the divergence test, and C_2,j bounds ||P^i||_2 for
+    i <= 2^j: sqrt(u_max / u_min) = C_2 for a symmetric A,
+    C_2 max(1, gamma)^(2^j) for a nonsymmetric one. C_j is C_2,j under "l2"
+    and 1 under "a_norm". Each column jumps by J while its own certificate
+    holds, tries J/2, J/4, ... once each from its own state, and resumes the
+    passes after its own last certified step. A column takes a rung only
+    while the rounding premise below holds for it and its ||x*||, decayed at
+    alpha lambda_M,min over the jump, exceeds C_j epsilon; lower rungs run
+    only where they save time (see _certified_jumps). Every stop, tau,
+    column_steps, divergence verdict and max_steps cut is decided on states
+    computed step by step, and tau counts the skipped steps. A 1-D b takes
+    no jump: its trace and max_slew read every step.
 
-    Proof that no skipped step stops. e_(t+1) = P e_t + g, since x* solves
-    A x = b only up to its residual. With K = U^1/2 A U^1/2 and
-    S = I - alpha K, P = U^1/2 S U^-1/2, so ||P^i||_2 <= C_2 ||S^i||_2.
-    For a symmetric A, S is symmetric with the eigenvalues 1 - alpha
-    eig(M), which lie in (0, 1) because 0 < alpha lambda_M,min and
-    alpha rho(M) < 1; so ||S^i||_2 <= 1. In the energy norm,
-    A^1/2 P A^-1/2 = I - alpha A^1/2 U A^1/2 is symmetric with the same
-    eigenvalues (A is positive definite, as M = U A has positive
-    eigenvalues), so ||P^i||_A <= 1. For a nonsymmetric A (a logarithmic
-    norm bound; Soderlind, "The logarithmic norm", BIT 46, 2006), any x
-    has ||S x||^2 = ||x||^2 - 2 alpha x^T K_s x + alpha^2 ||K x||^2 with
-    K_s = U^1/2 (A + A^T)/2 U^1/2, where x^T K_s x >= u_min
-    lambda_min((A + A^T)/2) ||x||^2 for a positive definite symmetric part,
-    and ||K||_2^2 <= ||K||_1 ||K||_inf. So ||S||_2 <= gamma with gamma^2 =
-    1 - 2 alpha u_min lambda_min((A + A^T)/2) + alpha^2 ||K||_1 ||K||_inf,
-    and ||S^i||_2 <= max(1, gamma)^J for i <= J; gamma^2 is formed with an
-    allowance for the eigensolver's error in lambda_min and rounded up.
-    The energy-norm argument has no such counterpart, so a nonsymmetric A
-    jumps under "l2" only. For 0 <= j <= J, e_(s+J) = P^(J-j) e_(s+j)
-    + (P^0 + ... + P^(J-j-1)) g, so ||e_(s+J)|| <= C ||e_(s+j)|| +
-    J C ||g||. A skipped step with ||e_(s+j)|| <= epsilon (1 + 1e-6) would
-    leave ||e_(s+J)|| at or below the certificate's bar; a kept jump ends
-    above it, so each step it skips errs by more than epsilon (1 + 1e-6)
-    and cannot converge. The relative slack 1e-6 covers the rounding that
-    separates the jump's states from one-step states, and the last-bit
-    rounding of C, wherever the rounding premise below holds. Likewise
-    ||x_(s+j)||_2 <= ||x*||_2 + C_2' (||e_s||_2 + J ||g||_2) stays below
-    the divergence screen, so no skipped step can diverge, and
-    s + J < max_steps keeps the max_steps cut out of the jump. As under
-    D > 1, x_final may differ from the run without jumps in its last bits,
-    and a column whose error lies within rounding of epsilon may stop one
-    step earlier or later.
+    Proof that no skipped step stops. e_(t+1) = P e_t + g. With
+    K = U^1/2 A U^1/2 and S = I - alpha K, P = U^1/2 S U^-1/2, so
+    ||P^i||_2 <= C_2 ||S^i||_2. For a symmetric A, S is symmetric with the
+    eigenvalues 1 - alpha eig(M), in (0, 1) since 0 < alpha lambda_M,min and
+    alpha rho(M) < 1, so ||S^i||_2 <= 1; and A^1/2 P A^-1/2 is symmetric
+    with the same eigenvalues, so ||P^i||_A <= 1. For a nonsymmetric A (a
+    logarithmic-norm bound; Soderlind, BIT 46, 2006),
+    ||S x||^2 = ||x||^2 - 2 alpha x^T K_s x + alpha^2 ||K x||^2 with
+    K_s = U^1/2 (A + A^T)/2 U^1/2, x^T K_s x >= u_min
+    lambda_min((A + A^T)/2) ||x||^2 and ||K||_2^2 <= ||K||_1 ||K||_inf; so
+    ||S||_2 <= gamma, gamma^2 = 1 - 2 alpha u_min lambda_min((A + A^T)/2)
+    + alpha^2 ||K||_1 ||K||_inf (formed with an allowance for the
+    eigensolver and rounded up), and ||S^i||_2 <= max(1, gamma)^(2^j) for
+    i <= 2^j. The energy norm has no such bound, so a nonsymmetric A jumps
+    under "l2" only. For a jump of J' = 2^j and 0 <= i <= J',
+    e_(s+J') = P^(J'-i) e_(s+i) + (P^0 + ... + P^(J'-i-1)) g, so
+    ||e_(s+J')|| <= C_j (||e_(s+i)|| + J' ||g||): a skipped step with
+    ||e_(s+i)|| <= epsilon (1 + 1e-6) would leave the end at or below the
+    bar, so a kept jump skips no converging step. The slack 1e-6 covers the
+    rounding between jump and one-step states, and that of C_j, wherever
+    the rounding premise holds. Likewise ||x_(s+i)||_2 <= ||x*||_2 +
+    C_2,j (||e_s||_2 + J' ||g||_2) stays below the screen, and
+    s + J' < max_steps keeps the cut out of the jump. The room shrinks as
+    the rungs grow, so a kept end fits every lower rung as a start. A
+    column's recurrence involves no other column, and row i of X^T [P^T ...]
+    reads row i of X^T alone, so its certificate holds whatever the others
+    do; and since the recurrence does not depend on the step index, the
+    passes hold each column at its own step, s_i + 1 + (pass) T + t, the
+    offset read only at a stop or the max_steps cut. A column that took no
+    jump restarts from x(0) = 0 after step 0, which is certified too: the
+    block takes no jump unless every ||e_0|| = ||x*|| in norm_kind exceeds
+    epsilon (1 + 1e-6). As under D > 1, x_final may differ in its last bits,
+    and a stop within rounding of epsilon may move by one step.
 
-    Rounding premise. A computed product P x + c errs by at most about
-    n u (|P| |x| + |c|) entrywise for the unit roundoff u = 2^-53 (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 3).
-    A jump's state takes such an error from its product and each of the
-    log2 J squarings, carried by powers of P bounded by C (growth included),
-    so it differs from the one-step state by about n u C (1 + log2 J)
-    max ||x*||, in norm_kind with ||x*||_A^2 read as x*^T b. Jumps are taken
-    only while that is at most a tenth of the slack 1e-6 epsilon; far past
-    it, rounding, not the circuit, decides when an error crosses epsilon
-    (Higham, ch. 17), and a jump could move a stop by several steps.
+    Rounding premise. A computed P x + c errs by about n u (|P| |x| + |c|)
+    entrywise for the unit roundoff u = 2^-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2002, ch. 3), so a jump's
+    state, with errors from its product and the j squarings that form
+    P^(2^j), carried by powers bounded by C_j, differs from the one-step
+    state by about n u C_j (1 + j) ||x*|| in norm_kind (||x*||_A^2 read as
+    x*^T b), each column by its own. A column takes rung 2^j only while that
+    is at most a tenth of the slack 1e-6 epsilon; far past it rounding, not
+    the circuit, decides when an error crosses epsilon (Higham, ch. 17).
 
     A column converges when its error against the direct-solve oracle first
     drops to epsilon or below. Under include_gain_correction the loop settles
@@ -735,8 +821,10 @@ def simulate(
     top, low = max(norms), min(norms)
     predicted = math.log(top / cfg.epsilon) / (alpha * lam_min) if lam_min > 0 and top > cfg.epsilon else 0.0
     lookahead = _lookahead(n, min(predicted, max_steps))
-    propagate = np.eye(n) - alpha * m_eff
-    last, base = np.zeros((k, n)), 0  # the state before the first pass, and that pass's first step
+    # The state before the first pass, each column's offset and the pass's
+    # first step: column i's state j of a pass is step lead[i] + base + j.
+    last, lead, base = np.zeros((k, n)), np.zeros(k, dtype=np.int64), 0
+    ahead = 0  # the largest offset, against which each pass tests the max_steps cut
     u = system.u.tolist()
     spread = math.sqrt(max(u) / min(u))  # C_2
     reach = spread if energy is None else 1.0  # C for a symmetric A
@@ -745,24 +833,43 @@ def simulate(
         span = math.log(low / (reach * cfg.epsilon)) / (alpha * lam_min)
     jump = _jump(n, k, span, lookahead)
     if jump > 1 and (system.symmetric or (energy is None and system.lambda_min > 0)):
-        if not system.symmetric:  # l2 only: ||P^i||_2 <= C_2 max(1, gamma)^J for i <= J
-            spread = reach = spread * _growth(system, alpha, jump)
-        top_run = top if energy is None else math.sqrt(max(0.0, float(np.vecdot(x_star, block, axis=0).max())))
-        if n * _UNIT_ROUNDOFF * reach * jump.bit_length() * top_run <= _ROUNDING_SHARE * _JUMP_SLACK * cfg.epsilon:
-            last, start = _certified_jumps(
-                system, block, x_star, alpha, propagate, drive, screen, cfg, jump, star_norm, spread, reach, energy
+        rungs = jump.bit_length() - 1
+        # C_2,j of the rungs 2, 4, ..., J; l2 only for a nonsymmetric A: ||P^i||_2 <= C_2 max(1, gamma)^(2^j) for i <= 2^j
+        spreads = [spread] * rungs if system.symmetric else [spread * growth for growth in _growth(system, alpha, jump)]
+        bounds = spreads if energy is None else [reach] * rungs  # C_j of each rung
+        # A column takes rung 2^j only while n u C_j (1 + j) ||x*|| (its own,
+        # in norm_kind) fits the rounding share, and while its ||x*||, decayed
+        # at the rate alpha lambda_M,min over 2^j steps, still exceeds C_j epsilon,
+        # as _jump asks of J over the span. Both tests tighten as j grows, so
+        # cap, each column's highest rung, counts the rungs that pass.
+        run = star_norm if energy is None else np.sqrt(np.maximum(0.0, np.vecdot(x_star, block, axis=0)))
+        scale = np.array(bounds)[:, None]
+        rounding = n * _UNIT_ROUNDOFF * scale * np.arange(2, rungs + 2)[:, None] * run
+        decay = np.exp(-alpha * lam_min * np.exp2(np.arange(1.0, rungs + 1.0)))[:, None]
+        fits = (rounding <= _ROUNDING_SHARE * _JUMP_SLACK * cfg.epsilon) & (run * decay > scale * cfg.epsilon)
+        cap = np.count_nonzero(fits, axis=0)
+        usable = int(cap.max())
+        # The top rung carries the bulk of the jumps and pays wherever one
+        # jump costs less than the steps of the passes it skips (_jump's count).
+        product, step = _costs(n, k, lookahead)
+        if usable and (1 << usable) * step > product:
+            last, lead = _certified_jumps(
+                system, block, x_star, alpha, drive, screen, cfg, star_norm, spreads[:usable], bounds[:usable], cap, lookahead, energy
             )
-            if start:  # the passes resume after the last certified step
-                base = start + 1
+            ahead = int(lead.max())
+            if ahead:  # every column resumes after its own last certified step
+                base = 1
     batch = _batch(lookahead, k)
-    powers, offsets = _stack_powers(propagate, drive, lookahead)
+    powers, offsets = _stack_powers(_propagator(m_eff, alpha), drive, lookahead)
     powers_t = np.ascontiguousarray(powers.T)  # [P^T ... (P^D)^T], (n, D n)
     offsets = np.ascontiguousarray(offsets.transpose(2, 0, 1))  # (k, D, n)
 
-    # One buffer holds each pass: row j holds column j's states after steps
-    # base .. base + T - 1, and last the state before them, copied from the
-    # buffer's final states at the end of every pass. Product 0 advances
-    # last; the first pass holds x(0) = 0, c_1, ..., c_(D-1) in its place.
+    # One buffer holds each pass: the row of column i holds its states after
+    # steps lead[i] + base .. lead[i] + base + T - 1, and last
+    # the state before them, copied from the buffer's final states at the end
+    # of every pass.
+    # Product 0 advances last; the first pass of a block that took no jump
+    # holds x(0) = 0, c_1, ..., c_(D-1) in its place.
     states = np.zeros((k, batch, n))
     states[:, 1:lookahead] = offsets[:, :-1]
     products = _products(states, lookahead)
@@ -773,7 +880,7 @@ def simulate(
     target[...] = x_star.T[:, None]
     cols = np.arange(k)  # original index of each column still in the block
     x_final = np.empty((n, k))
-    column_steps = np.zeros(k, dtype=np.int64)
+    column_steps = np.zeros(k, dtype=np.int64)  # the steps after each column's offset, until the loop ends
     converged = np.zeros(k, dtype=bool)
     diverged = np.zeros(k, dtype=bool)
     max_dx = 0.0  # a single right-hand side's largest |dx_i| over the steps taken
@@ -796,14 +903,15 @@ def simulate(
             first = -base % stride
             kept = slice(first, batch, stride)
             samples += zip(range(base + first, base + batch, stride), states[0, kept].copy(), q[0, kept])
-        cut = max_steps - base  # the state of step max_steps; later ones are never taken
-        if np.count_nonzero(conv) or np.count_nonzero(near) or cut < batch:
+        if np.count_nonzero(conv) or np.count_nonzero(near) or max_steps - base - ahead < batch:
             div = near & ~conv
             if np.count_nonzero(div):
                 div &= np.sqrt(np.vecdot(states, states)) > blow_up[:, None]
             stop = conv | div
-            if cut < batch:
-                stop[:, cut] = True
+            if max_steps - base - ahead < batch:
+                cut = max_steps - base - lead[cols]  # each column's state of step max_steps; later ones are never taken
+                late = np.flatnonzero(cut < batch)
+                stop[late, cut[late]] = True
             # each column's first stopping step in the pass, or T for a column that runs on
             stop_at = np.where(stop.any(axis=1), stop.argmax(axis=1), batch)
             if single:
@@ -831,6 +939,8 @@ def simulate(
         last[...] = states[:, -1]
         base += batch
 
+    if ahead:
+        column_steps += lead
     tau = column_steps * alpha / oa.gbw
     if not single:
         return SolveResult(

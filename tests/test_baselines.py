@@ -74,6 +74,18 @@ class TestConjugateGradient:
         assert not res.converged
         assert res.iterations == 16
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-17, 1e-12, 1e-8, 1e-3])
+    def test_converged_means_the_true_residual_passed(self, tol):
+        # The updated residual underflows to 0 at iteration 391 (tol = 0) and
+        # drops below 1e-17 at iteration 54, while ||A x - b|| / ||b|| stays
+        # near 1e-15: those two tolerances cannot be met and time out at 10 n.
+        a = sparse_pd(50, s=8, lambda_target=0.01, seed=1)
+        b = np.ones(50)
+        res = conjugate_gradient(a, b, tol=tol)
+        true = np.linalg.norm(a @ res.x - b) / np.linalg.norm(b)
+        assert res.converged == (tol >= 1e-12)
+        assert true <= tol if res.converged else res.iterations == 500
+
     def test_shape_checks(self):
         with pytest.raises(DomainError):
             conjugate_gradient(np.ones((2, 3)), np.ones(2))

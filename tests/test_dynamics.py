@@ -21,6 +21,7 @@ from crossolve import (
     StabilityError,
     UsageError,
     build_feedback,
+    child_seed,
     covariance_matrix,
     direct_solve,
     invert_matrix,
@@ -1159,16 +1160,17 @@ def _without_jumps(system, b, oa, cfg):
         return simulate(system, b, oa, cfg)
 
 
-def _with_jumps(system, b, oa, cfg):
-    """simulate, and the step its certified jumps reached (None where it tried none).
+def _with_jumps(system, b, oa, cfg, rungs=None):
+    """simulate, and the step each column's certified jumps reached (None where it tried none).
 
-    The run prices its jump once, and the certified jumps take that J.
+    The run prices its jump once, and the ladder of certified jumps tops out
+    at that J, or at its rung 2^rungs where the rounding share cuts it lower.
     """
     rule, price, reached, priced = dynamics._certified_jumps, dynamics._jump, [], []
 
-    def spy(system, block, x_star, alpha, propagate, drive, screen, cfg, jump, *args):
-        assert jump == priced[-1] > 1
-        out = rule(system, block, x_star, alpha, propagate, drive, screen, cfg, jump, *args)
+    def spy(system, block, x_star, alpha, drive, screen, cfg, star_norm, spreads, *args):
+        assert priced[-1] > 1 and len(spreads) == (rungs or priced[-1].bit_length() - 1)
+        out = rule(system, block, x_star, alpha, drive, screen, cfg, star_norm, spreads, *args)
         reached.append(out[1])
         return out
 
@@ -1189,13 +1191,19 @@ def _assert_jumps_keep_stops(system, n, k, oa, cfg):
     block = np.random.default_rng(n + k).uniform(-1.0, 1.0, (n, k))
     res, reached = _with_jumps(system, block, oa, cfg)
     ref = _without_jumps(system, block, oa, cfg)
-    assert reached > 0  # the run skipped steps
+    assert reached.min() > 0  # every column skipped steps
+    assert res.converged.all()
+    _assert_same_stops(res, ref)
+
+
+def _assert_same_stops(res, ref):
+    """Two block results agree in every stop, tau and verdict, and each column's x_final up to rounding."""
     assert np.array_equal(res.column_steps, ref.column_steps)
-    assert np.array_equal(res.converged, ref.converged) and res.converged.all()
+    assert np.array_equal(res.converged, ref.converged)
     assert np.array_equal(res.diverged, ref.diverged)
     assert res.tau.tobytes() == ref.tau.tobytes() and res.steps == ref.steps
-    scale = max(1.0, float(np.abs(ref.x_final).max()))
-    assert np.abs(res.x_final - ref.x_final).max() <= 1e-12 * scale
+    scale = np.maximum(1.0, np.abs(ref.x_final).max(axis=0))
+    assert np.all(np.abs(res.x_final - ref.x_final).max(axis=0) <= 1e-12 * scale)
 
 
 def _triangular(n: int, c: float) -> np.ndarray:
@@ -1242,7 +1250,8 @@ class TestCertifiedJumps:
         assert not system.symmetric
         if n == 300:
             alpha, _ = resolve_step(system, oa, SolveConfig())
-            assert dynamics._growth(system, alpha, 2) > 1.0
+            (growth,) = dynamics._growth(system, alpha, 2)  # the one rung of J = 2
+            assert growth > 1.0
         _assert_jumps_keep_stops(system, n, k, oa, SolveConfig())
 
     @pytest.mark.parametrize(
@@ -1256,68 +1265,64 @@ class TestCertifiedJumps:
         ids=["rram300", "stable40", "stable12_long_step", "triangular"],
     )
     def test_growth_bounds_the_powers(self, a, alpha_fraction, oa):
-        # max(1, gamma)^J bounds ||S^i||_2 for every i <= J, S = I - alpha U^1/2 A U^1/2.
+        # Rung 2^j's max(1, gamma)^(2^j) bounds ||S^i||_2 for every i <= 2^j, S = I - alpha U^1/2 A U^1/2.
         system = build_feedback(a)
         alpha, _ = resolve_step(system, oa, SolveConfig(alpha_fraction=alpha_fraction))
         root = np.sqrt(system.u)
         s = np.eye(a.shape[0]) - alpha * root[:, None] * a * root[None, :]
-        gamma_sq = dynamics._growth(system, alpha, 2)
+        (gamma_sq,) = dynamics._growth(system, alpha, 2)
         assert np.linalg.norm(s, 2) ** 2 <= gamma_sq
+        growth = dynamics._growth(system, alpha, 16)  # the rungs 2, 4, 8 and 16
+        assert growth[0] == gamma_sq and len(growth) == 4
         power = np.eye(a.shape[0])
-        for _ in range(16):
+        for i in range(1, 17):
             power = power @ s
-            assert np.linalg.norm(power, 2) <= dynamics._growth(system, alpha, 16)
+            assert np.linalg.norm(power, 2) <= growth[max(0, (i - 1).bit_length() - 1)]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("k", [1, 3])
     def test_growth_past_the_largest_double_takes_no_jump(self, k, oa, monkeypatch):
         # On D^1/2 (I + 1.9 (ones above the diagonal)) D^1/2 at n = 16 with
         # D = diag(1e-3 .. 1), alpha_fraction = 0.5 gives gamma^2 = 3.93,
-        # and epsilon = 1e-3 (with n u max ||x*||_2 under 0.5% of the slack
-        # 1e-6 epsilon) gives a span long enough for J = 2048 at k = 1, where
-        # max(1, gamma)^J = 3.93^1024 lies beyond the largest double, and
-        # J = 1024 at k = 3, where it is about 3e304. The first reads as inf
-        # without an overflow. Folded into C, either puts the rounding bound
-        # n u C (1 + log2 J) max ||x*|| far past its share of the slack, so
-        # the block never enters the certificate. With that check lifted
-        # (an unbounded share), the growth leaves the first start no room,
-        # which refuses the jump before any squaring. Either way the block
-        # pays no squaring, and the result is the one without jumps bit for bit.
+        # and epsilon = 1e-3 gives a span long enough for J = 2048 at k = 1,
+        # where max(1, gamma)^J = 3.93^1024 lies beyond the largest double,
+        # and J = 1024 at k = 3, where it is about 3e304. The first reads as
+        # inf without an overflow. Each rung 2^j takes its own growth
+        # 3.93^(2^(j-1)) and each column its own rounding bound
+        # n u C (1 + j) ||x*||, so the rounding share admits the short rungs
+        # only: 2 and 4 at k = 1, and 2 at k = 3, whose columns' ||x*||_2 are
+        # larger. With that check lifted
+        # (an unbounded share), a rung still needs C_2 max(1, gamma)^(2^j)
+        # epsilon below ||x*|| decayed over one jump, which cuts every rung
+        # from 32 up (C_2 max(1, gamma)^32 = 5.5e9). At n = 16 the passes take
+        # D = 256 steps per product, so none of the short rungs left can pay
+        # for a jump, and the block is not offered the ladder. Either way the
+        # block pays no squaring, and the result is the one without jumps
+        # bit for bit.
         root = np.sqrt(np.logspace(-3.0, 0.0, 16))
         system = build_feedback(root[:, None] * _triangular(16, 1.9) * root[None, :])
         cfg = SolveConfig(epsilon=1e-3, alpha_fraction=0.5)
         block = np.random.default_rng(16).uniform(-1.0, 1.0, (16, k))
-        growth, rule, calls, products, reached = dynamics._growth, dynamics._certified_jumps, [], [], []
-
-        class Counted(np.ndarray):
-            def __matmul__(self, other):
-                products.append(other.shape)
-                return np.asarray(self) @ other
+        growth, calls, offered = dynamics._growth, [], []
 
         def spy_growth(*args):
             calls.append((args[2], growth(*args)))
             return calls[-1][1]
 
-        def spy_rule(system, block, x_star, alpha, propagate, *args):
-            out = rule(system, block, x_star, alpha, propagate.view(Counted), *args)
-            reached.append(out[1])
-            return out
-
         monkeypatch.setattr(dynamics, "_growth", spy_growth)
-        monkeypatch.setattr(dynamics, "_certified_jumps", spy_rule)
+        monkeypatch.setattr(dynamics, "_certified_jumps", lambda *args: offered.append(args))
         ref = _without_jumps(system, block, oa, cfg)
-        for share, entered in ((dynamics._ROUNDING_SHARE, []), (math.inf, [0])):
+        for share in (dynamics._ROUNDING_SHARE, math.inf):
             monkeypatch.setattr(dynamics, "_ROUNDING_SHARE", share)
             calls.clear()
-            reached.clear()
             res = simulate(system, block, oa, cfg)
             (jump, bound), = calls
-            assert jump == {1: 2048, 3: 1024}[k] and bound > 1e300 and (bound == math.inf) == (k == 1)
-            assert reached == entered and products == []
+            assert jump == {1: 2048, 3: 1024}[k] and len(bound) == jump.bit_length() - 1 and offered == []
+            assert bound[-1] > 1e300 and (bound[-1] == math.inf) == (k == 1)
             _assert_same_bits(res, ref)
 
     @pytest.mark.parametrize("k", [1, 3])
-    def test_a_dip_below_epsilon_is_not_jumped(self, k, oa):
+    def test_a_dip_below_epsilon_is_not_jumped(self, k, oa, monkeypatch):
         """The l2 error dips to epsilon at step 40 and then rises 1.4-fold; the column stops at the dip.
 
         A = [[0.1, c], [c, 1e5]] spreads u 1100-fold (C = 33), so P = U^1/2 S U^-1/2
@@ -1325,6 +1330,8 @@ class TestCertifiedJumps:
         under U^1/2 nearly cancel at step 40. A jump over the dip ends with an
         error below C epsilon, which the certificate refuses; with C taken
         as 1 it would pass, and the column would stop some 16000 steps late.
+        A pass priced at 1e-9 s makes the lower rungs of the ladder pay, so
+        the run is repeated with them tried over the dip as well.
         """
         a = np.array([[0.1, 0.0], [0.0, 1e5]])
         a[0, 1] = a[1, 0] = 0.9 * math.sqrt(a[0, 0] * a[1, 1])
@@ -1345,10 +1352,84 @@ class TestCertifiedJumps:
         assert errors[40] == min(errors) and errors[199] > 1.3 * epsilon and errors[0] > spread * epsilon
         block = np.column_stack([b, -b, 2.0 * b][:k])
         cfg = SolveConfig(epsilon=epsilon)
+        for pass_s in (dynamics._PASS_S, 1e-9):
+            monkeypatch.setattr(dynamics, "_PASS_S", pass_s)
+            res, reached = _with_jumps(system, block, oa, cfg)
+            ref = _without_jumps(system, block, oa, cfg)
+            assert reached is not None and res.column_steps[0] == 40
+            assert np.array_equal(res.column_steps, ref.column_steps) and res.converged.all()
+
+    @pytest.mark.parametrize(("norm_kind", "reach_apart"), [("l2", 400), ("a_norm", 400)])
+    def test_each_column_jumps_to_its_own_reach(self, norm_kind, reach_apart, oa):
+        # Columns scaled by 1, 10^3 and 10^6 stop some 450 steps apart. Each
+        # jumps as long as its own certificate holds, so the first two jump to
+        # within a few dozen steps of their stops (366 and 800 under l2),
+        # while the third, whose n u C (1 + j) ||x*|| is past the rounding
+        # share at every rung, steps from x(0) = 0 in the same passes.
+        system = build_feedback(covariance_matrix(100, 1.0))
+        block = np.random.default_rng(100).uniform(-1.0, 1.0, (100, 3)) * np.array([1.0, 1e3, 1e6])
+        cfg = SolveConfig(epsilon=1e-2, norm_kind=norm_kind)
         res, reached = _with_jumps(system, block, oa, cfg)
         ref = _without_jumps(system, block, oa, cfg)
-        assert reached is not None and res.column_steps[0] == 40
-        assert np.array_equal(res.column_steps, ref.column_steps) and res.converged.all()
+        assert reached[0] > 0 and reached[1] - reached[0] > reach_apart and reached[2] == 0
+        assert np.all(np.diff(res.column_steps) > 400) and res.converged.all()
+        assert np.all((res.column_steps - reached)[:2] < 64)  # a column that jumped steps only its last few dozen steps
+        _assert_same_stops(res, ref)
+
+    @pytest.mark.parametrize("max_steps", [500, 600, 761, 800])
+    def test_max_steps_cut_while_a_column_jumps(self, max_steps, oa):
+        # Column 0 stops at step 366 whatever the cut; column 1 would jump to
+        # step 752 and stop at 800, and column 2 steps from 0 to 1258. A cut
+        # at 500 or 600 lands while column 1 still jumps, so its jumps stop
+        # short of the cut and the passes take it there.
+        system = build_feedback(covariance_matrix(100, 1.0))
+        block = np.random.default_rng(100).uniform(-1.0, 1.0, (100, 3)) * np.array([1.0, 1e3, 1e6])
+        cfg = SolveConfig(epsilon=1e-2, max_steps=max_steps)
+        res, reached = _with_jumps(system, block, oa, cfg)
+        ref = _without_jumps(system, block, oa, cfg)
+        assert 0 < reached[0] < 366 and 0 < reached[1] < max_steps and reached[2] == 0
+        assert res.column_steps.tolist() == [366, min(800, max_steps), max_steps]
+        assert res.converged.tolist() == [True, max_steps >= 800, False] and not res.diverged.any()
+        _assert_same_stops(res, ref)
+
+    def test_each_rung_takes_its_own_growth(self, oa):
+        # On I + 1.9 (ones above the diagonal) at n = 100 the cost model
+        # prices J = 128, and C_2 max(1, gamma)^128 at the top put the
+        # rounding bound past its share, so the block took no jump. Each rung
+        # takes its own growth and rounding bound, and rungs 2 and 4 carry
+        # the columns past step 66 000 of their 85 530-93 896 steps.
+        system = build_feedback(_triangular(100, 1.9))
+        block = np.random.default_rng(100).uniform(-1.0, 1.0, (100, 3))
+        res, reached = _with_jumps(system, block, oa, SolveConfig(), rungs=2)
+        ref = _without_jumps(system, block, oa, SolveConfig())
+        assert reached.min() > 66_000 and res.converged.all()
+        assert np.array_equal(res.column_steps, ref.column_steps) and res.tau.tobytes() == ref.tau.tobytes()
+        assert np.array_equal(res.converged, ref.converged) and np.array_equal(res.diverged, ref.diverged)
+
+    def test_a_column_converged_at_step_0_keeps_the_block_from_jumping(self, oa):
+        # x* = 3 epsilon along the slowest eigenvector of A, whose
+        # lambda_min(A) is 0.05, has ||x*||_2 above epsilon, so the block
+        # prices J = 64, but ||x*||_A = 0.67 epsilon: under a_norm that column
+        # stops at step 0. A column that takes no jump resumes its passes
+        # after step 0, so the block takes none, and the stop at step 0 stands.
+        a = sparse_pd(60, s=10, lambda_target=0.05, seed=4)
+        system = build_feedback(a)
+        slowest = np.linalg.eigh(a)[1][:, 0]
+        block = np.column_stack([a @ (3e-3 * slowest), np.random.default_rng(0).uniform(-1.0, 1.0, (60, 2))])
+        res, reached = _with_jumps(system, block, oa, A_NORM)
+        assert not reached.any() and res.column_steps[0] == 0 and res.converged.all()
+        _assert_same_bits(res, _without_jumps(system, block, oa, A_NORM))
+
+    def test_one_step_tail_of_a_scaling_block(self, oa):
+        # scaling's n = 300 ideal block at seed 0: covariance_matrix(300, 1.0)
+        # with 25 right-hand sides. Jumps that ended for the whole block at its
+        # first refusal left 5105 column-steps to the one-step passes; each
+        # column's own descent leaves about 1200. A count, not a timing.
+        system = build_feedback(covariance_matrix(300, 1.0))
+        block = np.column_stack([random_vector(300, seed=child_seed(0, 4, k)) for k in range(25)])
+        res, reached = _with_jumps(system, block, oa, SolveConfig())
+        assert int((res.column_steps - reached).sum()) <= 5105 // 3
+        assert np.array_equal(res.column_steps, _without_jumps(system, block, oa, SolveConfig()).column_steps)
 
     @pytest.mark.parametrize(
         ("cfg", "factor"),
@@ -1370,9 +1451,9 @@ class TestCertifiedJumps:
         assert np.array_equal(res.column_steps, ref.column_steps) and np.array_equal(res.converged, ref.converged)
         assert not res.diverged.any() and not ref.diverged.any()
         if cfg.max_steps == 300:
-            assert reached > 0 and np.count_nonzero(res.column_steps == 300) == 3 - np.count_nonzero(res.converged)
+            assert reached.min() > 0 and np.count_nonzero(res.column_steps == 300) == 3 - np.count_nonzero(res.converged)
         else:
-            assert reached == 0
+            assert not reached.any()
             _assert_same_bits(res, ref)
 
     @pytest.mark.parametrize(
