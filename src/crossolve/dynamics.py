@@ -23,6 +23,9 @@ P = I - alpha M, from stacked powers of P of degree D (the matrix powers
 kernel of s-step Krylov methods; Demmel, Hoemmen, Mohiyuddin and Yelick,
 IPDPS 2008). D is chosen from n and the step count that eig(M) predicts:
 at most 256, reached at n <= 16, and 1 (one step per product) at large n.
+A block whose every column took a certified jump (below) chooses D again
+from the steps its passes have left, so it builds no more powers than its
+tail can use.
 The loop settles in a time set by the smallest eigenvalue of M, not by n,
 so even a 3 x 3 system takes hundreds of steps. Each pass of the loop
 fills T states with T/D such products and runs the stopping tests once
@@ -128,6 +131,7 @@ class FeedbackSystem:
     a: np.ndarray
     u: np.ndarray
     m: np.ndarray
+    placed_lambda_min: float | None = field(default=None, repr=False, compare=False)
     _solved: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
@@ -181,15 +185,36 @@ class FeedbackSystem:
 
     @cached_property
     def lambda_min(self) -> float:
-        """Smallest eigenvalue of (a + a^T)/2."""
+        """Smallest eigenvalue of (a + a^T)/2: placed_lambda_min where build_feedback was handed it."""
+        if self.placed_lambda_min is not None:
+            return self.placed_lambda_min
         return sym_part_lambda_min(self.a)
 
 
-def build_feedback(a) -> FeedbackSystem:
-    """Wrap a nonnegative square matrix into its feedback-loop form."""
+def build_feedback(a, lambda_min: float | None = None) -> FeedbackSystem:
+    """Wrap a nonnegative square matrix into its feedback-loop form.
+
+    lambda_min, when given, is lambda_min((a + a^T)/2) as the caller already
+    holds it, and the system reports it in place of a symmetric eigensolve.
+    It must agree with that eigensolve to within its rounding, as the value
+    sparse_pd places does: there a = a0 + t I with t = lambda - l0 and
+    l0 = eigvalsh(a0)[0], for a nonnegative, diagonally dominant a0 with at
+    most s nonzeros a row. Take the eigensolver to be exact for a matrix
+    within n u of its own two-norm, u = 2^-53 (Weyl's inequality and the
+    solver's backward stability; Golub and Van Loan, Matrix Computations,
+    4th ed., 2013, 8.1). Then l0 errs by n u ||a0||_2, the shift and the
+    diagonal add by u (|t| + ||a||_2), and a recomputed eigvalsh(a)[0] by
+    n u ||a||_2. On the heaviest off-diagonal pair of a0, weight w, the
+    vectors e_i +- e_j give lambda_max(a0) - lambda_min(a0) >= 2 w, while
+    a0's diagonal is at most (s - 1) w; so lambda_min(a0) <=
+    (1 - 2/s) lambda_max(a0). With t >= -lambda_min(a0) and t <= lambda <=
+    ||a||_2, this gives ||a0||_2 and |t| at most max(1, s/2) ||a||_2. Up to
+    terms in u^2, lambda and eigvalsh(a)[0] then differ by at most
+    (max(1, s/2) + 1)(n + 1) u ||a||_2, which is 12 n u ||a||_2 at s <= 10.
+    """
     a = _as_square(a)
     u = attenuation(a)
-    return FeedbackSystem(a=a, u=u, m=u[:, None] * a)
+    return FeedbackSystem(a=a, u=u, m=u[:, None] * a, placed_lambda_min=None if lambda_min is None else float(lambda_min))
 
 
 @dataclass
@@ -336,10 +361,12 @@ _ACCUMULATE_BELOW = 16
 def _lookahead(n: int, steps: float) -> int:
     """Degree D of the stacked powers: the steps one product advances an n x n system.
 
-    steps is the step count the run is predicted to take. D is the cost
-    model's optimum, clamped to [1, _MAX_LOOKAHEAD] and to D n^2 <=
-    _STACK_DOUBLES: up to 256 at n <= 16, 1 at n > 181, and 1 wherever the
-    run is too short for the powers to pay for themselves.
+    steps is the step count the passes are predicted to take: the whole
+    run's, or, where every column of a block took a certified jump, the
+    run's less the smallest jump reach. D is the cost model's optimum,
+    clamped to [1, _MAX_LOOKAHEAD] and to D n^2 <= _STACK_DOUBLES: up to
+    256 at n <= 16, 1 at n > 181, and 1 wherever the steps left are too few
+    for the powers to pay for themselves.
 
     At n = 3 the optimum is about 1400 and the cap binds. A block stops its
     columns only at the end of a pass, so past some D the steps computed
@@ -687,8 +714,9 @@ def simulate(
     module docstring). Each pass of the loop fills T states with T/D
     products and scans all T for the stopping tests, so every step is
     still tested. D comes from n and the step count that lambda_M,min
-    predicts; it is 1 for large n, where the loop is the one-step
-    recurrence. Under D > 1, x_final may differ in its last bits from
+    predicts, less the smallest reach where every column jumped (below);
+    it is 1 for large n, where the loop is the one-step recurrence. Under
+    D > 1, x_final may differ in its last bits from
     one-at-a-time stepping, and a column whose error lies within rounding
     of epsilon may stop one step earlier or later. T is D for a block and
     at least 16 for a single column; T changes no bit of the result,
@@ -859,6 +887,8 @@ def simulate(
             ahead = int(lead.max())
             if ahead:  # every column resumes after its own last certified step
                 base = 1
+            if lead.min():  # every column jumped: D for the steps the passes have left
+                lookahead = _lookahead(n, min(predicted, max_steps) - int(lead.min()))
     batch = _batch(lookahead, k)
     powers, offsets = _stack_powers(_propagator(m_eff, alpha), drive, lookahead)
     powers_t = np.ascontiguousarray(powers.T)  # [P^T ... (P^D)^T], (n, D n)

@@ -598,9 +598,8 @@ def _sparse_task(
     b = _unit_vector(n, child_seed(spec.seed, i, 2))
     cg = conjugate_gradient(a, b, tol=cfg.epsilon)
     realized_s = np.count_nonzero(a) / n  # nonzeros per row actually placed, at most s
-    return _system_records(
-        spec, build_feedback(a), [b], oa, cfg, i, "", beta_or_s=realized_s, cg_iterations=cg.iterations
-    )[0]
+    system = build_feedback(a, lambda_min=lam_target)  # sparse_pd placed lambda_min(A) at lam_target
+    return _system_records(spec, system, [b], oa, cfg, i, "", beta_or_s=realized_s, cg_iterations=cg.iterations)[0]
 
 
 def _run_sparse_suite(spec: ExperimentSpec, p: dict):

@@ -124,6 +124,23 @@ class TestStabilityReport:
         assert stability_report(build_feedback(a)).lambda_min == np.linalg.eigvalsh(a)[0]
 
     @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 200),
+        s=st.integers(1, 10),
+        lam=st.floats(1e-3, 10.0),
+    )
+    def test_placed_lambda_min_is_within_rounding_of_eigvalsh(self, seed, n, s, lam):
+        # build_feedback's docstring bounds the gap between the lambda_min
+        # sparse_pd places and a recomputed one by (max(1, s/2) + 1)(n + 1) u ||a||_2.
+        s = min(s, n)
+        a = sparse_pd(n, s=s, lambda_target=lam, seed=seed)
+        system = build_feedback(a, lambda_min=lam)
+        assert stability_report(system).lambda_min == lam
+        gap = abs(lam - crossolve.spectral.sym_part_lambda_min(a))
+        assert gap <= (max(1.0, s / 2) + 1.0) * (n + 1) * (np.finfo(float).eps / 2) * np.linalg.norm(a, 2)
+
+    @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3))
     def test_lambda_min_of_discrete_pd_is_screen_value(self, seed, dim):
         a, lam = _screened_draw(dim, seed)
@@ -1211,6 +1228,36 @@ def _triangular(n: int, c: float) -> np.ndarray:
     return np.eye(n) + c * np.triu(np.ones((n, n)), 1)
 
 
+def _even_pair() -> FeedbackSystem:
+    """[[1, c], [c, 1]] with c = 0.99/1.01: equal row sums, so C_2 = sqrt(u_max / u_min) = 1 exactly.
+
+    P is symmetric with the eigenvalues 0.9 (along (1, 1)) and 0.999 (along
+    (1, -1)), so alpha lambda_M,min = 1e-3 at the default step.
+    """
+    c = 0.99 / 1.01
+    return build_feedback(np.array([[1.0, c], [c, 1.0]]))
+
+
+def _jumps_against(system, block, x_star, cfg, rungs, screen):
+    """_certified_jumps from x(0) = 0 against x_star as given, on rungs 2 .. 2^rungs with C_j = 1: alpha and each column's reach."""
+    alpha, _ = resolve_step(system, OpAmpModel(), cfg)
+    drive = alpha * (system.u[:, None] * block)
+    star_norm = np.linalg.norm(x_star, axis=0)
+    ones, cap = [1.0] * rungs, np.full(block.shape[1], rungs)
+    _, reach = dynamics._certified_jumps(system, block, x_star, alpha, drive, screen, cfg, star_norm, ones, ones, cap, 1, None)
+    return alpha, reach
+
+
+def _one_step_errors(system, block, x_star, alpha, steps):
+    """||x_t - x_star||_2 of the one-step states t = 0 .. steps from x(0) = 0, one row per step."""
+    p, drive = np.eye(block.shape[0]) - alpha * system.m, alpha * (system.u[:, None] * block)
+    x, errors = np.zeros_like(block), np.empty((steps + 1, block.shape[1]))
+    for t in range(steps + 1):
+        errors[t] = np.linalg.norm(x - x_star, axis=0)
+        x = p @ x + drive
+    return errors
+
+
 class TestCertifiedJumps:
     """A block skips steps by P^J only where no column can stop."""
 
@@ -1532,6 +1579,95 @@ class TestCertifiedJumps:
         res, reached = _with_jumps(system, block, oa, cfg)
         assert reached is None and np.count_nonzero(res.converged) == converging
         _assert_same_bits(res, _without_jumps(system, block, oa, cfg))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [30, 100, 150])
+    def test_a_sparse_column_stops_where_one_step_stepping_does(self, n, seed, oa):
+        # sparse_suite's shape: one unit right-hand side, run as the block
+        # (n, 1), which jumps and then steps its tail at the tail's D. The
+        # reference takes one step per product and no jump.
+        a = sparse_pd(n, s=10, lambda_target=0.1 + np.random.default_rng(seed).random(), seed=seed)
+        b = random_vector(n, seed=seed)
+        system, block = build_feedback(a), (b / np.linalg.norm(b))[:, None]
+        res, reached = _with_jumps(system, block, oa, SolveConfig())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "_MAX_LOOKAHEAD", 1)
+            patch.setattr(dynamics, "_MAX_JUMP", 1)
+            ref = simulate(system, block, oa, SolveConfig())
+        assert reached[0] > 0 and res.converged.all()
+        _assert_same_stops(res, ref)
+
+    def test_the_passes_size_their_powers_to_the_steps_left(self, oa, monkeypatch):
+        # On covariance_matrix(30, 1.0), columns scaled by 1 and 10^3 jump to
+        # steps 256 and 640, so the passes build D = 36 for the steps the run
+        # has left after step 256, not the whole run's 45. A third column,
+        # scaled by 10^6, takes no jump and steps from x(0) = 0, so its block
+        # keeps the D chosen for the whole run.
+        stack, built = dynamics._stack_powers, []
+
+        def spy(propagate, drive, lookahead):
+            built.append(lookahead)
+            return stack(propagate, drive, lookahead)
+
+        monkeypatch.setattr(dynamics, "_stack_powers", spy)
+        system, cfg = build_feedback(covariance_matrix(30, 1.0)), SolveConfig(epsilon=1e-2)
+        alpha, _ = resolve_step(system, oa, cfg)
+        block = np.random.default_rng(100).uniform(-1.0, 1.0, (30, 3)) * np.array([1.0, 1e3, 1e6])
+        for columns in (2, 3):
+            built.clear()
+            res, reached = _with_jumps(system, block[:, :columns], oa, cfg)
+            top = float(np.linalg.norm(res.x_star, axis=0).max())
+            predicted = math.log(top / cfg.epsilon) / (alpha * system.lambda_m_min)
+            whole = dynamics._lookahead(30, predicted)
+            if columns == 2:
+                tail = dynamics._lookahead(30, predicted - reached.min())
+                assert reached.min() == 256 and built == [tail] and tail < whole
+            else:
+                assert reached.min() == 0 and built == [whole]
+
+    def test_each_column_clears_its_own_drift(self):
+        """An oracle x* that A x* = b misses leaves a drift g, and each column's bar carries its own J ||g||.
+
+        On _even_pair, b along the slow mode (1, -1) gives x_t = (1 - r^t) x_b
+        with r = 0.999. Column 0 is measured against x* = (1 - c) x_b with
+        c ||x_b|| = 2 epsilon, so its error |c - r^t| ||x_b|| dips to 0 and
+        stays at or below epsilon over steps 9693-10790, then rises towards
+        2 epsilon. Its jump 8192 -> 12288 ends at 1.78 epsilon: above the
+        bar epsilon (1 + 1e-6) without the drift 2^12 ||g|| = 8.2 epsilon,
+        so only that term refuses it. Column 1 is measured against its own
+        solve and carries no drift, so its bar is the smallest of the block.
+        """
+        system, cfg = _even_pair(), SolveConfig(max_steps=20_000)
+        slow = np.array([1.0, -1.0]) / math.sqrt(2.0)
+        x_b = np.column_stack([48.8 * slow, 1e3 * slow])
+        block = system.a @ x_b
+        x_star = x_b.copy()
+        x_star[:, 0] *= 1.0 - 2.0 * cfg.epsilon / 48.8
+        screen = np.full(2, 1e6)
+        alpha, reach = _jumps_against(system, block, x_star, cfg, 12, screen)
+        errors = _one_step_errors(system, block, x_star, alpha, 13_000)
+        assert np.count_nonzero(errors[:, 0] <= cfg.epsilon) > 1000  # the dip
+        assert 8192 <= reach[0] < 9693 and reach[1] > 12_000
+        for column in range(2):
+            assert np.all(errors[: reach[column] + 1, column] > cfg.epsilon)
+
+    def test_a_jump_ends_within_its_room(self):
+        """A jump's end must fit the room, screen / C_2,j - 2^j ||g||_2, since it starts the next jump.
+
+        Against x* = -x_b the error (2 - r^t) ||x_b|| grows from ||x_b|| towards
+        2 ||x_b||, past a screen at 1.9 ||x_b||. The first jump of 256 ends at
+        1.23 ||x_b||, within the room 1.39 ||x_b||; the second would end at
+        1.40 ||x_b||, outside it, and from there the jumps would go on past
+        the screen, where simulate's divergence test could have fired.
+        """
+        system, cfg = _even_pair(), SolveConfig(max_steps=20_000)
+        x_b = 10.0 * np.array([[1.0], [-1.0]]) / math.sqrt(2.0)
+        block, x_star = system.a @ x_b, -x_b
+        screen = np.array([1.9 * 10.0])
+        alpha, reach = _jumps_against(system, block, x_star, cfg, 8, screen)
+        assert reach[0] >= 256
+        errors = _one_step_errors(system, block, x_star, alpha, reach[0])
+        assert np.all(errors <= screen) and np.all(errors > cfg.epsilon)
 
     def test_rule(self):
         # J is a power of two no longer than the steps it may cover; a step of

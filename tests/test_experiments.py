@@ -443,9 +443,9 @@ class TestSparseSuiteScenario:
         """beta_or_s and the CG cost fit read the sparsity that was built, not the requested s."""
         matrices = []
 
-        def recorded(a):
+        def recorded(a, **placed):
             matrices.append(a)
-            return build_feedback(a)
+            return build_feedback(a, **placed)
 
         monkeypatch.setattr(crossolve.experiments, "build_feedback", recorded)
         params = {"systems": 6, "lambda_range": [0.9, 1.0]}
@@ -657,6 +657,25 @@ def test_records_bytes_pinned(tmp_path, scenario, params, digests):
     assert written == digests
 
 
+def test_only_sparse_suite_skips_the_symmetric_part_eigensolve(tmp_path, monkeypatch):
+    """sparse_suite reports the lambda_min that sparse_pd placed; lambda_sweep and scaling compute one per matrix."""
+    solve, build = crossolve.dynamics.sym_part_lambda_min, crossolve.experiments.build_feedback
+    solved, built = [], []
+    monkeypatch.setattr(crossolve.dynamics, "sym_part_lambda_min", lambda a: solved.append(a) or solve(a))
+    monkeypatch.setattr(crossolve.experiments, "build_feedback", lambda *args, **kw: built.append(args) or build(*args, **kw))
+    runs = [
+        ("sparse_suite", {"systems": 5}, 5),
+        ("lambda_sweep", {"systems": 4, "vectors_per_system": 2}, 4),
+        ("scaling", {"sizes": (3, 10, 30), "vectors_per_size": 2}, 6),
+    ]
+    for scenario, params, matrices in runs:
+        solved.clear()
+        built.clear()
+        run_experiment(ExperimentSpec(scenario, seed=0, output_dir=tmp_path / scenario, parameters=params))
+        assert len(built) == matrices
+        assert len(solved) == (0 if scenario == "sparse_suite" else matrices)
+
+
 # Runs sparse_suite on systems of n >= 151, where the last bits of sparse_pd's
 # eigvalsh depend on the OpenBLAS thread count, and prints records.csv.
 _BLAS_THREADS_RUN = """
@@ -680,6 +699,34 @@ def test_records_do_not_depend_on_blas_threads():
         written.append(proc.stdout)
     assert written[0].count("\n") == 5
     assert written[0] == written[1]
+
+
+# Maps four tasks over two worker processes inside a pinned run and prints
+# how many threads each worker's process holds when its task runs.
+_WORKER_THREADS_RUN = """
+import functools, os
+from crossolve.experiments import _map_tasks
+from crossolve.spectral import _one_blas_thread
+
+def threads(_):
+    return len(os.listdir("/proc/self/task"))
+
+with _one_blas_thread():
+    print(*_map_tasks([functools.partial(threads, i) for i in range(4)], 2))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_pool_workers_of_a_pinned_run_start_no_blas_thread():
+    # Without any *_THREADS variable OpenBLAS sizes its pool to the host; a
+    # worker forked from a pinned run inherits one thread, and setting it to
+    # one again would start the pool anew.
+    path = os.pathsep.join(filter(None, [str(Path(crossolve.experiments.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    env = {key: value for key, value in os.environ.items() if not key.endswith("_THREADS")}
+    env["PYTHONPATH"] = path
+    proc = subprocess.run([sys.executable, "-c", _WORKER_THREADS_RUN], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"] * 4
 
 
 # Imports crossolve, runs the demo transient and prints whether scipy.linalg

@@ -244,6 +244,29 @@ class TestOpenBlasRuntimes:
         for function in runtimes[index]:
             assert _address(function) == _address(getattr(lib, function.__name__))
 
+    def test_pins_a_count_only_where_it_differs(self, monkeypatch):
+        # Setting a count starts a forked worker's OpenBLAS pool again, so a
+        # runtime already at one thread is not pinned again; the run's end
+        # sets every count back.
+        counts, sets = [1, 4], []
+
+        def runtime(i):
+            def set_threads(count):
+                sets.append((i, count))
+                counts[i] = count
+
+            return set_threads, lambda: counts[i]
+
+        monkeypatch.setattr(crossolve.spectral, "_openblas_runtimes", lambda: (runtime(0), runtime(1)))
+        with crossolve.spectral._one_blas_thread():
+            assert counts == [1, 1] and sets == [(1, 1)]
+        assert counts == [1, 4] and sets == [(1, 1), (0, 1), (1, 4)]
+        sets.clear()
+        crossolve.spectral._pin_blas_threads()
+        assert counts == [1, 1] and sets == [(1, 1)]
+        crossolve.spectral._pin_blas_threads()
+        assert sets == [(1, 1)]
+
     def test_sets_and_reads_the_thread_count(self):
         runtimes = crossolve.spectral._openblas_runtimes()
         if not runtimes:
