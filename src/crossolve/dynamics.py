@@ -44,9 +44,9 @@ the powers of P proves that the column could not have stopped at a skipped
 step (proof in simulate). A column refused at J tries J/2, J/4, ... once
 each from its own state, so it leaves the ladder near its own reach, not
 where the block's first column was refused. The recurrence does not depend
-on the step index, so the passes then resume every column after its own
-reach, in the same products, and test every later step. tau and the step
-counts include the skipped steps.
+on the step index, so the passes then start every column at its own
+reach, in the same products, and test it and every later step. tau and
+the step counts include the skipped steps.
 
 The states are stored one row per right-hand side, (k, T, n), so each
 product is X^T [P^T ... (P^D)^T] of shape (k x n)(n x D n) rather than
@@ -462,6 +462,7 @@ def _certified_jumps(
     block: np.ndarray,
     x_star: np.ndarray,
     alpha: float,
+    propagate: np.ndarray,
     drive: np.ndarray,
     screen: np.ndarray,
     cfg: SolveConfig,
@@ -475,7 +476,9 @@ def _certified_jumps(
     """Advance each column of a block from x(0) = 0 down a ladder of certified jumps: 2^L, then 2^(L-1), ... once each.
 
     Returns the state rows (k, n) and each column's reach s_i, the step of
-    its last certified state (0, with a zero row, where it took no jump).
+    its last certified state, at which simulate's first pass starts it. A
+    column that takes no jump keeps x(0) = 0 and s_i = 0, as does one whose
+    step-0 error is epsilon or less, which its cap and certificate refuse.
     spreads and bounds hold C_2,j and C_j of the rungs 2, 4, ..., 2^L, cap
     each column's highest rung, and lookahead the passes' D. Each column
     jumps 2^L steps while its own certificate holds, the columns still
@@ -483,19 +486,14 @@ def _certified_jumps(
     time jumps as one, up to its first refusal), then tries each lower rung
     once from its own state, down to the least that saves time, all columns
     in one product per rung. P^(2^j) and c_(2^j) come from repeated squaring,
-    P^2m = P^m P^m and c_2m = P^m c_m + c_m, from P = I - alpha M (formed
-    here and freed once squared) and drive = c_1; a rung below the bottom is
-    freed once the next is formed, and each other rung once used. A column
-    that takes no jump resumes after step 0, so the block takes none unless
-    every column's step-0 error exceeds epsilon (1 + slack). screen,
-    star_norm and energy (A under "a_norm") are simulate's; see it for the proof.
+    P^2m = P^m P^m and c_2m = P^m c_m + c_m, from propagate = P = I - alpha M
+    and drive = c_1; each rung is freed once used, or below the bottom once
+    the next is formed. screen, star_norm and energy (A under "a_norm") are
+    simulate's; see it for the proof.
     """
     n, k = block.shape
     x, reach = np.zeros((k, n)), np.zeros(k, dtype=np.int64)
     start_sq = star_norm * star_norm  # ||e_s||_2^2 of each column's next start: ||e_0||_2 = ||x*||_2
-    start_run = start_sq if energy is None else np.vecdot(x_star, energy @ x_star, axis=0)
-    if start_run.min() <= (cfg.epsilon * (1.0 + _JUMP_SLACK)) ** 2:
-        return x, reach
     drift = alpha * (system.u[:, None] * (block - system.a @ x_star))  # g = alpha U (b - A x*)
     drift_l2 = np.sqrt(np.vecdot(drift, drift, axis=0))
     drift_run = drift_l2 if energy is None else np.sqrt(np.vecdot(drift, energy @ drift, axis=0))
@@ -525,7 +523,7 @@ def _certified_jumps(
         top -= 1
     else:
         return x, reach
-    power, offset, ladder = _propagator(system.m, alpha), drive, []
+    power, offset, ladder = propagate, drive, []
     for rung in range(1, top + 1):
         power, offset = power @ power, power @ offset + offset
         if rung >= bottom:
@@ -648,22 +646,22 @@ def _batch(lookahead: int, columns: int) -> int:
     return lookahead * -(-_BATCH_STEPS // lookahead)
 
 
-def _products(states: np.ndarray, lookahead: int) -> list[tuple[np.ndarray | None, np.ndarray, np.ndarray]]:
+def _products(states: np.ndarray, last: np.ndarray, lookahead: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The (source, out, rows) views of each product that fills states in one pass.
 
     states has shape (k, T, n), one row of T states per right-hand side.
     Product i advances the state before step i D by 1 .. D steps into
     states i D .. i D + D - 1: source is that state for every column, (k, n)
-    (None for i = 0, whose source is the loop's carry), out is the D states
-    flattened to the (k, D n) shape of X [P^T ... (P^D)^T], and rows the
-    same states, (k, D, n), for adding the offsets. Every view shares
-    memory with states, so the products write the states in place. The
-    out views put the long side D n of each product along their rows, the
-    orientation BLAS runs fastest (see the module docstring).
+    (the loop's carry last for i = 0), out is the D states flattened to the
+    (k, D n) shape of X [P^T ... (P^D)^T], and rows the same states,
+    (k, D, n), for adding the offsets. out and rows share memory with
+    states, so the products write the states in place, along the rows of
+    each product's long side D n, as BLAS runs fastest (module docstring).
+    simulate's first pass starts in state 0 and runs no product 0.
     """
     k, n = states.shape[0], states.shape[2]
     return [
-        (states[:, i - 1] if i else None, states[:, i : i + lookahead].reshape(k, lookahead * n), states[:, i : i + lookahead])
+        (states[:, i - 1] if i else last, states[:, i : i + lookahead].reshape(k, lookahead * n), states[:, i : i + lookahead])
         for i in range(0, states.shape[1], lookahead)
     ]
 
@@ -716,9 +714,11 @@ def simulate(
     still tested. D comes from n and the step count that lambda_M,min
     predicts, less the smallest reach where every column jumped (below);
     it is 1 for large n, where the loop is the one-step recurrence. Under
-    D > 1, x_final may differ in its last bits from
-    one-at-a-time stepping, and a column whose error lies within rounding
-    of epsilon may stop one step earlier or later. T is D for a block and
+    D > 1, x_final may differ in its last bits from one-at-a-time stepping.
+    Where the rounding premise below holds, a stop within rounding of
+    epsilon may move by one step; nearer the attainable accuracy the order
+    of the products decides it (by up to 139 steps at epsilon = 1e-11; see
+    ROADMAP.md, item 12). T is D for a block and
     at least 16 for a single column; T changes no bit of the result,
     because the products and their order do not depend on it.
 
@@ -740,8 +740,8 @@ def simulate(
     i <= 2^j: sqrt(u_max / u_min) = C_2 for a symmetric A,
     C_2 max(1, gamma)^(2^j) for a nonsymmetric one. C_j is C_2,j under "l2"
     and 1 under "a_norm". Each column jumps by J while its own certificate
-    holds, tries J/2, J/4, ... once each from its own state, and resumes the
-    passes after its own last certified step. A column takes a rung only
+    holds, tries J/2, J/4, ... once each from its own state, and starts its
+    passes at its own last certified step. A column takes a rung only
     while the rounding premise below holds for it and its ||x*||, decayed at
     alpha lambda_M,min over the jump, exceeds C_j epsilon; lower rungs run
     only where they save time (see _certified_jumps). Every stop, tau,
@@ -776,12 +776,12 @@ def simulate(
     column's recurrence involves no other column, and row i of X^T [P^T ...]
     reads row i of X^T alone, so its certificate holds whatever the others
     do; and since the recurrence does not depend on the step index, the
-    passes hold each column at its own step, s_i + 1 + (pass) T + t, the
-    offset read only at a stop or the max_steps cut. A column that took no
-    jump restarts from x(0) = 0 after step 0, which is certified too: the
-    block takes no jump unless every ||e_0|| = ||x*|| in norm_kind exceeds
-    epsilon (1 + 1e-6). As under D > 1, x_final may differ in its last bits,
-    and a stop within rounding of epsilon may move by one step.
+    passes hold each column at its own step, s_i + (pass) T + t, the offset
+    read only at a stop or the max_steps cut. The first pass tests each
+    column's start, x(0) = 0 or its last certified state, so a column whose
+    step-0 error is epsilon or less, refused every rung, stops at step 0
+    while the others jump. As under D > 1, x_final may differ in its last
+    bits, and a stop within rounding of epsilon may move by one step.
 
     Rounding premise. A computed P x + c errs by about n u (|P| |x| + |c|)
     entrywise for the unit roundoff u = 2^-53 (Higham, Accuracy and
@@ -849,10 +849,10 @@ def simulate(
     top, low = max(norms), min(norms)
     predicted = math.log(top / cfg.epsilon) / (alpha * lam_min) if lam_min > 0 and top > cfg.epsilon else 0.0
     lookahead = _lookahead(n, min(predicted, max_steps))
-    # The state before the first pass, each column's offset and the pass's
-    # first step: column i's state j of a pass is step lead[i] + base + j.
+    # Each column's start, x(0) = 0 or its last certified state, its step and
+    # the pass's first step: column i's state j of a pass is step lead[i] + base + j.
     last, lead, base = np.zeros((k, n)), np.zeros(k, dtype=np.int64), 0
-    ahead = 0  # the largest offset, against which each pass tests the max_steps cut
+    propagate = _propagator(m_eff, alpha)
     u = system.u.tolist()
     spread = math.sqrt(max(u) / min(u))  # C_2
     reach = spread if energy is None else 1.0  # C for a symmetric A
@@ -882,27 +882,27 @@ def simulate(
         product, step = _costs(n, k, lookahead)
         if usable and (1 << usable) * step > product:
             last, lead = _certified_jumps(
-                system, block, x_star, alpha, drive, screen, cfg, star_norm, spreads[:usable], bounds[:usable], cap, lookahead, energy
+                system, block, x_star, alpha, propagate, drive, screen, cfg, star_norm,
+                spreads[:usable], bounds[:usable], cap, lookahead, energy,
             )
-            ahead = int(lead.max())
-            if ahead:  # every column resumes after its own last certified step
-                base = 1
             if lead.min():  # every column jumped: D for the steps the passes have left
                 lookahead = _lookahead(n, min(predicted, max_steps) - int(lead.min()))
+    ahead = int(lead.max())  # the largest offset, against which each pass tests the max_steps cut
     batch = _batch(lookahead, k)
-    powers, offsets = _stack_powers(_propagator(m_eff, alpha), drive, lookahead)
+    powers, offsets = _stack_powers(propagate, drive, lookahead)
     powers_t = np.ascontiguousarray(powers.T)  # [P^T ... (P^D)^T], (n, D n)
     offsets = np.ascontiguousarray(offsets.transpose(2, 0, 1))  # (k, D, n)
 
     # One buffer holds each pass: the row of column i holds its states after
-    # steps lead[i] + base .. lead[i] + base + T - 1, and last
-    # the state before them, copied from the buffer's final states at the end
-    # of every pass.
-    # Product 0 advances last; the first pass of a block that took no jump
-    # holds x(0) = 0, c_1, ..., c_(D-1) in its place.
-    states = np.zeros((k, batch, n))
-    states[:, 1:lookahead] = offsets[:, :-1]
-    products = _products(states, lookahead)
+    # steps lead[i] + base .. lead[i] + base + T - 1, and last the state
+    # before them, copied from the buffer's final states after every pass.
+    # The first pass starts at last itself, in slot 0 where its tests see it;
+    # one product with P .. P^(D-1) stands in for product 0 and, from
+    # x(0) = 0, gives c_1, ..., c_(D-1) bit for bit.
+    states = np.empty((k, batch, n))
+    states[:, 0] = last
+    states[:, 1:lookahead] = (last @ powers_t[:, : (lookahead - 1) * n]).reshape(k, -1, n) + offsets[:, :-1]
+    products = _products(states, last, lookahead)
     # The oracle of the columns still in the block, repeated for every state
     # of a pass: a broadcast along the middle axis would cut the subtraction
     # into k T runs of n elements, 2-4 times slower at k = 25.
@@ -919,7 +919,7 @@ def simulate(
 
     while True:
         for source, out, rows in products if base else products[1:]:
-            np.matmul(last if source is None else source, powers_t, out=out)
+            np.matmul(source, powers_t, out=out)
             rows += offsets
         d = states - target
         sq = np.vecdot(d, d)
@@ -961,7 +961,7 @@ def simulate(
                 if not np.count_nonzero(live):
                     break
                 states, last, offsets = states[live], last[live], offsets[live]
-                products = _products(states, lookahead)
+                products = _products(states, last, lookahead)
                 target = target[live]
                 blow_up, screen_sq, cols = blow_up[live], screen_sq[live], cols[live]
         elif single:
@@ -969,8 +969,7 @@ def simulate(
         last[...] = states[:, -1]
         base += batch
 
-    if ahead:
-        column_steps += lead
+    column_steps += lead
     tau = column_steps * alpha / oa.gbw
     if not single:
         return SolveResult(

@@ -1123,13 +1123,13 @@ class TestLayout:
         # A view that silently became a copy would drop its product's states.
         n = 4
         batch = dynamics._batch(lookahead, 1 if single else 2)
-        states = np.zeros((k, batch, n))
-        products = dynamics._products(states, lookahead)
+        states, last = np.zeros((k, batch, n)), np.zeros((k, n))
+        products = dynamics._products(states, last, lookahead)
         assert len(products) == batch // lookahead
         for i, (source, out, rows) in enumerate(products):
             # product 0 starts from the state before the pass, which the loop carries outside the buffer
             if i == 0:
-                assert source is None
+                assert source is last
             else:
                 assert source.shape == (k, n) and np.shares_memory(source, states)
             assert out.shape == (k, lookahead * n) and np.shares_memory(out, states)
@@ -1139,6 +1139,32 @@ class TestLayout:
                 assert np.array_equal(source, np.full((k, n), i))
         # the outs tile the buffer: each state is written by exactly the product that owns it
         assert np.array_equal(states, np.broadcast_to((np.arange(batch) // lookahead + 1)[None, :, None], states.shape))
+
+    @pytest.mark.parametrize(("n", "k"), [(3, 1), (3, 3), (30, 1), (30, 25)])
+    def test_a_first_pass_from_zero_holds_the_offsets(self, n, k, oa, monkeypatch):
+        # A column that takes no jump starts its first pass at x(0) = 0: slot 0
+        # holds 0, and the one product of the zero state with P .. P^(D-1)
+        # gives _stack_powers' c_1 .. c_(D-1) bit for bit.
+        products, first = dynamics._products, []
+
+        def spy(states, last, lookahead):
+            if not first:
+                first.append(states[:, :lookahead].copy())
+            return products(states, last, lookahead)
+
+        monkeypatch.setattr(dynamics, "_products", spy)
+        monkeypatch.setattr(dynamics, "_MAX_JUMP", 1)
+        system, cfg = build_feedback(covariance_matrix(n, 1.0)), SolveConfig()
+        block = np.random.default_rng(n + k).uniform(-1.0, 1.0, (n, k))
+        simulate(system, block[:, 0] if k == 1 else block, oa, cfg)
+        (states,) = first
+        lookahead = states.shape[1]
+        alpha, _ = resolve_step(system, oa, cfg)
+        drive = alpha * (system.u[:, None] * block)
+        offsets = dynamics._stack_powers(dynamics._propagator(system.m, alpha), drive, lookahead)[1]
+        assert lookahead > 1
+        assert states[:, 0].tobytes() == np.zeros((k, n)).tobytes()
+        assert states[:, 1:].tobytes() == np.ascontiguousarray(offsets[:-1].transpose(2, 0, 1)).tobytes()
 
     @pytest.mark.parametrize("n", [3, 30, 100, 300])
     @pytest.mark.parametrize("k", [1, 25])
@@ -1185,9 +1211,9 @@ def _with_jumps(system, b, oa, cfg, rungs=None):
     """
     rule, price, reached, priced = dynamics._certified_jumps, dynamics._jump, [], []
 
-    def spy(system, block, x_star, alpha, drive, screen, cfg, star_norm, spreads, *args):
+    def spy(system, block, x_star, alpha, propagate, drive, screen, cfg, star_norm, spreads, *args):
         assert priced[-1] > 1 and len(spreads) == (rungs or priced[-1].bit_length() - 1)
-        out = rule(system, block, x_star, alpha, drive, screen, cfg, star_norm, spreads, *args)
+        out = rule(system, block, x_star, alpha, propagate, drive, screen, cfg, star_norm, spreads, *args)
         reached.append(out[1])
         return out
 
@@ -1244,7 +1270,10 @@ def _jumps_against(system, block, x_star, cfg, rungs, screen):
     drive = alpha * (system.u[:, None] * block)
     star_norm = np.linalg.norm(x_star, axis=0)
     ones, cap = [1.0] * rungs, np.full(block.shape[1], rungs)
-    _, reach = dynamics._certified_jumps(system, block, x_star, alpha, drive, screen, cfg, star_norm, ones, ones, cap, 1, None)
+    propagate = dynamics._propagator(system.m, alpha)
+    _, reach = dynamics._certified_jumps(
+        system, block, x_star, alpha, propagate, drive, screen, cfg, star_norm, ones, ones, cap, 1, None
+    )
     return alpha, reach
 
 
@@ -1453,19 +1482,21 @@ class TestCertifiedJumps:
         assert np.array_equal(res.column_steps, ref.column_steps) and res.tau.tobytes() == ref.tau.tobytes()
         assert np.array_equal(res.converged, ref.converged) and np.array_equal(res.diverged, ref.diverged)
 
-    def test_a_column_converged_at_step_0_keeps_the_block_from_jumping(self, oa):
+    def test_a_column_converged_at_step_0_stops_there_while_the_others_jump(self, oa):
         # x* = 3 epsilon along the slowest eigenvector of A, whose
         # lambda_min(A) is 0.05, has ||x*||_2 above epsilon, so the block
         # prices J = 64, but ||x*||_A = 0.67 epsilon: under a_norm that column
-        # stops at step 0. A column that takes no jump resumes its passes
-        # after step 0, so the block takes none, and the stop at step 0 stands.
+        # stops at step 0. Its own cap and certificate refuse it every rung,
+        # so its passes start at x(0) = 0 and test step 0, while the other
+        # two columns jump past step 4000.
         a = sparse_pd(60, s=10, lambda_target=0.05, seed=4)
         system = build_feedback(a)
         slowest = np.linalg.eigh(a)[1][:, 0]
         block = np.column_stack([a @ (3e-3 * slowest), np.random.default_rng(0).uniform(-1.0, 1.0, (60, 2))])
         res, reached = _with_jumps(system, block, oa, A_NORM)
-        assert not reached.any() and res.column_steps[0] == 0 and res.converged.all()
-        _assert_same_bits(res, _without_jumps(system, block, oa, A_NORM))
+        assert reached[0] == 0 and reached[1:].min() > 4000
+        assert res.column_steps[0] == 0 and np.array_equal(res.x_final[:, 0], np.zeros(60)) and res.converged.all()
+        _assert_same_stops(res, _without_jumps(system, block, oa, A_NORM))
 
     def test_one_step_tail_of_a_scaling_block(self, oa):
         # scaling's n = 300 ideal block at seed 0: covariance_matrix(300, 1.0)
