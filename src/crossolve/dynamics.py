@@ -41,12 +41,13 @@ nonsymmetric A with a positive definite symmetric part, therefore first
 skips those steps column by column, J per product, x <- P^J x + c_J, with
 P^J from repeated squaring, keeping a column's jump only when a bound on
 the powers of P proves that the column could not have stopped at a skipped
-step (proof in simulate). A column refused at J tries J/2, J/4, ... once
-each from its own state, so it leaves the ladder near its own reach, not
-where the block's first column was refused. The recurrence does not depend
-on the step index, so the passes then start every column at its own
-reach, in the same products, and test it and every later step. tau and
-the step counts include the skipped steps.
+step (proof in simulate). Each column descends J, J/2, J/4, ..., jumping
+on each rung from its own state while its own certificate holds, so it
+leaves the ladder near its own reach, not where the block's first column
+was refused. The recurrence does not depend on the step index, so the
+passes then start every column at its own reach, in the same products,
+and test it and every later step. tau and the step counts include the
+skipped steps.
 
 The states are stored one row per right-hand side, (k, T, n), so each
 product is X^T [P^T ... (P^D)^T] of shape (k x n)(n x D n) rather than
@@ -109,8 +110,8 @@ class OpAmpModel:
     slew_rate: float = 2.2e7
 
     def __post_init__(self) -> None:
-        if not self.gbw > 0:
-            raise ConfigError(f"gbw must be positive, got {self.gbw}")
+        if not 0 < self.gbw < math.inf:
+            raise ConfigError(f"gbw must be positive and finite, got {self.gbw}")
         if not self.l0 > 1:
             raise ConfigError(f"open-loop gain must exceed 1, got {self.l0}")
         if not self.slew_rate > 0:
@@ -262,8 +263,8 @@ class SolveConfig:
     allow_unstable: bool = False
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.norm_kind not in ("l2", "a_norm"):
             raise ConfigError(f"norm_kind must be 'l2' or 'a_norm', got {self.norm_kind!r}")
         if not self.alpha_fraction > 0:
@@ -411,10 +412,11 @@ def _jump(n: int, k: int, steps: float, lookahead: int) -> int:
     of tests, while each step a jump skips saves a step's 2 k n^2 flops and
     1/D of a pass. The count takes the first jump that fails its certificate
     as wasted and up to J steps before it as left to the one-step passes;
-    each column then descends the lower rungs from its own state (see
-    _certified_jumps) and leaves the passes fewer, so the count errs towards
-    a shorter J. J is the power of two, at most min(steps, _MAX_JUMP), that
-    saves the most by this count, or 1 where none saves anything.
+    each column then goes on down the lower rungs, jumping on each while its
+    certificate holds (see _certified_jumps), and leaves the passes fewer,
+    so the count errs towards a shorter J. J is the power of two, at most
+    min(steps, _MAX_JUMP), that saves the most by this count, or 1 where
+    none saves anything.
     """
     product, step = _costs(n, k, lookahead)
     best, saved, jump = 1, 0.0, 2
@@ -473,19 +475,19 @@ def _certified_jumps(
     lookahead: int,
     energy: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance each column of a block from x(0) = 0 down a ladder of certified jumps: 2^L, then 2^(L-1), ... once each.
+    """Advance each column of a block from x(0) = 0 down a ladder of certified jumps: 2^L, 2^(L-1), ..., each while it holds.
 
     Returns the state rows (k, n) and each column's reach s_i, the step of
     its last certified state, at which simulate's first pass starts it. A
     column that takes no jump keeps x(0) = 0 and s_i = 0, as does one whose
     step-0 error is epsilon or less, which its cap and certificate refuse.
     spreads and bounds hold C_2,j and C_j of the rungs 2, 4, ..., 2^L, cap
-    each column's highest rung, and lookahead the passes' D. Each column
-    jumps 2^L steps while its own certificate holds, the columns still
-    jumping in one product (a block whose passes cost mostly interpreter
-    time jumps as one, up to its first refusal), then tries each lower rung
-    once from its own state, down to the least that saves time, all columns
-    in one product per rung. P^(2^j) and c_(2^j) come from repeated squaring,
+    each column's highest rung, and lookahead the passes' D. The ladder
+    runs only where a jump at its top rung costs less than the steps of the
+    passes it skips. Each column jumps by 2^j from its own state while its
+    own certificate holds, then goes on at 2^(j-1), from the top rung down
+    to the least that saves time; on each rung the columns still jumping
+    share one product. P^(2^j) and c_(2^j) come from repeated squaring,
     P^2m = P^m P^m and c_2m = P^m c_m + c_m, from propagate = P = I - alpha M
     and drive = c_1; each rung is freed once used, or below the bottom once
     the next is formed. screen, star_norm and energy (A under "a_norm") are
@@ -509,20 +511,19 @@ def _certified_jumps(
         bar = bounds[rung - 1] * (cfg.epsilon * (1.0 + _JUMP_SLACK) + (1 << rung) * drift_run)
         return bar * bar
 
-    # A lower rung, tried once by each column after a refusal above, skips
-    # half its 2^j steps on average: it pays where they cost the passes more
-    # than its product and its setup, about two passes' interpreter time.
-    product, step = _costs(n, k, lookahead)
-    bottom = min(len(spreads), math.floor(math.log2((product + 2.0 * _PASS_S) / step)) + 2)
-    # Squarings only up to the highest rung where some column's start fits.
+    # Squarings only up to the highest rung where some column's start fits,
+    # and only where one jump there costs less than the steps of the passes
+    # it skips (_jump's count).
     top = len(spreads)
-    while top >= bottom:
-        fit = room_sq(top)
-        if np.count_nonzero(start_sq <= fit):
-            break
+    while top and not np.count_nonzero(start_sq <= room_sq(top)):
         top -= 1
-    else:
+    product, step = _costs(n, k, lookahead)
+    if not (1 << top) * step > product:
         return x, reach
+    # A rung below the top skips about half its 2^j steps per column before
+    # a refusal sends the column lower: it pays where they cost the passes
+    # more than its product and its setup, about two passes' interpreter time.
+    bottom = min(top, math.floor(math.log2((product + 2.0 * _PASS_S) / step)) + 2)
     power, offset, ladder = propagate, drive, []
     for rung in range(1, top + 1):
         power, offset = power @ power, power @ offset + offset
@@ -531,48 +532,33 @@ def _certified_jumps(
     del power, offset  # so that each rung is freed once used
     target = np.ascontiguousarray(x_star.T)
 
-    # The top rung: the columns still jumping, gathered once per refusal,
-    # share a product. They go on apart only where the flops a jump skips,
-    # 2^L 2 k n^2, outweigh its product; a block whose passes cost mostly
-    # interpreter time jumps as one, so that its columns stop together.
-    power_t, shift = ladder.pop()
-    size, bar = 1 << top, bar_sq(top)
-    apart = size * (product - _PASS_S) > product
-    live = np.flatnonzero((start_sq <= fit) & (size < cfg.max_steps))
-    while live.size:
-        rows, plus, goal, high, wide = x[live], shift[live], target[live], bar[live], fit[live]
-        y, d = np.empty_like(rows), np.empty_like(rows)
-        room_jumps, taken = (cfg.max_steps - 1 - int(reach[live].max())) // size, 0
-        while taken < room_jumps:
-            np.matmul(rows, power_t, out=y)
-            y += plus
-            np.subtract(y, goal, out=d)
-            sq = np.vecdot(d, d)
-            q = sq if energy is None else np.vecdot(d, d @ energy)
-            kept = (q > high) & (sq <= wide)
-            if np.count_nonzero(kept) < live.size:
-                break
-            rows, y, end_sq, taken = y, rows, sq, taken + 1
-        if taken:
-            x[live], reach[live], start_sq[live] = rows, reach[live] + taken * size, end_sq
-        if taken < room_jumps:  # the columns kept by the refused jump take it
-            if not apart:
-                break
-            live = live[kept]
-            x[live], reach[live], start_sq[live] = y[kept], reach[live] + size, sq[kept]
-        live = live[reach[live] + size < cfg.max_steps]
-
-    # The rungs below: every column tries each once, from its own state.
-    for rung in range(top - 1, bottom - 1, -1):
+    # Each rung, from the top down: the columns whose start fits it jump in
+    # one product, gathered once per refusal. The columns that keep a
+    # refused jump take it and go on; the refused ones try the next rung.
+    for rung in range(top, bottom - 1, -1):
         power_t, shift = ladder.pop()
-        size, fit = 1 << rung, room_sq(rung)
-        y = x @ power_t
-        y += shift
-        d = y - target
-        sq = np.vecdot(d, d)
-        q = sq if energy is None else np.vecdot(d, d @ energy)
-        kept = (q > bar_sq(rung)) & (sq <= fit) & (start_sq <= fit) & (reach + size < cfg.max_steps)
-        x[kept], reach[kept], start_sq[kept] = y[kept], reach[kept] + size, sq[kept]
+        size, bar, fit = 1 << rung, bar_sq(rung), room_sq(rung)
+        live = np.flatnonzero((start_sq <= fit) & (reach + size < cfg.max_steps))
+        while live.size:
+            rows, plus, goal, high, wide = x[live], shift[live], target[live], bar[live], fit[live]
+            y, d = np.empty_like(rows), np.empty_like(rows)
+            room_jumps, taken = (cfg.max_steps - 1 - int(reach[live].max())) // size, 0
+            while taken < room_jumps:
+                np.matmul(rows, power_t, out=y)
+                y += plus
+                np.subtract(y, goal, out=d)
+                sq = np.vecdot(d, d)
+                q = sq if energy is None else np.vecdot(d, d @ energy)
+                kept = (q > high) & (sq <= wide)
+                if np.count_nonzero(kept) < live.size:
+                    break
+                rows, y, end_sq, taken = y, rows, sq, taken + 1
+            if taken:
+                x[live], reach[live], start_sq[live] = rows, reach[live] + taken * size, end_sq
+            if taken < room_jumps:  # the columns kept by the refused jump take it
+                live = live[kept]
+                x[live], reach[live], start_sq[live] = y[kept], reach[live] + size, sq[kept]
+            live = live[reach[live] + size < cfg.max_steps]
     return x, reach
 
 
@@ -739,15 +725,16 @@ def simulate(
     room before the divergence test, and C_2,j bounds ||P^i||_2 for
     i <= 2^j: sqrt(u_max / u_min) = C_2 for a symmetric A,
     C_2 max(1, gamma)^(2^j) for a nonsymmetric one. C_j is C_2,j under "l2"
-    and 1 under "a_norm". Each column jumps by J while its own certificate
-    holds, tries J/2, J/4, ... once each from its own state, and starts its
-    passes at its own last certified step. A column takes a rung only
-    while the rounding premise below holds for it and its ||x*||, decayed at
-    alpha lambda_M,min over the jump, exceeds C_j epsilon; lower rungs run
-    only where they save time (see _certified_jumps). Every stop, tau,
-    column_steps, divergence verdict and max_steps cut is decided on states
-    computed step by step, and tau counts the skipped steps. A 1-D b takes
-    no jump: its trace and max_slew read every step.
+    and 1 under "a_norm". Each column descends J, J/2, J/4, ..., jumping
+    on each rung from its own state while its own certificate holds, and
+    starts its passes at its own last certified step. A column takes a rung
+    only while the rounding premise below holds for it and its ||x*||,
+    decayed at alpha lambda_M,min over the jump, exceeds C_j epsilon; the
+    top rung and those below it run only where they save time (see
+    _certified_jumps). Every stop, tau, column_steps, divergence verdict and
+    max_steps cut is decided on states computed step by step, and tau counts
+    the skipped steps. A 1-D b takes no jump: its trace and max_slew read
+    every step.
 
     Proof that no skipped step stops. e_(t+1) = P e_t + g. With
     K = U^1/2 A U^1/2 and S = I - alpha K, P = U^1/2 S U^-1/2, so
@@ -877,10 +864,7 @@ def simulate(
         fits = (rounding <= _ROUNDING_SHARE * _JUMP_SLACK * cfg.epsilon) & (run * decay > scale * cfg.epsilon)
         cap = np.count_nonzero(fits, axis=0)
         usable = int(cap.max())
-        # The top rung carries the bulk of the jumps and pays wherever one
-        # jump costs less than the steps of the passes it skips (_jump's count).
-        product, step = _costs(n, k, lookahead)
-        if usable and (1 << usable) * step > product:
+        if usable:
             last, lead = _certified_jumps(
                 system, block, x_star, alpha, propagate, drive, screen, cfg, star_norm,
                 spreads[:usable], bounds[:usable], cap, lookahead, energy,

@@ -379,6 +379,20 @@ def test_malformed_parameter_exits_two_before_solving(tmp_path, capsys, command,
     assert not (tmp_path / "out" / "records.csv").exists()
 
 
+@pytest.mark.parametrize(
+    ("command", "flag"),
+    [("transient", "--epsilon"), ("transient", "--gbw"), ("lambda-sweep", "--gbw")],
+)
+def test_infinite_epsilon_or_gbw_exits_two(tmp_path, capsys, command, flag):
+    # an infinite epsilon once hung the run in its squared-threshold search;
+    # an infinite gbw gave dt = 0, a ZeroDivisionError traceback (exit 1) in
+    # the transient and tau = 0 on every lambda_sweep record (exit 0)
+    out = tmp_path / "out"
+    assert main([command, "--seed", "0", flag, "inf", "--out", str(out)]) == 2
+    assert "must be positive and finite, got inf" in capsys.readouterr().err
+    assert not (out / "records.csv").exists()
+
+
 def test_exponent_without_dot_or_sign_is_a_number(tmp_path):
     # YAML 1.1 reads 1e-2 and 1.0e9 as text; parameters take numbers only
     cfg = tmp_path / "cfg.yaml"

@@ -39,7 +39,7 @@ import crossolve.spectral
 from crossolve import dynamics
 from crossolve.devices import _MEASURED_LEVELS_S
 from crossolve.dynamics import _square_limit
-from crossolve.experiments import DEFAULT_TRANSIENT_A, DEFAULT_TRANSIENT_B
+from crossolve.experiments import DEFAULT_TRANSIENT_A, DEFAULT_TRANSIENT_B, _sweep_matrix, _unit_vector, scenario_defaults
 from modal_oracle import continuous_crossings, energy_crossing, l2_crossing
 from trajectory_oracle import analytic_trajectory
 
@@ -69,10 +69,15 @@ class TestOpAmpModel:
     def test_default_gbw(self, oa):
         assert oa.gbw == pytest.approx(1e8)
 
-    @pytest.mark.parametrize("kwargs", [{"l0": 1.0}, {"gbw": 0.0}, {"slew_rate": 0.0}])
+    @pytest.mark.parametrize("kwargs", [{"l0": 1.0}, {"gbw": 0.0}, {"slew_rate": 0.0}, {"gbw": math.inf}])
     def test_invalid(self, kwargs):
+        # an infinite gbw would make dt = alpha / gbw zero
         with pytest.raises(ConfigError):
             OpAmpModel(**kwargs)
+
+    @pytest.mark.parametrize("name", ["l0", "slew_rate"])
+    def test_infinite_gain_or_slew_rate_is_an_ideal_amplifier(self, name):
+        assert getattr(OpAmpModel(**{name: math.inf}), name) == math.inf
 
 
 class TestBuildFeedback:
@@ -257,6 +262,7 @@ class TestSolveConfig:
             {"max_steps": float("nan")},
             {"epsilon": -1e-3},
             {"epsilon": float("nan")},
+            {"epsilon": math.inf},
             {"alpha_fraction": float("nan")},
             {"max_steps": True},
         ],
@@ -1372,28 +1378,35 @@ class TestCertifiedJumps:
         # epsilon below ||x*|| decayed over one jump, which cuts every rung
         # from 32 up (C_2 max(1, gamma)^32 = 5.5e9). At n = 16 the passes take
         # D = 256 steps per product, so none of the short rungs left can pay
-        # for a jump, and the block is not offered the ladder. Either way the
-        # block pays no squaring, and the result is the one without jumps
-        # bit for bit.
+        # for a jump, and the ladder returns before its first squaring. Either
+        # way no column jumps, and the result is the one without jumps bit
+        # for bit.
         root = np.sqrt(np.logspace(-3.0, 0.0, 16))
         system = build_feedback(root[:, None] * _triangular(16, 1.9) * root[None, :])
         cfg = SolveConfig(epsilon=1e-3, alpha_fraction=0.5)
         block = np.random.default_rng(16).uniform(-1.0, 1.0, (16, k))
-        growth, calls, offered = dynamics._growth, [], []
+        growth, rule, calls, reached = dynamics._growth, dynamics._certified_jumps, [], []
 
         def spy_growth(*args):
             calls.append((args[2], growth(*args)))
             return calls[-1][1]
 
+        def spy_rule(*args):
+            out = rule(*args)
+            reached.append(out[1])
+            return out
+
         monkeypatch.setattr(dynamics, "_growth", spy_growth)
-        monkeypatch.setattr(dynamics, "_certified_jumps", lambda *args: offered.append(args))
+        monkeypatch.setattr(dynamics, "_certified_jumps", spy_rule)
         ref = _without_jumps(system, block, oa, cfg)
         for share in (dynamics._ROUNDING_SHARE, math.inf):
             monkeypatch.setattr(dynamics, "_ROUNDING_SHARE", share)
             calls.clear()
+            reached.clear()
             res = simulate(system, block, oa, cfg)
             (jump, bound), = calls
-            assert jump == {1: 2048, 3: 1024}[k] and len(bound) == jump.bit_length() - 1 and offered == []
+            assert jump == {1: 2048, 3: 1024}[k] and len(bound) == jump.bit_length() - 1
+            assert len(reached) == 1 and not reached[0].any()
             assert bound[-1] > 1e300 and (bound[-1] == math.inf) == (k == 1)
             _assert_same_bits(res, ref)
 
@@ -1451,6 +1464,20 @@ class TestCertifiedJumps:
         assert np.all(np.diff(res.column_steps) > 400) and res.converged.all()
         assert np.all((res.column_steps - reached)[:2] < 64)  # a column that jumped steps only its last few dozen steps
         _assert_same_stops(res, ref)
+
+    def test_a_refused_column_leaves_the_others_jumping_on_a_3x3_block(self, oa):
+        # lambda_sweep seed 0's matrix 38 with its three unit right-hand
+        # sides. Column 2 is refused the first jump of 512, which columns 0
+        # and 1 keep and take without it; they stop at 1633 and 1598, and
+        # column 2 at 849 from x(0) = 0. A block held in lockstep up to its
+        # first refusal took no jump here.
+        a = _sweep_matrix(0, 38, scenario_defaults("lambda_sweep"))
+        block = np.column_stack([_unit_vector(3, child_seed(0, 38, 10_000 + k)) for k in range(3)])
+        system = build_feedback(a)
+        res, reached = _with_jumps(system, block, oa, SolveConfig())
+        assert reached.tolist() == [512, 512, 0]
+        assert res.column_steps.tolist() == [1633, 1598, 849] and res.converged.all()
+        _assert_same_stops(res, _without_jumps(system, block, oa, SolveConfig()))
 
     @pytest.mark.parametrize("max_steps", [500, 600, 761, 800])
     def test_max_steps_cut_while_a_column_jumps(self, max_steps, oa):
