@@ -13,8 +13,6 @@ import re
 import sys
 from pathlib import Path
 
-import yaml
-
 from .errors import (
     ConfigError,
     DomainError,
@@ -44,20 +42,25 @@ _FLAG_PARAMS = {"epsilon": "epsilon", "gbw": "gbw", "levels": "num_levels", "rat
 _CONFIG_KEYS = {"scenario", "seed", "output_dir", "threads", "parameters"}
 
 
-class _ConfigLoader(yaml.SafeLoader):
+def _config_loader() -> type:
     """YAML's safe loader, also reading 1e-3 and 1.0e4 as numbers, as YAML 1.2 does.
 
     YAML 1.1 reads a number with an exponent as text unless it has both a
     dot and a signed exponent (1.0e-3), and a scenario's numeric parameters
-    take numbers only.
+    take numbers only. Built where a config file is read, so a run without
+    one does not import yaml.
     """
+    import yaml
 
+    class ConfigLoader(yaml.SafeLoader):
+        pass
 
-_ConfigLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
-    list("-+0123456789."),
-)
+    ConfigLoader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+        list("-+0123456789."),
+    )
+    return ConfigLoader
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,8 +87,10 @@ def _load_config(path: str) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    import yaml
+
     try:
-        data = yaml.load(text, Loader=_ConfigLoader)
+        data = yaml.load(text, Loader=_config_loader())
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     if data is None:

@@ -48,8 +48,8 @@ class DevicePolicy:
             raise ConfigError(f"num_levels must be an integer >= 2, got {self.num_levels!r}")
         if not self.ratio > 1:
             raise ConfigError(f"ratio must exceed 1, got {self.ratio}")
-        if not self.noise_fraction >= 0:
-            raise ConfigError(f"noise_fraction must be >= 0, got {self.noise_fraction}")
+        if not 0 <= self.noise_fraction < np.inf:
+            raise ConfigError(f"noise_fraction must be >= 0 and finite, got {self.noise_fraction}")
 
     @property
     def g_min(self) -> float:

@@ -26,6 +26,8 @@ import numpy as np
 from .baselines import conjugate_gradient
 from .devices import DevicePolicy, program
 from .dynamics import (
+    DEFAULT_TRANSIENT_A,
+    DEFAULT_TRANSIENT_B,
     OpAmpModel,
     SolveConfig,
     SolveResult,
@@ -61,8 +63,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "CSV_COLUMNS",
     "SCENARIOS",
-    "DEFAULT_TRANSIENT_A",
-    "DEFAULT_TRANSIENT_B",
     "ExperimentSpec",
     "RunRecord",
     "child_seed",
@@ -90,11 +90,6 @@ CSV_COLUMNS = (
     "cg_iterations",
     "notes",
 )
-
-# Bundled three-node demonstration system; entries are conductances in
-# units of 100 uS drawn from the eight-level device set.
-DEFAULT_TRANSIENT_A = np.array([[1.2, 0.15, 0.8], [0.5, 0.5, 0.6], [0.6, 0.1, 0.8]])
-DEFAULT_TRANSIENT_B = np.array([-0.12, 0.36, 0.24])
 
 
 @dataclass
@@ -611,8 +606,8 @@ def _run_sparse_suite(spec: ExperimentSpec, p: dict):
     lam_lo, lam_hi = (float(v) for v in p["lambda_range"])
     if n_hi < n_lo:
         raise ConfigError(f"invalid n_range {p['n_range']}")
-    if not 0 < lam_lo <= lam_hi:
-        raise ConfigError(f"invalid lambda_range {p['lambda_range']}")
+    if not 0 < lam_lo <= lam_hi < np.inf:
+        raise ConfigError(f"invalid lambda_range {p['lambda_range']}: need 0 < low <= high, both finite")
     task = functools.partial(_sparse_task, spec, p, oa, cfg, (n_lo, n_hi), (lam_lo, lam_hi))
     records = _map_tasks([functools.partial(task, i) for i in range(p["systems"])], spec.threads)
 

@@ -99,8 +99,8 @@ def sparse_pd(n: int, s: int = 10, lambda_target: float = 1.0, seed: int = 0) ->
         raise DomainError(f"s must be >= 1, got {s}")
     if s > n:
         raise DomainError(f"s = {s} nonzeros per row is infeasible for n = {n}")
-    if not lambda_target > 0:
-        raise DomainError(f"lambda_target must be positive, got {lambda_target}")
+    if not 0 < lambda_target < np.inf:
+        raise DomainError(f"lambda_target must be positive and finite, got {lambda_target}")
     want = s - 1
     rng = np.random.default_rng(seed)
     a = np.zeros((n, n))

@@ -151,6 +151,19 @@ def test_python_dash_m_runs_the_cli(tmp_path, args, code):
     assert ("scenario: transient" in proc.stdout) == (code == 0)
 
 
+def test_run_without_config_does_not_import_yaml(tmp_path):
+    script = (
+        "import sys\n"
+        "from crossolve.cli import main\n"
+        f"assert main(['transient', '--seed', '0', '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print('yaml' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(crossolve.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_threads_flag(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -366,12 +379,19 @@ def test_parameter_no_run_varies_is_unknown(tmp_path, capsys, command, key):
             id="transient-include_gain_correction-quoted",
         ),
         pytest.param("invert", 'noisy: "false"', "noisy must be true or false", id="invert-noisy-quoted"),
+        pytest.param("sparse-suite", "lambda_range: [0.1, .inf]", "invalid lambda_range", id="sparse-suite-lambda_range-inf"),
+        *(
+            pytest.param(command, "noise_fraction: .inf", "noise_fraction must be >= 0 and finite", id=f"{command}-noise_fraction-inf")
+            for command in ("scaling", "invert")
+        ),
     ],
 )
 def test_malformed_parameter_exits_two_before_solving(tmp_path, capsys, command, parameters, message):
     # a word once escaped as a ValueError traceback (exit 1), a malformed
-    # transient a or b was reported as a domain failure (exit 3), and a
-    # quoted "false" ran as true
+    # transient a or b was reported as a domain failure (exit 3), a
+    # quoted "false" ran as true, an infinite lambda_range entry escaped as
+    # numpy's OverflowError (exit 1) and an infinite noise_fraction failed
+    # as a singular matrix (exit 3)
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(f"seed: 0\noutput_dir: {tmp_path / 'out'}\nparameters:\n  {parameters}\n")
     assert main([command, "--config", str(cfg)]) == 2

@@ -38,6 +38,7 @@ class TestDevicePolicy:
             {"ratio": 0.5},
             {"noise_fraction": -0.1},
             {"noise_fraction": float("nan")},
+            {"noise_fraction": float("inf")},
             {"num_levels": 2.5},
             {"ratio": float("nan")},
         ],

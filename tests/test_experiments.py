@@ -8,6 +8,7 @@ import inspect
 import multiprocessing
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import threading
@@ -730,9 +731,9 @@ def test_pool_workers_of_a_pinned_run_start_no_blas_thread():
 
 
 # Imports crossolve, runs the demo transient and prints whether scipy.linalg
-# was imported, whether scipy's LAPACK extension was loaded by the import
-# itself, how many OpenBLAS runtimes the run would pin, and whether the
-# import pulled in yaml, which only the command line needs.
+# was imported, whether scipy's LAPACK extension was loaded by importing
+# crossolve.spectral, how many OpenBLAS runtimes the run would pin, and
+# whether the import pulled in yaml, which only the command line needs.
 _IMPORT_FOOTPRINT_RUN = """
 import sys
 from pathlib import Path
@@ -783,6 +784,38 @@ def test_package_reexports_each_module_surface_once():
     assert len(names) == len(set(names))
     assert sorted(crossolve.__all__) == sorted(["__version__", *names])
     assert all(getattr(crossolve, name) is getattr(module, name) for module in modules for name in module.__all__)
+
+
+# The benchmark's setup probe, then what the process has loaded of crossolve,
+# hashlib (only experiments uses it, for its digests) and yaml (only reading a
+# config file needs it).
+_SETUP_PROBE_RUN = """
+from crossolve import DEFAULT_TRANSIENT_A, DEFAULT_TRANSIENT_B, build_feedback, simulate
+assert simulate(build_feedback(DEFAULT_TRANSIENT_A), DEFAULT_TRANSIENT_B).converged
+"""
+_LOADED = """
+import sys
+print(*sorted(name for name in sys.modules if name.partition(".")[0] in ("crossolve", "hashlib", "yaml")))
+"""
+
+
+def test_package_loads_only_the_modules_a_process_uses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    quick_start = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    path = os.pathsep.join(filter(None, [str(Path(crossolve.experiments.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    for script in (_SETUP_PROBE_RUN, quick_start):
+        proc = subprocess.run([sys.executable, "-c", script + _LOADED], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1].split() == ["crossolve", "crossolve.dynamics", "crossolve.errors", "crossolve.spectral"]
+
+    namespace = {}
+    exec("from crossolve import *", namespace)
+    modules = [importlib.import_module(f"crossolve.{info.name}") for info in pkgutil.iter_modules(crossolve.__path__)]
+    assert all(namespace[name] is getattr(module, name) for module in modules if module.__name__ != "crossolve.cli" for name in module.__all__)
+    assert set(crossolve.__all__) <= set(dir(crossolve))
+    with pytest.raises(AttributeError, match="module 'crossolve' has no attribute 'no_such_name'"):
+        crossolve.no_such_name
 
 
 def test_package_keeps_no_surface_only_tests_read():

@@ -167,6 +167,8 @@ class TestSparsePd:
             sparse_pd(5, s=6)
         with pytest.raises(DomainError):
             sparse_pd(5, lambda_target=0.0)
+        with pytest.raises(DomainError, match="finite"):
+            sparse_pd(5, s=2, lambda_target=float("inf"))
 
     def test_lambda_min_placed_exactly(self):
         for seed in range(5):
