@@ -9,6 +9,7 @@ generation failures, 4 output failures.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from pathlib import Path
@@ -23,7 +24,6 @@ from .errors import (
     StabilityError,
     UsageError,
 )
-from .experiments import ExperimentSpec, run_experiment, scenario_defaults
 
 __all__ = ["main", "console"]
 
@@ -105,7 +105,9 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
+def _resolve_spec(args: argparse.Namespace):
+    from .experiments import ExperimentSpec, scenario_defaults
+
     scenario = _SUBCOMMANDS[args.command][0]
     config = _load_config(args.config) if args.config else {}
     if config.get("scenario") is not None and config["scenario"] != scenario:
@@ -136,9 +138,20 @@ def _resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Parse arguments, run the selected scenario, and return an exit code."""
+    """Parse arguments, run the selected scenario, and return an exit code.
+
+    run_experiment runs every scenario with each OpenBLAS on one thread, so
+    a process that has not loaded numpy yet asks OpenBLAS for one thread
+    from the start (OPENBLAS_NUM_THREADS, unless set): it then starts no
+    pool of threads that the run never uses. A caller that already loaded
+    numpy keeps its pools.
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from .experiments import run_experiment
+
     try:
         spec = _resolve_spec(args)
         _, summary = run_experiment(spec)

@@ -569,19 +569,6 @@ def _certified_jumps(
     return x, reach
 
 
-def _propagator(m: np.ndarray, alpha: float) -> np.ndarray:
-    """P = I - alpha M, bit for bit np.eye(n) - alpha * m, in one n x n array.
-
-    Each entry is 0 - alpha m_ij, plus 1 on the diagonal, as the identity's
-    entries give it; 1 + (-t) is 1 - t exactly, and 0 - t keeps a zero
-    positive.
-    """
-    p = alpha * m
-    np.subtract(0.0, p, out=p)
-    p.flat[:: m.shape[0] + 1] += 1.0
-    return p
-
-
 def _stack_powers(propagate: np.ndarray, drive: np.ndarray, lookahead: int) -> tuple[np.ndarray, np.ndarray]:
     """Stacked powers [P; P^2; ...; P^D] of shape (D n, n) and offsets [c_1; ...; c_D] of shape (D, n, k).
 
@@ -847,7 +834,7 @@ def simulate(
     # Each column's start, x(0) = 0 or its last certified state, its step and
     # the pass's first step: column i's state j of a pass is step lead[i] + base + j.
     last, lead, base = np.zeros((k, n)), np.zeros(k, dtype=np.int64), 0
-    propagate = _propagator(m_eff, alpha)
+    propagate = np.eye(n) - alpha * m_eff
     u = system.u.tolist()
     spread = math.sqrt(max(u) / min(u))  # C_2
     reach = spread if energy is None else 1.0  # C for a symmetric A
@@ -905,7 +892,7 @@ def simulate(
     column_steps = np.zeros(k, dtype=np.int64)  # the steps after each column's offset, until the loop ends
     converged = np.zeros(k, dtype=bool)
     diverged = np.zeros(k, dtype=bool)
-    max_dx = 0.0  # a single right-hand side's largest |dx_i| over the steps taken
+    max_dx, dx = 0.0, np.zeros(1)  # a single right-hand side's largest |dx_i| over the passes before this one
     samples: list[tuple[int, np.ndarray, float]] = []  # trace (step, state, squared error)
     stride = 1
 
@@ -918,7 +905,8 @@ def simulate(
         q = sq if energy is None else np.vecdot(d, (d.reshape(-1, n) @ energy.T).reshape(d.shape))
         conv = q <= limit
         near = sq > screen_sq[:, None]
-        if single:  # |dx_i| of each step of this pass, from the state before it
+        if single:  # the slew of the last pass, which ran in full, and |dx_i| of each step of this one
+            max_dx = max(max_dx, float(dx.max()))
             dx = np.abs(np.diff(states[0], axis=0, prepend=last))
             # the trace keeps the states of this pass whose step is a multiple of the stride
             samples, stride = _thin(samples, stride)
@@ -936,8 +924,6 @@ def simulate(
                 stop[late, cut[late]] = True
             # each column's first stopping step in the pass, or T for a column that runs on
             stop_at = np.where(stop.any(axis=1), stop.argmax(axis=1), batch)
-            if single:
-                max_dx = max(max_dx, float(dx[: stop_at[0] + 1].max()))
             done = np.flatnonzero(stop_at < batch)
             if done.size:
                 at = stop_at[done]
@@ -956,8 +942,6 @@ def simulate(
                 products = _products(states, last, lookahead)
                 target = target[live]
                 blow_up, screen_sq, cols = blow_up[live], screen_sq[live], cols[live]
-        elif single:
-            max_dx = max(max_dx, float(dx.max()))
         last[...] = states[:, -1]
         base += batch
 
@@ -976,6 +960,7 @@ def simulate(
             column_steps=column_steps,
         )
     end = int(column_steps[0])
+    max_dx = max(max_dx, float(dx[: end - base + 1].max()))  # the last pass's steps up to the stop
     samples = _thin([sample for sample in samples if sample[0] <= end], stride)[0]
     if samples[-1][0] != end:
         samples.append((end, x_final[:, 0].copy(), q[0, end - base]))

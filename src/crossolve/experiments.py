@@ -16,6 +16,7 @@ import numbers
 import operator
 import os
 import pickle
+import sys
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -287,6 +288,11 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
 
 
+def _is_finite(value) -> bool:
+    """A real number that a double holds: neither inf nor NaN, nor an integer past the largest double."""
+    return _is_real(value) and abs(value) <= sys.float_info.max
+
+
 def _check_kinds(scenario: str, params: dict) -> None:
     """ConfigError for a parameter value that is not of its default's kind.
 
@@ -296,8 +302,9 @@ def _check_kinds(scenario: str, params: dict) -> None:
     (lambda_range) a real number in each entry: a bool or a string, even a
     quoted "0.01", is none. A bool
     default takes a bool, since the string "false" would read as true. The
-    transient's a, when given, is a square matrix of real numbers and its b
-    a vector of real numbers, as long as a's (or the default system's) side.
+    transient's a, when given, is a square matrix of finite real numbers and
+    its b a vector of finite real numbers, as long as a's (or the default
+    system's) side.
     """
     for key, default in _DEFAULTS[scenario].items():
         value = params[key]
@@ -319,13 +326,13 @@ def _check_kinds(scenario: str, params: dict) -> None:
     n = DEFAULT_TRANSIENT_A.shape[0]
     if params["a"] is not None:
         a = np.asarray(params["a"], dtype=object)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size or not all(map(_is_real, a.flat)):
-            raise ConfigError(f"a must be a square matrix of numbers, got {params['a']!r}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size or not all(map(_is_finite, a.flat)):
+            raise ConfigError(f"a must be a square matrix of numbers, each finite, got {params['a']!r}")
         n = a.shape[0]
     if params["b"] is not None:
         b = np.asarray(params["b"], dtype=object)
-        if b.shape != (n,) or not all(map(_is_real, b.flat)):
-            raise ConfigError(f"b must be a list of {n} numbers, got {params['b']!r}")
+        if b.shape != (n,) or not all(map(_is_finite, b.flat)):
+            raise ConfigError(f"b must be a list of {n} numbers, each finite, got {params['b']!r}")
 
 
 def _op_amp(p: dict) -> OpAmpModel:
@@ -501,6 +508,8 @@ def _varies(values: np.ndarray) -> bool:
 
 def _run_lambda_sweep(spec: ExperimentSpec, p: dict):
     oa, cfg = _circuit(p)
+    if not _is_finite(p["lambda_floor"]):
+        raise ConfigError(f"lambda_floor must be finite, got {p['lambda_floor']}")
     task = functools.partial(_sweep_task, spec, p, oa, cfg)
     by_matrix = _map_tasks([functools.partial(task, mi) for mi in range(p["systems"])], spec.threads)
     records = [rec for recs in by_matrix for rec in recs]

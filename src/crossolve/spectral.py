@@ -247,8 +247,8 @@ def _check_estimate_args(n: int, s: int, lambda_max: float, lambda_min: float, e
         raise DomainError(f"n must be >= 1, got {n}")
     if not 1 <= s <= n:
         raise DomainError(f"s must satisfy 1 <= s <= n, got s={s}, n={n}")
-    if not (lambda_min > 0 and lambda_max >= lambda_min):
-        raise DomainError(f"need lambda_max >= lambda_min > 0, got {lambda_max}, {lambda_min}")
+    if not 0 < lambda_min <= lambda_max < math.inf:
+        raise DomainError(f"need lambda_max >= lambda_min > 0, both finite, got {lambda_max}, {lambda_min}")
     if not 0 < epsilon < 1:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
 

@@ -164,6 +164,24 @@ def test_run_without_config_does_not_import_yaml(tmp_path):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS starts no pool on one CPU")
+def test_cli_starts_no_blas_pool(tmp_path):
+    # without a *_THREADS variable numpy's and scipy's OpenBLAS each started
+    # a pool of one thread per CPU at import, which the run never used
+    script = (
+        "from crossolve.cli import main\n"
+        f"assert main(['transient', '--seed', '0', '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "from crossolve import spectral\n"
+        "print(*[get_threads() for _, get_threads in spectral._openblas_runtimes()])\n"
+    )
+    env = {key: value for key, value in os.environ.items() if not key.endswith("_THREADS")}
+    env["PYTHONPATH"] = str(Path(crossolve.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    counts = proc.stdout.splitlines()[-1].split()
+    assert counts and set(counts) == {"1"}
+
+
 def test_threads_flag(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -384,14 +402,32 @@ def test_parameter_no_run_varies_is_unknown(tmp_path, capsys, command, key):
             pytest.param(command, "noise_fraction: .inf", "noise_fraction must be >= 0 and finite", id=f"{command}-noise_fraction-inf")
             for command in ("scaling", "invert")
         ),
+        *(
+            pytest.param("transient", f"a: [[{value}, 0.1], [0.1, 1.0]]", "a must be a square matrix", id=f"transient-a-{name}")
+            for value, name in ((".inf", "inf"), (".nan", "nan"), ("1" + "0" * 400, "past-the-largest-double"))
+        ),
+        *(
+            pytest.param("transient", f"b: [{value}, 0.1, 0.2]", "b must be a list of 3 numbers", id=f"transient-b-{value[1:]}")
+            for value in (".nan", ".inf")
+        ),
+        *(
+            pytest.param("lambda-sweep", f"lambda_floor: {value}", "lambda_floor must be finite", id=f"lambda-sweep-lambda_floor-{value[1:]}")
+            for value in (".nan", ".inf")
+        ),
+        pytest.param("estimate", "lambda_max: .inf", "both finite", id="estimate-lambda_max-inf"),
+        pytest.param("estimate", "lambda_max: .inf\n  lambda_min: .inf", "both finite", id="estimate-lambdas-inf"),
     ],
 )
 def test_malformed_parameter_exits_two_before_solving(tmp_path, capsys, command, parameters, message):
     # a word once escaped as a ValueError traceback (exit 1), a malformed
     # transient a or b was reported as a domain failure (exit 3), a
     # quoted "false" ran as true, an infinite lambda_range entry escaped as
-    # numpy's OverflowError (exit 1) and an infinite noise_fraction failed
-    # as a singular matrix (exit 3)
+    # numpy's OverflowError (exit 1), an infinite noise_fraction failed as a
+    # singular matrix (exit 3), a non-finite entry of a or b failed as a
+    # condition estimate or a residual (exit 3), a non-finite lambda_floor as
+    # a GenerationError after every draw (exit 3), an infinite lambda_max
+    # gave cg_rel=inf records (exit 0), and an integer past the largest
+    # double in a escaped as an OverflowError traceback (exit 1)
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(f"seed: 0\noutput_dir: {tmp_path / 'out'}\nparameters:\n  {parameters}\n")
     assert main([command, "--config", str(cfg)]) == 2

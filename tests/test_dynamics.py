@@ -41,6 +41,7 @@ from crossolve.devices import _MEASURED_LEVELS_S
 from crossolve.dynamics import _square_limit
 from crossolve.experiments import DEFAULT_TRANSIENT_A, DEFAULT_TRANSIENT_B, _sweep_matrix, _unit_vector, scenario_defaults
 from modal_oracle import continuous_crossings, energy_crossing, l2_crossing
+from reference_engine import reference_transient
 from trajectory_oracle import analytic_trajectory
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -1093,31 +1094,6 @@ class TestLookahead:
         assert np.abs(res.trace.errors - one.trace.errors).max() <= 1e-12 * scale
 
 
-def _reference_transient(system, block, oa, cfg):
-    """x <- P x + c one step at a time on (n, k) arrays: each column's steps and final state.
-
-    A column stops at the first step whose error against the direct solve,
-    in cfg's norm, is at most epsilon; the run must converge.
-    """
-    n, k = block.shape
-    alpha, _ = resolve_step(system, oa, cfg)
-    p = np.eye(n) - alpha * system.m
-    c = alpha * system.u[:, None] * block
-    x_star = direct_solve(system.a, block)
-    x = np.zeros((n, k))
-    steps = np.full(k, -1)
-    x_final = np.empty((n, k))
-    for step in range(cfg.max_steps + 1):
-        e = x - x_star
-        err = np.sqrt(np.sum(e * e, axis=0) if cfg.norm_kind == "l2" else np.sum(e * (system.a @ e), axis=0))
-        for j in np.flatnonzero((steps < 0) & (err <= cfg.epsilon)):
-            steps[j], x_final[:, j] = step, x[:, j]
-        if (steps >= 0).all():
-            return steps, x_final
-        x = p @ x + c
-    raise AssertionError("the reference run did not converge")
-
-
 class TestLayout:
     """The (k, T, n) pass buffer: views that write in place, and the recurrence they compute."""
 
@@ -1167,7 +1143,7 @@ class TestLayout:
         lookahead = states.shape[1]
         alpha, _ = resolve_step(system, oa, cfg)
         drive = alpha * (system.u[:, None] * block)
-        offsets = dynamics._stack_powers(dynamics._propagator(system.m, alpha), drive, lookahead)[1]
+        offsets = dynamics._stack_powers(np.eye(n) - alpha * system.m, drive, lookahead)[1]
         assert lookahead > 1
         assert states[:, 0].tobytes() == np.zeros((k, n)).tobytes()
         assert states[:, 1:].tobytes() == np.ascontiguousarray(offsets[:-1].transpose(2, 0, 1)).tobytes()
@@ -1180,12 +1156,31 @@ class TestLayout:
         system = build_feedback(covariance_matrix(n, 1.0))
         block = np.random.default_rng(n + k).uniform(-1.0, 1.0, (n, k))
         cfg = SolveConfig(norm_kind=norm_kind)
-        steps, x_final = _reference_transient(system, block, oa, cfg)
+        ref = reference_transient(system, block, oa, cfg)
         res = simulate(system, block[:, 0] if k == 1 else block, oa, cfg)
-        assert np.array_equal(np.atleast_1d(res.steps if k == 1 else res.column_steps), steps)
-        assert np.all(res.converged) and not np.any(res.diverged)
-        scale = np.abs(x_final).max(axis=0)
-        assert np.all(np.abs(res.x_final.reshape(n, k) - x_final) <= 1e-12 * scale)
+        assert np.array_equal(np.atleast_1d(res.steps if k == 1 else res.column_steps), ref.column_steps)
+        assert np.all(ref.converged) and np.all(res.converged) and not np.any(res.diverged)
+        scale = np.abs(ref.x_final).max(axis=0)
+        assert np.all(np.abs(res.x_final.reshape(n, k) - ref.x_final) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize(
+        ("a", "b", "cfg"),
+        [
+            (SWAP, [1.0, 2.0], SolveConfig(allow_unstable=True)),
+            (DEFAULT_TRANSIENT_A, DEFAULT_TRANSIENT_B, SolveConfig(epsilon=1e-30, max_steps=10_001)),
+        ],
+        ids=["diverges", "max_steps"],
+    )
+    def test_one_step_reference_stops_and_samples_alike(self, a, b, cfg, oa):
+        # the divergence rule, and a max_steps cut far below an unreachable
+        # epsilon whose trace keeps the even steps and the stop (stride 2)
+        system = build_feedback(a)
+        ref, res = reference_transient(system, b, oa, cfg), simulate(system, b, oa, cfg)
+        assert (res.steps, res.converged, res.diverged) == (ref.steps, ref.converged, ref.diverged)
+        assert np.array_equal(res.trace.times, ref.trace.times)
+        scale = max(1.0, float(np.abs(ref.trace.states).max()))
+        assert np.abs(res.trace.states - ref.trace.states).max() <= 1e-12 * scale
+        assert res.max_slew == pytest.approx(ref.max_slew, rel=1e-12)
 
 
 def _wide_spread(n: int) -> np.ndarray:
@@ -1276,7 +1271,7 @@ def _jumps_against(system, block, x_star, cfg, rungs, screen):
     drive = alpha * (system.u[:, None] * block)
     star_norm = np.linalg.norm(x_star, axis=0)
     ones, cap = [1.0] * rungs, np.full(block.shape[1], rungs)
-    propagate = dynamics._propagator(system.m, alpha)
+    propagate = np.eye(block.shape[0]) - alpha * system.m
     _, reach = dynamics._certified_jumps(
         system, block, x_star, alpha, propagate, drive, screen, cfg, star_norm, ones, ones, cap, 1, None
     )

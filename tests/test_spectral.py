@@ -342,6 +342,8 @@ class TestComplexityEstimates:
             (10, 2, 2.0, 0.0, 1e-3),
             (10, 2, 2.0, 1.0, 0.0),
             (10, 2, 2.0, 1.0, 1.0),
+            (10, 2, math.inf, 1.0, 1e-3),
+            (10, 2, math.inf, math.inf, 1e-3),
         ],
     )
     def test_invalid_arguments(self, args):
